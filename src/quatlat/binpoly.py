@@ -19,15 +19,13 @@ import re
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two coefficient-bit ints."""
-    if a.bit_length() > b.bit_length():
+    if a > b:
         a, b = b, a
     acc = 0
-    shift = 0
     while a:
-        if a & 1:
-            acc ^= b << shift
-        a >>= 1
-        shift += 1
+        low = a & -a  # the lowest set bit x^k; b * x^k is a shift
+        acc ^= b * low
+        a ^= low
     return acc
 
 
@@ -37,16 +35,22 @@ def cldivmod(num: int, den: int) -> tuple[int, int]:
         raise ZeroDivisionError("division by the zero polynomial")
     dden = den.bit_length()
     quo = 0
-    while num.bit_length() >= dden:
-        shift = num.bit_length() - dden
+    shift = num.bit_length() - dden
+    while shift >= 0:
         quo ^= 1 << shift
         num ^= den << shift
+        shift = num.bit_length() - dden
     return quo, num
 
 
 def clgcd(a: int, b: int) -> int:
     while b:
-        a, b = b, cldivmod(a, b)[1]
+        dden = b.bit_length()
+        shift = a.bit_length() - dden
+        while shift >= 0:
+            a ^= b << shift
+            shift = a.bit_length() - dden
+        a, b = b, a
     return a
 
 
@@ -78,12 +82,6 @@ class BinaryPoly:
 
     def coefficient(self, k: int) -> int:
         return (self.bits >> k) & 1 if k >= 0 else 0
-
-    def trailing_zeros(self) -> int:
-        """Multiplicity of the factor x; 0 for the zero polynomial."""
-        if self.bits == 0:
-            return 0
-        return (self.bits & -self.bits).bit_length() - 1
 
     # -- ring operations -------------------------------------------------
 
@@ -151,12 +149,10 @@ class BinaryPoly:
 
     def compose(self, other: BinaryPoly) -> BinaryPoly:
         """Substitute: self(other)."""
-        result = ZERO
+        result = 0
         for k in range(self.degree, -1, -1):
-            result = result * other
-            if (self.bits >> k) & 1:
-                result = result + ONE
-        return result
+            result = clmul(result, other.bits) ^ ((self.bits >> k) & 1)
+        return BinaryPoly(result)
 
     def multiplicity(self, factor: BinaryPoly) -> int:
         """Largest e with factor^e dividing self; 0 for self == 0."""

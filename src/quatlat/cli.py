@@ -18,7 +18,7 @@ import json
 import sys
 
 from .certify import ball_check
-from .invariants import albanese_kernel_dim, chern_numbers, complex_counts
+from .invariants import albanese_kernel_dim, chern_numbers, complex_counts, is_prime
 from .lattice import standard_complex, standard_structure
 from .presentations import abelianization, fixed_presentations, orbifold_presentation
 from .squares import complex_to_json, links_to_dot
@@ -43,7 +43,14 @@ def _print_results(results, as_json: bool) -> int:
     return 0 if all_passed else 1
 
 
+def _usage_error(message: str) -> int:
+    print(f"quatlat: error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args) -> int:
+    if args.radius < 0:
+        return _usage_error("--radius must be non-negative")
     return _print_results(run_all(radius=args.radius), args.json)
 
 
@@ -60,6 +67,8 @@ def cmd_present(args) -> int:
 
 
 def cmd_ball_check(args) -> int:
+    if args.radius < 0:
+        return _usage_error("--radius must be non-negative")
     report = ball_check(args.radius)
     if args.json:
         print(json.dumps({"schema_version": 1, **report.as_json()}, indent=2, sort_keys=True))
@@ -74,7 +83,13 @@ def cmd_ball_check(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    counts = complex_counts(args.N, args.q)
+    try:
+        counts = complex_counts(args.N, args.q)
+    except ValueError as exc:
+        return _usage_error(f"--N {args.N} --q {args.q}: {exc}")
+    for ell in args.ell:
+        if not is_prime(ell):
+            return _usage_error(f"--ell {ell} is not prime")
     c1_sq, c2 = chern_numbers(args.N, args.q)
     payload = {
         "schema_version": 1,
@@ -105,13 +120,11 @@ def cmd_export(args) -> int:
     complex_ = standard_complex()
     if args.what == "complex":
         if args.format != "json":
-            print("the complex exports as json only", file=sys.stderr)
-            return 2
+            return _usage_error("the complex exports as json only")
         text = json.dumps(complex_to_json(complex_), indent=2, sort_keys=True)
     else:
         if args.format != "dot":
-            print("links export as dot only", file=sys.stderr)
-            return 2
+            return _usage_error("links export as dot only")
         text = links_to_dot(complex_)
     if args.out:
         with open(args.out, "w") as fh:

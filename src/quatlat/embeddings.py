@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binpoly import ONE, BinaryPoly
+from .binpoly import ONE, BinaryPoly, clmul
 from .quaternion import Quaternion
-from .rational import ONE_RF, ZERO_RF, RationalFunction, rf
+from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _lowest_terms, rf
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ class Matrix2:
         return Matrix2(self.var, *(f * e for e in self.entries))
 
     def det(self) -> RationalFunction:
-        return self.e11 * self.e22 + self.e12 * self.e21
-
-    def adjugate(self) -> Matrix2:
-        return Matrix2(self.var, self.e22, self.e12, self.e21, self.e11)
+        a, b, c, d = self.e11, self.e12, self.e21, self.e22
+        ad_num, ad_den = clmul(a.num.bits, d.num.bits), clmul(a.den.bits, d.den.bits)
+        bc_num, bc_den = clmul(b.num.bits, c.num.bits), clmul(b.den.bits, c.den.bits)
+        return _lowest_terms(clmul(ad_num, bc_den) ^ clmul(bc_num, ad_den), clmul(ad_den, bc_den))
 
     def trace(self) -> RationalFunction:
         return self.e11 + self.e22
@@ -101,6 +101,10 @@ class EmbeddingMap:
         self.image_j = image_j
         self.image_ij = image_i * image_j
         self.identity = Matrix2.identity(var)
+        # the four basis images as int matrices over one common denominator
+        images = (self.identity, image_i, image_j, self.image_ij)
+        *nums, self._image_den = _common_form([e for m in images for e in m.entries])
+        self._image_nums = tuple(tuple(nums[4 * k : 4 * k + 4]) for k in range(4))
         # scalar embeddings recur constantly (ball checks, norm comparisons)
         self.embed_scalar = lru_cache(maxsize=1 << 16)(self._embed_scalar)
 
@@ -109,13 +113,15 @@ class EmbeddingMap:
 
     def __call__(self, q: Quaternion) -> Matrix2:
         """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J)."""
-        x0, x1, x2, x3 = (self.embed_scalar(c) for c in q.coords)
-        return (
-            self.identity.scale(x0)
-            + self.image_i.scale(x1)
-            + self.image_j.scale(x2)
-            + self.image_ij.scale(x3)
-        )
+        *xs, den = _common_form([self.embed_scalar(c) for c in q.coords])
+        den = clmul(den, self._image_den)
+        entries = [0, 0, 0, 0]
+        for x, image in zip(xs, self._image_nums):
+            if x:
+                for k, m in enumerate(image):
+                    if m:
+                        entries[k] ^= clmul(x, m)
+        return Matrix2(self.var, *(_lowest_terms(e, den) for e in entries))
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.name})"

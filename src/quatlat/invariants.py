@@ -59,7 +59,7 @@ def chern_numbers(n_vertices: int, q: int) -> tuple[int, int]:
 # -- the Albanese kernel -----------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     k = 2
@@ -159,7 +159,7 @@ def boundary_matrix(structure: V4Structure, flip_signs: bool = False) -> list[li
 
 def albanese_kernel_dim(structure: V4Structure, ell: int, flip_signs: bool = False) -> int:
     """Dimension over Z/l of the kernel of the cochain map on zero-sum functions."""
-    if not _is_prime(ell):
+    if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     matrix = boundary_matrix(structure, flip_signs)
     n_cols = len(matrix[0])

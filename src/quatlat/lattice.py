@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .quaternion import NamedElements, Quaternion, named_elements, standard_algebra
+from .quaternion import Quaternion, named_elements
 from .squares import GroupOps, SquareComplexVH, V4Structure, build_complex, build_structure
 
 
@@ -50,7 +50,3 @@ def generator_images() -> dict[str, Quaternion]:
         "a1": ne.C1 * ne.B1.inverse(),
         "a2": ne.C2 * ne.B2.inverse(),
     }
-
-
-def standard_named_elements() -> NamedElements:
-    return named_elements(standard_algebra())

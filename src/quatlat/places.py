@@ -82,7 +82,32 @@ def valuation(f: RationalFunction, place: Place):
     if place.kind == "infinity":
         return f.den.degree - f.num.degree
     m = place.minpoly
+    if m.bits == 0b10:
+        return _val_at_zero(f.num.bits, f.den.bits)
     return f.num.multiplicity(m) - f.den.multiplicity(m)
+
+
+def _val_at_zero(num: int, den: int) -> int:
+    """Valuation at x = 0 of num/den (both nonzero, not necessarily reduced)."""
+    return (num & -num).bit_length() - (den & -den).bit_length()
+
+
+def _series(num: int, den: int, upper: int) -> dict[int, int]:
+    """Exponents (-> 1) below `upper` of the nonzero coefficients of the
+    Laurent series of num/den at x = 0; num/den need not be reduced."""
+    out: dict[int, int] = {}
+    if num == 0:
+        return out
+    low_n, low_d = num & -num, den & -den
+    rem, d0 = num // low_n, den // low_d
+    for k in range(low_n.bit_length() - low_d.bit_length(), upper):
+        if rem == 0:
+            break
+        if rem & 1:
+            out[k] = 1
+            rem ^= d0
+        rem >>= 1
+    return out
 
 
 def _localize(f: RationalFunction, place: Place) -> tuple[BinaryPoly, BinaryPoly]:
@@ -109,22 +134,8 @@ def laurent_expand(f: RationalFunction, place: Place, upper: int) -> dict[int, i
     """
     if place.degree != 1:
         raise UnsupportedPlaceError(f"place {place.name} has degree {place.degree} > 1")
-    if f.is_zero():
-        return {}
     num, den = _localize(f, place)
-    v = num.trailing_zeros() - den.trailing_zeros()
-    n0 = num.shift(-num.trailing_zeros()).bits
-    d0 = den.shift(-den.trailing_zeros()).bits
-    out: dict[int, int] = {}
-    rem = n0
-    for k in range(v, upper):
-        if rem == 0:
-            break
-        if rem & 1:
-            out[k] = 1
-            rem ^= d0
-        rem >>= 1
-    return out
+    return _series(num.bits, den.bits, upper)
 
 
 # -- GF(4) machinery for the degree-2 place ------------------------------

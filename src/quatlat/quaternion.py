@@ -8,15 +8,21 @@ matrix-embedding tests rather than trusted on faith.
 
 Conjugation is the K-linear anti-involution with I -> I+1, J -> J, IJ -> IJ;
 in coordinates (x0, x1, x2, x3) it is (x0+x1, x1, x2, x3).  The reduced norm
-is q*conj(q) (a scalar) and the reduced trace is q + conj(q) = x1.
+q*conj(q) is the scalar x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2), which
+is how it is computed, and the reduced trace q + conj(q) is x1.
+
+Products, norms, inverses and projective keys are computed on the raw
+coefficient ints: the coordinates are put over one common denominator, the
+numerators combined with carry-less products and XOR, and each output
+coordinate reduced once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binpoly import BinaryPoly
-from .rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
+from .binpoly import BinaryPoly, cldivmod, clgcd, clmul
+from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _lowest_terms, parse_rational, rf
 
 
 class AlgebraMismatchError(ValueError):
@@ -38,6 +44,9 @@ class QuaternionAlgebra:
     def __post_init__(self) -> None:
         if self.b.is_zero():
             raise ValueError("the parameter b must be nonzero")
+        # the structure constants 1, a, b, ab over the common denominator of a and b
+        na, da, nb, db = self.a.num.bits, self.a.den.bits, self.b.num.bits, self.b.den.bits
+        object.__setattr__(self, "_ints", (clmul(da, db), clmul(na, db), clmul(da, nb), clmul(na, nb)))
 
     def element(self, x0: RationalFunction, x1: RationalFunction, x2: RationalFunction, x3: RationalFunction) -> Quaternion:
         return Quaternion(self, (x0, x1, x2, x3))
@@ -82,14 +91,21 @@ class Quaternion:
 
     def __mul__(self, other: Quaternion) -> Quaternion:
         self._same_algebra(other)
-        a, b = self.algebra.a, self.algebra.b
-        p0, p1, p2, p3 = self.coords
-        q0, q1, q2, q3 = other.coords
-        z0 = p0 * q0 + a * (p1 * q1) + b * (p2 * q2) + b * (p2 * q3) + a * b * (p3 * q3)
-        z1 = p0 * q1 + p1 * q0 + p1 * q1 + b * (p2 * q3) + b * (p3 * q2)
-        z2 = p0 * q2 + p2 * q0 + p2 * q1 + a * (p1 * q3) + a * (p3 * q1)
-        z3 = p0 * q3 + p3 * q0 + p1 * q2 + p2 * q1 + p1 * q3
-        return Quaternion(self.algebra, (z0, z1, z2, z3))
+        one, a, b, ab = self.algebra._ints
+        p0, p1, p2, p3, dp = _common_form(self.coords)
+        q0, q1, q2, q3, dq = _common_form(other.coords)
+        p1q1, p2q1, p2q3 = clmul(p1, q1), clmul(p2, q1), clmul(p2, q3)
+        z0 = clmul(p0, q0)
+        z1 = clmul(p0, q1) ^ clmul(p1, q0) ^ p1q1
+        z2 = clmul(p0, q2) ^ clmul(p2, q0) ^ p2q1
+        z3 = clmul(p0, q3) ^ clmul(p3, q0) ^ clmul(p1, q2 ^ q3) ^ p2q1
+        den = clmul(dp, dq)
+        if one != 1:  # a or b is not a polynomial
+            z0, z1, z2, z3, den = (clmul(one, x) for x in (z0, z1, z2, z3, den))
+        z0 ^= clmul(a, p1q1) ^ clmul(b, clmul(p2, q2) ^ p2q3) ^ clmul(ab, clmul(p3, q3))
+        z1 ^= clmul(b, p2q3 ^ clmul(p3, q2))
+        z2 ^= clmul(a, clmul(p1, q3) ^ clmul(p3, q1))
+        return Quaternion(self.algebra, tuple(_lowest_terms(z, den) for z in (z0, z1, z2, z3)))
 
     def scale(self, f: RationalFunction) -> Quaternion:
         return Quaternion(self.algebra, tuple(f * c for c in self.coords))
@@ -99,46 +115,57 @@ class Quaternion:
         return Quaternion(self.algebra, (x0 + x1, x1, x2, x3))
 
     def rnorm(self) -> RationalFunction:
-        """Reduced norm q*conj(q); asserts the product really is a scalar."""
-        prod = self * self.conj()
-        if not prod.is_scalar():
-            raise AssertionError("q*conj(q) not scalar: broken multiplication table")
-        return prod.coords[0]
+        """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
+        return _lowest_terms(*self._norm_bits())
+
+    def _norm_bits(self) -> tuple[int, int]:
+        """The reduced norm as an unreduced (numerator, denominator) pair."""
+        one, a, b, ab = self.algebra._ints
+        x0, x1, x2, x3, den = _common_form(self.coords)
+        num = (
+            clmul(one, clmul(x0, x0 ^ x1))
+            ^ clmul(a, clmul(x1, x1))
+            ^ clmul(b, clmul(x2, x2 ^ x3))
+            ^ clmul(ab, clmul(x3, x3))
+        )
+        return num, clmul(one, clmul(den, den))
 
     def rtrace(self) -> RationalFunction:
         return self.coords[1]
 
     def inverse(self) -> Quaternion:
-        n = self.rnorm()
-        if n.is_zero():
+        """conj(q) / nrd(q)."""
+        n_num, n_den = self._norm_bits()
+        if n_num == 0:
             raise NotInvertibleError("element has reduced norm zero")
-        return self.conj().scale(n.inverse())
+        x0, x1, x2, x3, den = _common_form(self.coords)
+        den = clmul(den, n_num)
+        return Quaternion(self.algebra, tuple(_lowest_terms(clmul(x, n_den), den) for x in (x0 ^ x1, x1, x2, x3)))
 
     def projective_eq(self, other: Quaternion) -> bool:
         """Equality in the projectivization: p = lambda*q for a nonzero scalar."""
         self._same_algebra(other)
-        if self.is_zero() and other.is_zero():
-            raise ValueError("projective equality undefined for the zero element")
-        if self.is_zero() or other.is_zero():
+        if self.is_zero() != other.is_zero():
             return False
-        p, q = self.coords, other.coords
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] * q[j] != p[j] * q[i]:
-                    return False
-        # cross-ratios agree; rule out one side being zero where the other is not
-        return all(p[i].is_zero() == q[i].is_zero() for i in range(4))
+        return self.projective_canon() == other.projective_canon()
 
-    def projective_canon(self) -> tuple[RationalFunction, ...]:
-        """Canonical representative: scale so the first nonzero coordinate is 1."""
-        for c in self.coords:
-            if not c.is_zero():
-                inv = c.inverse()
-                return tuple(inv * x for x in self.coords)
-        raise ValueError("zero element has no projective representative")
+    def projective_canon(self) -> tuple[int, int, int, int]:
+        """Canonical representative: the primitive coordinate 4-tuple over
+        GF(2)[z].  The coordinates over a common denominator, divided by
+        their gcd; the only unit of GF(2)[z] is 1, so the tuple is unique."""
+        *xs, _ = _common_form(self.coords)
+        content = 0
+        for x in xs:
+            if x:
+                content = clgcd(x, content) if content else x
+        if content == 0:
+            raise ValueError("zero element has no projective representative")
+        if content == 1:
+            return tuple(xs)
+        return tuple(cldivmod(x, content)[0] for x in xs)
 
     def _same_algebra(self, other: Quaternion) -> None:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatchError("elements of different quaternion algebras")
 
     def to_string(self) -> str:

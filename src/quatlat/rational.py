@@ -3,14 +3,17 @@
 A value is a reduced fraction of BinaryPoly: the denominator is nonzero and
 gcd(num, den) = 1.  Over GF(2) every nonzero polynomial is monic, so the
 reduced form is unique and equality/hashing are structural.  All operations
-are exact; fractions are re-reduced after every ring operation.
+are exact.  The public constructor reduces with one gcd; the hot paths of the
+layers above (quaternion products and norms, the splittings, the trees)
+compute on the raw coefficient ints instead and reduce once per output, or
+not at all where no canonical form is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binpoly import ONE, ZERO, BinaryPoly, cldivmod, clgcd, parse_poly
+from .binpoly import ONE, ZERO, BinaryPoly, cldivmod, clgcd, clmul, parse_poly
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,14 @@ class RationalFunction:
             object.__setattr__(self, "den", BinaryPoly(cldivmod(self.den.bits, g)[0]))
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, num: int, den: int) -> RationalFunction:
+        """Wrap bits already in lowest terms (den 1 when num is 0): no gcd."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", BinaryPoly(num))
+        object.__setattr__(f, "den", BinaryPoly(den))
+        return f
 
     @classmethod
     def from_poly(cls, p: BinaryPoly) -> RationalFunction:
@@ -102,6 +113,33 @@ class RationalFunction:
 
 ZERO_RF = RationalFunction(ZERO, ONE)
 ONE_RF = RationalFunction(ONE, ONE)
+
+
+def _lowest_terms(num: int, den: int) -> RationalFunction:
+    """The fraction num/den (den nonzero) reduced with one gcd."""
+    if den != 1:
+        if num == 0:
+            return ZERO_RF
+        g = clgcd(den, num)
+        if g != 1:
+            num, den = cldivmod(num, g)[0], cldivmod(den, g)[0]
+    return RationalFunction._reduced(num, den)
+
+
+def _common_form(fracs) -> tuple[int, ...]:
+    """(n_1, ..., n_k, d): the numerators of the fractions over d, the lcm of
+    their denominators."""
+    den = 1
+    for f in fracs:
+        d = f.den.bits
+        if d != 1 and d != den:
+            den = clmul(den, cldivmod(d, clgcd(den, d))[0])
+    out = []
+    for f in fracs:
+        d = f.den.bits
+        out.append(clmul(f.num.bits, den if d == 1 else cldivmod(den, d)[0]))
+    out.append(den)
+    return tuple(out)
 
 
 def rf(num_bits: int, den_bits: int = 1) -> RationalFunction:

@@ -15,26 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binpoly import ONE, BinaryPoly
+from .binpoly import clmul
 from .embeddings import RHO_T, RHO_Y, Matrix2
-from .places import PLACE_ZERO, laurent_expand, valuation
+from .places import _series, _val_at_zero
 from .quaternion import Quaternion
-from .rational import RationalFunction
 
 
-def _val(f: RationalFunction):
-    return valuation(f, PLACE_ZERO)
-
-
-def _tail_function(tail: frozenset[int]) -> RationalFunction:
-    """The Laurent polynomial sum of pi^e over the tail, as a rational function."""
-    if not tail:
-        return RationalFunction(BinaryPoly(0), ONE)
-    low = min(min(tail), 0)
+def _tail_bits(tail: frozenset[int]) -> tuple[int, int]:
+    """(num, s) with the Laurent polynomial sum of pi^e over the tail equal to num / pi^s."""
+    s = max(-min(tail, default=0), 0)
     num = 0
     for e in tail:
-        num |= 1 << (e - low)
-    return RationalFunction(BinaryPoly(num), BinaryPoly(1 << -low))
+        num |= 1 << (e + s)
+    return num, s
 
 
 @dataclass(frozen=True)
@@ -48,13 +41,6 @@ class TreeVertex:
     def __post_init__(self) -> None:
         if any(e >= self.level for e in self.tail):
             raise ValueError("tail exponents must lie below the level")
-
-    def matrix(self) -> Matrix2:
-        pi_n = RationalFunction(BinaryPoly(1 << self.level), ONE) if self.level >= 0 else RationalFunction(ONE, BinaryPoly(1 << -self.level))
-        c = _tail_function(self.tail)
-        zero = RationalFunction(BinaryPoly(0), ONE)
-        one = RationalFunction(ONE, ONE)
-        return Matrix2(self.field, pi_n, c, zero, one)
 
     def neighbors(self) -> tuple[TreeVertex, TreeVertex, TreeVertex]:
         """The three adjacent vertices (valency q+1 = 3 over GF(2))."""
@@ -80,41 +66,61 @@ def standard_vertex(field: str) -> TreeVertex:
 
 
 def vertex_from_matrix(m: Matrix2) -> TreeVertex:
-    """Canonical form of the lattice class spanned by the matrix columns.
+    """Canonical form of the lattice class spanned by the matrix columns."""
+    return _vertex(m.var, *((e.num.bits, e.den.bits) for e in m.entries))
+
+
+def _vertex(field: str, a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], d: tuple[int, int]) -> TreeVertex:
+    """vertex_from_matrix on entries given as (num, den) bit pairs, which need
+    not be reduced: valuations and series expansions ignore common factors.
 
     Column-reduces over the valuation ring: pivot on the bottom-row entry of
     minimal valuation, eliminate the other bottom entry, rescale so the
     lattice is [[pi^n, c], [0, 1]] and truncate c below pi^n.
     """
-    a, b, c, d = m.e11, m.e12, m.e21, m.e22
-    if m.det().is_zero():
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = a, b, c, d
+    det_num = clmul(clmul(an, dn), clmul(bd, cd)) ^ clmul(clmul(bn, cn), clmul(ad, dd))
+    if det_num == 0:
         raise ValueError("matrix is singular")
-    if _val(d) > _val(c):
-        a, b = b, a
-        c, d = d, c
+    det_den = clmul(clmul(ad, dd), clmul(bd, cd))
+    if dn == 0 or (cn and _val_at_zero(dn, dd) > _val_at_zero(cn, cd)):
+        (bn, bd), (dn, dd) = (an, ad), (cn, cd)
     # col1 <- col1 - (c/d) col2 zeroes the bottom-left entry; then divide
-    # the lattice by d:  [[(ad+bc)/d^2 * d, b/d], [0, 1]] up to units.
-    top = (a * d + b * c) / (d * d)  # = det/d^2, valuation-equal to pi^n
-    level = _val(top)
-    shift = b / d
-    coeffs = laurent_expand(shift, PLACE_ZERO, level)
-    tail = frozenset(e for e, bit in coeffs.items() if bit)
-    return TreeVertex(m.var, int(level), tail)
+    # the lattice by d:  [[det/d^2 * d, b/d], [0, 1]] up to units, and
+    # det/d^2 is valuation-equal to pi^n
+    level = _val_at_zero(det_num, det_den) - 2 * _val_at_zero(dn, dd)
+    tail = frozenset(_series(clmul(bn, dd), clmul(bd, dn), level))
+    return TreeVertex(field, level, tail)
 
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
+    """The vertex m.v: the canonical form of m times the matrix of v."""
     if m.var != v.field:
         raise ValueError("matrix and vertex live over different fields")
-    return vertex_from_matrix(m * v.matrix())
+    # the matrix of v is [[pi^n, c], [0, 1]] with c = tail / pi^s
+    tail, s = _tail_bits(v.tail)
+    up, down = max(v.level, 0), max(-v.level, 0)
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = ((e.num.bits, e.den.bits) for e in m.entries)
+    return _vertex(
+        v.field,
+        (an << up, ad << down),
+        (clmul(clmul(an, tail), bd) ^ (clmul(bn, ad) << s), clmul(ad, bd) << s),
+        (cn << up, cd << down),
+        (clmul(clmul(cn, tail), dd) ^ (clmul(dn, cd) << s), clmul(cd, dd) << s),
+    )
 
 
 def distance(v1: TreeVertex, v2: TreeVertex) -> int:
-    """Tree distance via elementary divisors of the transition matrix."""
+    """Tree distance via elementary divisors of the transition matrix.
+
+    adj([[pi^n1, c1], [0, 1]]) * [[pi^n2, c2], [0, 1]] = [[pi^n2, c1 + c2], [0, pi^n1]], so the
+    distance is n1 + n2 - 2 * min(n1, n2, v(c1 + c2)), and c1 + c2 is the
+    symmetric difference of the two tails.
+    """
     if v1.field != v2.field:
         raise ValueError("vertices of different trees")
-    g = v1.matrix().adjugate() * v2.matrix()
-    min_val = min(_val(e) for e in g.entries if not e.is_zero())
-    return int(_val(g.det()) - 2 * min_val)
+    low = min(v1.level, v2.level, min(v1.tail ^ v2.tail, default=v1.level))
+    return v1.level + v2.level - 2 * low
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-from quatlat.binpoly import ONE, ZERO, BinaryPoly, parse_poly
+import pytest
+
+from quatlat.binpoly import ONE, ZERO, BinaryPoly, cldivmod, clgcd, clmul, parse_poly
 from quatlat.rational import RationalFunction, parse_rational, rf
 
 from conftest import make_rng, random_nonzero_poly, random_poly
@@ -30,6 +32,28 @@ def test_mul_divmod_gcd():
         g = a.gcd(b)
         if not a.is_zero():
             assert (a % g).is_zero() and (b % g).is_zero()
+
+
+def test_int_primitives_against_sympy():
+    """clmul, cldivmod and clgcd against sympy's GF(2)[x] on random ints up to degree 40."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(bits: int):
+        return sympy.Poly([(bits >> k) & 1 for k in range(max(bits.bit_length(), 1) - 1, -1, -1)], x, modulus=2)
+
+    def bits(p) -> int:
+        return sum((int(c) % 2) << k for (k,), c in p.terms())
+
+    rng = make_rng(4)
+    for _ in range(300):
+        a = rng.getrandbits(rng.randint(1, 41))
+        b = rng.getrandbits(rng.randint(1, 41)) or 1
+        pa, pb = poly(a), poly(b)
+        assert clmul(a, b) == bits(pa.mul(pb))
+        quo, rem = pa.div(pb)
+        assert cldivmod(a, b) == (bits(quo), bits(rem))
+        assert clgcd(a, b) == bits(pa.gcd(pb))
 
 
 def test_degree_and_multiplicity():

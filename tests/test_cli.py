@@ -99,3 +99,19 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["present", "nonexistent"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["ball-check", "--radius", "-1"],
+        ["verify", "--radius", "-2"],
+        ["invariants", "--ell", "4"],
+        ["invariants", "--N", "5", "--q", "2"],
+    ),
+)
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("quatlat: error: ") and captured.err.count("\n") == 1
