@@ -3,7 +3,7 @@ with certificates for the numerical invariants of the associated fake quadric.
 """
 
 from .binpoly import BinaryPoly, parse_poly
-from .embeddings import RHO_T, RHO_Y, Matrix2, embed_scalar, rho
+from .embeddings import RHO_T, RHO_Y, Matrix2
 from .places import (
     PLACE_INF,
     PLACE_ONE,
@@ -45,7 +45,6 @@ __all__ = [
     "act",
     "bt_act",
     "distance",
-    "embed_scalar",
     "laurent_expand",
     "local_symbol",
     "named_elements",
@@ -54,7 +53,6 @@ __all__ = [
     "parse_rational",
     "residue",
     "rf",
-    "rho",
     "standard_algebra",
     "standard_product_vertex",
     "valuation",

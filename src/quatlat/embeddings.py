@@ -10,76 +10,126 @@ z = y^2 + y resp. z = 1/(t^2 + t); the generator images are
 
 with u = t^2 + t substituted throughout.  Both satisfy the defining
 relations, and det(rho(q)) equals the embedded reduced norm.
+
+A Matrix2 is stored like a quaternion: four polynomial numerators over one
+denominator, in lowest terms, with the entries as RationalFunction values
+built only on demand.  An embedding sums the embedded numerators of q
+against the four basis images, precomputed as int matrices over one
+denominator, and reduces the result once; products, det and trace run on
+the stored ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .binpoly import ONE, BinaryPoly, clmul
 from .quaternion import Quaternion
-from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _lowest_terms, rf
+from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _lowest_terms, _primitive_part, _reduce_over, rf
 
 
-@dataclass(frozen=True)
 class Matrix2:
-    """A 2x2 matrix of rational functions over a declared variable."""
+    """A 2x2 matrix over GF(2)(var), stored as four GF(2)[var] numerators
+    (e11, e12, e21, e22) over one denominator, in lowest terms; the entries
+    as reduced fractions are built on first use."""
 
-    var: str
-    e11: RationalFunction
-    e12: RationalFunction
-    e21: RationalFunction
-    e22: RationalFunction
+    __slots__ = ("var", "_nums", "_den", "_entries")
+
+    def __init__(
+        self, var: str, e11: RationalFunction, e12: RationalFunction, e21: RationalFunction, e22: RationalFunction
+    ) -> None:
+        entries = (e11, e12, e21, e22)
+        *nums, den = _common_form(entries)  # the lcm of reduced denominators: already in lowest terms
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_entries", entries)
+
+    @classmethod
+    def _from_ints(cls, var: str, nums: tuple[int, int, int, int], den: int) -> Matrix2:
+        """The matrix with numerators `nums` over `den` (nonzero), reduced once."""
+        m = object.__new__(cls)
+        nums, den = _reduce_over(nums, den)
+        object.__setattr__(m, "var", var)
+        object.__setattr__(m, "_nums", nums)
+        object.__setattr__(m, "_den", den)
+        object.__setattr__(m, "_entries", None)
+        return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix2 is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return (Matrix2, (self.var, *self.entries))
 
     @classmethod
     def identity(cls, var: str) -> Matrix2:
-        return cls(var, ONE_RF, ZERO_RF, ZERO_RF, ONE_RF)
+        return cls._from_ints(var, (1, 0, 0, 1), 1)
 
     @property
     def entries(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
-        return (self.e11, self.e12, self.e21, self.e22)
+        entries = self._entries
+        if entries is None:
+            entries = tuple(_lowest_terms(x, self._den) for x in self._nums)
+            object.__setattr__(self, "_entries", entries)
+        return entries
+
+    e11 = property(lambda self: self.entries[0])
+    e12 = property(lambda self: self.entries[1])
+    e21 = property(lambda self: self.entries[2])
+    e22 = property(lambda self: self.entries[3])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix2):
+            return NotImplemented
+        return self.var == other.var and self._nums == other._nums and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self.var, self._nums, self._den))
+
+    def __repr__(self) -> str:
+        return f"Matrix2({self.var!r}, {self})"
 
     def __mul__(self, other: Matrix2) -> Matrix2:
         self._same_var(other)
-        return Matrix2(
-            self.var,
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
+        a, b, c, d = self._nums
+        e, f, g, h = other._nums
+        nums = (
+            clmul(a, e) ^ clmul(b, g),
+            clmul(a, f) ^ clmul(b, h),
+            clmul(c, e) ^ clmul(d, g),
+            clmul(c, f) ^ clmul(d, h),
         )
+        return Matrix2._from_ints(self.var, nums, clmul(self._den, other._den))
 
     def __add__(self, other: Matrix2) -> Matrix2:
         self._same_var(other)
-        return Matrix2(self.var, *(p + q for p, q in zip(self.entries, other.entries)))
+        dp, dq = self._den, other._den
+        nums = tuple(clmul(x, dq) ^ clmul(y, dp) for x, y in zip(self._nums, other._nums))
+        return Matrix2._from_ints(self.var, nums, clmul(dp, dq))
 
     def scale(self, f: RationalFunction) -> Matrix2:
-        return Matrix2(self.var, *(f * e for e in self.entries))
+        nums = tuple(clmul(f.num.bits, x) for x in self._nums)
+        return Matrix2._from_ints(self.var, nums, clmul(f.den.bits, self._den))
 
     def det(self) -> RationalFunction:
-        a, b, c, d = self.e11, self.e12, self.e21, self.e22
-        ad_num, ad_den = clmul(a.num.bits, d.num.bits), clmul(a.den.bits, d.den.bits)
-        bc_num, bc_den = clmul(b.num.bits, c.num.bits), clmul(b.den.bits, c.den.bits)
-        return _lowest_terms(clmul(ad_num, bc_den) ^ clmul(bc_num, ad_den), clmul(ad_den, bc_den))
+        a, b, c, d = self._nums
+        return _lowest_terms(clmul(a, d) ^ clmul(b, c), clmul(self._den, self._den))
 
     def trace(self) -> RationalFunction:
-        return self.e11 + self.e22
+        a, _, _, d = self._nums
+        return _lowest_terms(a ^ d, self._den)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self._nums)
 
     def projective_eq(self, other: Matrix2) -> bool:
-        """Equal up to a nonzero scalar of the function field."""
+        """Equal up to a nonzero scalar of the function field: the same
+        primitive numerator 4-tuple."""
         self._same_var(other)
         if self.is_zero() or other.is_zero():
             raise ValueError("projective equality undefined for the zero matrix")
-        p, q = self.entries, other.entries
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] * q[j] != p[j] * q[i]:
-                    return False
-        return all(p[i].is_zero() == q[i].is_zero() for i in range(4))
+        return _primitive_part(self._nums) == _primitive_part(other._nums)
 
     def _same_var(self, other: Matrix2) -> None:
         if self.var != other.var:
@@ -121,7 +171,7 @@ class EmbeddingMap:
                 for k, m in enumerate(image):
                     if m:
                         entries[k] ^= clmul(x, m)
-        return Matrix2(self.var, *(_lowest_terms(e, den) for e in entries))
+        return Matrix2._from_ints(self.var, tuple(entries), den)
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.name})"
@@ -179,10 +229,3 @@ def _build_rho_t() -> EmbeddingMap:
 RHO_Y = _build_rho_y()
 RHO_T = _build_rho_t()
 
-
-def embed_scalar(f: RationalFunction, which: EmbeddingMap) -> RationalFunction:
-    return which.embed_scalar(f)
-
-
-def rho(q: Quaternion, which: EmbeddingMap) -> Matrix2:
-    return which(q)

@@ -11,18 +11,33 @@ in coordinates (x0, x1, x2, x3) it is (x0+x1, x1, x2, x3).  The reduced norm
 q*conj(q) is the scalar x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2), which
 is how it is computed, and the reduced trace q + conj(q) is x1.
 
-Products, norms, inverses and projective keys are computed on the raw
-coefficient ints: the coordinates are put over one common denominator, the
-numerators combined with carry-less products and XOR, and each output
-coordinate reduced once.
+An element is stored the way the arithmetic uses it: four GF(2)[z]
+numerators over one denominator, with gcd(n0, n1, n2, n3, den) = 1.  Since
+1 is the only unit of GF(2)[z], that form is canonical, so == and hash read
+it directly; the coordinates as RationalFunction values are only a view,
+built on demand.  A product combines the numerators with carry-less
+products and XOR against the structure constants of the algebra and divides
+the five output ints by their gcd once.  The norm, inverse and conjugate
+read the stored ints, and the projective key is the numerator 4-tuple
+divided by its gcd (the denominator is a scalar).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binpoly import BinaryPoly, cldivmod, clgcd, clmul
-from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _lowest_terms, parse_rational, rf
+from .binpoly import BinaryPoly, clmul
+from .rational import (
+    ONE_RF,
+    ZERO_RF,
+    RationalFunction,
+    _common_form,
+    _lowest_terms,
+    _primitive_part,
+    _reduce_over,
+    parse_rational,
+    rf,
+)
 
 
 class AlgebraMismatchError(ValueError):
@@ -70,77 +85,136 @@ class QuaternionAlgebra:
         return self.element(ZERO_RF, ZERO_RF, ZERO_RF, ONE_RF)
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    """An element x0 + x1*I + x2*J + x3*IJ with reduced-fraction coordinates."""
+    """An element x0 + x1*I + x2*J + x3*IJ.
 
-    algebra: QuaternionAlgebra
-    coords: tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]
+    Stored as four GF(2)[z] numerators over one denominator, with
+    gcd(n0, n1, n2, n3, den) = 1.  The only unit of GF(2)[z] is 1, so this
+    form is unique: equality and hashing compare it directly.  The
+    coordinates x_k = n_k / den as reduced fractions (`coords`) are built on
+    first use, or kept when the element was made from them.
+    """
+
+    __slots__ = ("algebra", "_nums", "_den", "_coords")
+
+    def __init__(self, algebra: QuaternionAlgebra, coords) -> None:
+        coords = tuple(coords)
+        if len(coords) != 4:
+            raise ValueError("a quaternion has four coordinates")
+        *nums, den = _common_form(coords)  # the lcm of reduced denominators: already in lowest terms
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coords", coords)
+
+    @classmethod
+    def _from_ints(cls, algebra: QuaternionAlgebra, nums: tuple[int, int, int, int], den: int) -> Quaternion:
+        """The element with numerators `nums` over `den` (nonzero), reduced once."""
+        q = object.__new__(cls)
+        nums, den = _reduce_over(nums, den)
+        object.__setattr__(q, "algebra", algebra)
+        object.__setattr__(q, "_nums", nums)
+        object.__setattr__(q, "_den", den)
+        object.__setattr__(q, "_coords", None)
+        return q
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Quaternion is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return (Quaternion, (self.algebra, self.coords))
+
+    @property
+    def coords(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
+        coords = self._coords
+        if coords is None:
+            coords = tuple(_lowest_terms(x, self._den) for x in self._nums)
+            object.__setattr__(self, "_coords", coords)
+        return coords
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return (
+            self._nums == other._nums
+            and self._den == other._den
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+    def __repr__(self) -> str:
+        return f"Quaternion({self.to_string()!r})"
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self._nums)
 
     def is_scalar(self) -> bool:
-        return all(c.is_zero() for c in self.coords[1:])
+        return not any(self._nums[1:])
 
     def __add__(self, other: Quaternion) -> Quaternion:
         self._same_algebra(other)
-        return Quaternion(self.algebra, tuple(p + q for p, q in zip(self.coords, other.coords)))
+        dp, dq = self._den, other._den
+        nums = tuple(clmul(x, dq) ^ clmul(y, dp) for x, y in zip(self._nums, other._nums))
+        return Quaternion._from_ints(self.algebra, nums, clmul(dp, dq))
 
     __sub__ = __add__
 
     def __mul__(self, other: Quaternion) -> Quaternion:
         self._same_algebra(other)
         one, a, b, ab = self.algebra._ints
-        p0, p1, p2, p3, dp = _common_form(self.coords)
-        q0, q1, q2, q3, dq = _common_form(other.coords)
+        p0, p1, p2, p3 = self._nums
+        q0, q1, q2, q3 = other._nums
         p1q1, p2q1, p2q3 = clmul(p1, q1), clmul(p2, q1), clmul(p2, q3)
         z0 = clmul(p0, q0)
         z1 = clmul(p0, q1) ^ clmul(p1, q0) ^ p1q1
         z2 = clmul(p0, q2) ^ clmul(p2, q0) ^ p2q1
         z3 = clmul(p0, q3) ^ clmul(p3, q0) ^ clmul(p1, q2 ^ q3) ^ p2q1
-        den = clmul(dp, dq)
+        den = clmul(self._den, other._den)
         if one != 1:  # a or b is not a polynomial
             z0, z1, z2, z3, den = (clmul(one, x) for x in (z0, z1, z2, z3, den))
         z0 ^= clmul(a, p1q1) ^ clmul(b, clmul(p2, q2) ^ p2q3) ^ clmul(ab, clmul(p3, q3))
         z1 ^= clmul(b, p2q3 ^ clmul(p3, q2))
         z2 ^= clmul(a, clmul(p1, q3) ^ clmul(p3, q1))
-        return Quaternion(self.algebra, tuple(_lowest_terms(z, den) for z in (z0, z1, z2, z3)))
+        return Quaternion._from_ints(self.algebra, (z0, z1, z2, z3), den)
 
     def scale(self, f: RationalFunction) -> Quaternion:
-        return Quaternion(self.algebra, tuple(f * c for c in self.coords))
+        nums = tuple(clmul(f.num.bits, x) for x in self._nums)
+        return Quaternion._from_ints(self.algebra, nums, clmul(f.den.bits, self._den))
 
     def conj(self) -> Quaternion:
-        x0, x1, x2, x3 = self.coords
-        return Quaternion(self.algebra, (x0 + x1, x1, x2, x3))
+        x0, x1, x2, x3 = self._nums
+        return Quaternion._from_ints(self.algebra, (x0 ^ x1, x1, x2, x3), self._den)
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
-        return _lowest_terms(*self._norm_bits())
+        den = self._den
+        return _lowest_terms(self._norm_num(), clmul(self.algebra._ints[0], clmul(den, den)))
 
-    def _norm_bits(self) -> tuple[int, int]:
-        """The reduced norm as an unreduced (numerator, denominator) pair."""
+    def _norm_num(self) -> int:
+        """The numerator of the reduced norm over one * den^2, where `one` is
+        the common denominator of a and b."""
         one, a, b, ab = self.algebra._ints
-        x0, x1, x2, x3, den = _common_form(self.coords)
-        num = (
+        x0, x1, x2, x3 = self._nums
+        return (
             clmul(one, clmul(x0, x0 ^ x1))
             ^ clmul(a, clmul(x1, x1))
             ^ clmul(b, clmul(x2, x2 ^ x3))
             ^ clmul(ab, clmul(x3, x3))
         )
-        return num, clmul(one, clmul(den, den))
 
     def rtrace(self) -> RationalFunction:
-        return self.coords[1]
+        return _lowest_terms(self._nums[1], self._den)
 
     def inverse(self) -> Quaternion:
-        """conj(q) / nrd(q)."""
-        n_num, n_den = self._norm_bits()
-        if n_num == 0:
+        """conj(q) / nrd(q) = conj(n) * one * den / norm numerator."""
+        norm = self._norm_num()
+        if norm == 0:
             raise NotInvertibleError("element has reduced norm zero")
-        x0, x1, x2, x3, den = _common_form(self.coords)
-        den = clmul(den, n_num)
-        return Quaternion(self.algebra, tuple(_lowest_terms(clmul(x, n_den), den) for x in (x0 ^ x1, x1, x2, x3)))
+        x0, x1, x2, x3 = self._nums
+        f = clmul(self.algebra._ints[0], self._den)
+        return Quaternion._from_ints(self.algebra, tuple(clmul(f, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
 
     def projective_eq(self, other: Quaternion) -> bool:
         """Equality in the projectivization: p = lambda*q for a nonzero scalar."""
@@ -151,18 +225,8 @@ class Quaternion:
 
     def projective_canon(self) -> tuple[int, int, int, int]:
         """Canonical representative: the primitive coordinate 4-tuple over
-        GF(2)[z].  The coordinates over a common denominator, divided by
-        their gcd; the only unit of GF(2)[z] is 1, so the tuple is unique."""
-        *xs, _ = _common_form(self.coords)
-        content = 0
-        for x in xs:
-            if x:
-                content = clgcd(x, content) if content else x
-        if content == 0:
-            raise ValueError("zero element has no projective representative")
-        if content == 1:
-            return tuple(xs)
-        return tuple(cldivmod(x, content)[0] for x in xs)
+        GF(2)[z], the stored numerators divided by their gcd."""
+        return _primitive_part(self._nums)
 
     def _same_algebra(self, other: Quaternion) -> None:
         if self.algebra is not other.algebra and self.algebra != other.algebra:

@@ -142,6 +142,36 @@ def _common_form(fracs) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _reduce_over(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators over one nonzero denominator, divided by the gcd of all of
+    them: one gcd chain, stopped as soon as it reaches 1.  All-zero
+    numerators come back over 1."""
+    g = den
+    for x in nums:
+        if g == 1:
+            return nums, den
+        if x:
+            g = clgcd(x, g)
+    if g == 1:
+        return nums, den
+    return tuple(cldivmod(x, g)[0] for x in nums), cldivmod(den, g)[0]
+
+
+def _primitive_part(nums: tuple[int, ...]) -> tuple[int, ...]:
+    """The polynomials divided by their gcd: the canonical representative of
+    their projective class, since 1 is the only unit of GF(2)[z].  They must
+    not all be zero."""
+    content = 0
+    for x in nums:
+        if x:
+            content = clgcd(x, content) if content else x
+            if content == 1:
+                return nums
+    if content == 0:
+        raise ValueError("the zero vector has no projective representative")
+    return tuple(cldivmod(x, content)[0] for x in nums)
+
+
 def rf(num_bits: int, den_bits: int = 1) -> RationalFunction:
     """Shorthand used all over the tests: bits in, reduced fraction out."""
     return RationalFunction(BinaryPoly(num_bits), BinaryPoly(den_bits))

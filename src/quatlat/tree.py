@@ -9,6 +9,13 @@ right units and scalars, stored canonically as (level n, tail c) where the
 tail is the finite set of exponents (< n, coefficients in GF(2)) of the
 Laurent polynomial c reduced modulo pi^n.  Canonical coordinates make
 vertices hashable, which the ball enumerations rely on.
+
+A vertex is a lattice class up to scalars, so a matrix acts through its
+polynomial numerators alone: `vertex_from_matrix` and `act` drop the
+shared denominator of a Matrix2 and, in `act`, scale the vertex matrix by a
+power of pi so that every entry of the product is a polynomial.  The
+canonical form then needs only carry-less products, the lowest set bits of
+the entries (valuations at 0) and one truncated series division.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 from .binpoly import clmul
 from .embeddings import RHO_T, RHO_Y, Matrix2
-from .places import _series, _val_at_zero
+from .places import _series
 from .quaternion import Quaternion
 
 
@@ -67,47 +74,52 @@ def standard_vertex(field: str) -> TreeVertex:
 
 def vertex_from_matrix(m: Matrix2) -> TreeVertex:
     """Canonical form of the lattice class spanned by the matrix columns."""
-    return _vertex(m.var, *((e.num.bits, e.den.bits) for e in m.entries))
+    return _vertex(m.var, *m._nums)
 
 
-def _vertex(field: str, a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], d: tuple[int, int]) -> TreeVertex:
-    """vertex_from_matrix on entries given as (num, den) bit pairs, which need
-    not be reduced: valuations and series expansions ignore common factors.
+def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
+    """vertex_from_matrix on the polynomial matrix [[a, b], [c, d]].
 
     Column-reduces over the valuation ring: pivot on the bottom-row entry of
     minimal valuation, eliminate the other bottom entry, rescale so the
-    lattice is [[pi^n, c], [0, 1]] and truncate c below pi^n.
+    lattice is [[pi^n, c], [0, 1]] and truncate c below pi^n.  The valuation
+    at 0 of a nonzero polynomial x is that of its lowest set bit, x & -x.
     """
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = a, b, c, d
-    det_num = clmul(clmul(an, dn), clmul(bd, cd)) ^ clmul(clmul(bn, cn), clmul(ad, dd))
-    if det_num == 0:
+    det = clmul(a, d) ^ clmul(b, c)
+    if det == 0:
         raise ValueError("matrix is singular")
-    det_den = clmul(clmul(ad, dd), clmul(bd, cd))
-    if dn == 0 or (cn and _val_at_zero(dn, dd) > _val_at_zero(cn, cd)):
-        (bn, bd), (dn, dd) = (an, ad), (cn, cd)
+    if d == 0 or (c and (d & -d) > (c & -c)):
+        b, d = a, c
     # col1 <- col1 - (c/d) col2 zeroes the bottom-left entry; then divide
     # the lattice by d:  [[det/d^2 * d, b/d], [0, 1]] up to units, and
     # det/d^2 is valuation-equal to pi^n
-    level = _val_at_zero(det_num, det_den) - 2 * _val_at_zero(dn, dd)
-    tail = frozenset(_series(clmul(bn, dd), clmul(bd, dn), level))
-    return TreeVertex(field, level, tail)
+    level = (det & -det).bit_length() + 1 - 2 * (d & -d).bit_length()
+    return _canonical_vertex(field, level, frozenset(_series(b, d, level)))
+
+
+def _canonical_vertex(field: str, level: int, tail: frozenset[int]) -> TreeVertex:
+    """A TreeVertex from coordinates that are canonical by construction, so
+    the check in __post_init__ is skipped."""
+    v = object.__new__(TreeVertex)
+    object.__setattr__(v, "field", field)
+    object.__setattr__(v, "level", level)
+    object.__setattr__(v, "tail", tail)
+    return v
 
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     """The vertex m.v: the canonical form of m times the matrix of v."""
     if m.var != v.field:
         raise ValueError("matrix and vertex live over different fields")
-    # the matrix of v is [[pi^n, c], [0, 1]] with c = tail / pi^s
+    # m is N/den for a polynomial matrix N, and the matrix of v is
+    # [[pi^n, c], [0, 1]] with c = tail / pi^s.  A vertex is a lattice class
+    # up to scalars, so m.v = N.V' for V' = pi^(s + max(-n, 0)) times the
+    # matrix of v: [[pi^(max(n, 0) + s), tail * pi^down], [0, pi^(s + down)]]
+    # with down = max(-n, 0), all polynomial.
     tail, s = _tail_bits(v.tail)
-    up, down = max(v.level, 0), max(-v.level, 0)
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = ((e.num.bits, e.den.bits) for e in m.entries)
-    return _vertex(
-        v.field,
-        (an << up, ad << down),
-        (clmul(clmul(an, tail), bd) ^ (clmul(bn, ad) << s), clmul(ad, bd) << s),
-        (cn << up, cd << down),
-        (clmul(clmul(cn, tail), dd) ^ (clmul(dn, cd) << s), clmul(cd, dd) << s),
-    )
+    up, down = max(v.level, 0) + s, max(-v.level, 0)
+    a, b, c, d = m._nums
+    return _vertex(v.field, a << up, (clmul(a, tail) ^ (b << s)) << down, c << up, (clmul(c, tail) ^ (d << s)) << down)
 
 
 def distance(v1: TreeVertex, v2: TreeVertex) -> int:

@@ -19,7 +19,7 @@ from quatlat.certify import (
     ramified_places,
     stabilizer_certificate,
 )
-from quatlat.embeddings import RHO_T, RHO_Y, rho
+from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.invariants import albanese_certificate, albanese_kernel_dim, chern_numbers, complex_counts
 from quatlat.lattice import generator_images, standard_complex, standard_structure
 from quatlat.localperm import local_group, reference_group, sigma
@@ -94,13 +94,13 @@ def test_criterion_03_splitting_oracles():
         rng = make_rng(300)
         for _ in range(1000):
             q = random_quaternion(rng, alg, 1)
-            assert rho(q, RHO_Y).det() == RHO_Y.embed_scalar(q.rnorm())
-            assert rho(q, RHO_T).det() == RHO_T.embed_scalar(q.rnorm())
+            assert RHO_Y(q).det() == RHO_Y.embed_scalar(q.rnorm())
+            assert RHO_T(q).det() == RHO_T.embed_scalar(q.rnorm())
         expected_y, expected_t = expected_generator_table()
         ne = named_elements()
         for name, q in (("b1", ne.B1), ("b2", ne.B2), ("c1", ne.C1), ("c2", ne.C2)):
-            assert rho(q, RHO_Y).projective_eq(expected_y[name])
-            assert rho(q, RHO_T).projective_eq(expected_t[name])
+            assert RHO_Y(q).projective_eq(expected_y[name])
+            assert RHO_T(q).projective_eq(expected_t[name])
 
 
 def test_criterion_04_v4_structure():

@@ -78,6 +78,18 @@ def test_export_complex_matches_fixture(capsys):
     assert exported == golden
 
 
+@pytest.mark.parametrize(
+    "argv, fixture",
+    (
+        (["verify", "--radius", "3", "--json"], "verify-r3.json"),
+        (["ball-check", "--radius", "5", "--json"], "ball-check-r5.json"),
+    ),
+)
+def test_json_output_matches_fixture_byte_for_byte(argv, fixture, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (fixture_dir() / fixture).read_bytes()
+
+
 def test_export_to_file(tmp_path, capsys):
     out_file = tmp_path / "links.dot"
     assert main(["export", "--what", "links", "--format", "dot", "--out", str(out_file)]) == 0

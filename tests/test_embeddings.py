@@ -1,4 +1,4 @@
-from quatlat.embeddings import RHO_T, RHO_Y, Matrix2, embed_scalar, rho
+from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import named_elements, standard_algebra
 from quatlat.rational import ONE_RF, parse_rational, rf
 
@@ -11,10 +11,10 @@ U_IN_T = rf(0b110)  # t^2 + t
 
 
 def test_embed_scalar_examples():
-    assert embed_scalar(parse_rational("z"), RHO_Y) == Z_IN_Y
-    assert embed_scalar(rf(1), RHO_Y) == ONE_RF
-    assert embed_scalar(rf(1), RHO_T) == ONE_RF
-    assert embed_scalar(parse_rational("z"), RHO_T) == U_IN_T.inverse()
+    assert RHO_Y.embed_scalar(parse_rational("z")) == Z_IN_Y
+    assert RHO_Y.embed_scalar(rf(1)) == ONE_RF
+    assert RHO_T.embed_scalar(rf(1)) == ONE_RF
+    assert RHO_T.embed_scalar(parse_rational("z")) == U_IN_T.inverse()
 
 
 def test_embed_scalar_is_a_field_homomorphism():
@@ -31,8 +31,8 @@ def test_embed_scalar_is_a_field_homomorphism():
 
 def test_generator_images():
     alg = standard_algebra()
-    assert str(rho(alg.gen_i(), RHO_Y)) == "[[y, 0], [0, 1+y]]"
-    assert rho(alg.one(), RHO_T).entries == Matrix2.identity("t").entries
+    assert str(RHO_Y(alg.gen_i())) == "[[y, 0], [0, 1+y]]"
+    assert RHO_T(alg.one()).entries == Matrix2.identity("t").entries
 
 
 def test_defining_relations_under_both_embeddings():
@@ -51,8 +51,8 @@ def test_det_and_trace_match_norm_and_trace(algebra):
     for _ in range(300):
         q = random_quaternion(rng, algebra, 2)
         for which in (RHO_Y, RHO_T):
-            assert rho(q, which).det() == which.embed_scalar(q.rnorm())
-            assert rho(q, which).trace() == which.embed_scalar(q.rtrace())
+            assert which(q).det() == which.embed_scalar(q.rnorm())
+            assert which(q).trace() == which.embed_scalar(q.rtrace())
 
 
 def _mat_y(e11, e12, e21, e22):
@@ -91,12 +91,12 @@ def test_generator_image_table():
     expected_y, expected_t = expected_generator_table()
     elements = {"b1": ne.B1, "b2": ne.B2, "c1": ne.C1, "c2": ne.C2}
     for name, q in elements.items():
-        assert rho(q, RHO_Y).projective_eq(expected_y[name]), name
-        assert rho(q, RHO_T).projective_eq(expected_t[name]), name
+        assert RHO_Y(q).projective_eq(expected_y[name]), name
+        assert RHO_T(q).projective_eq(expected_t[name]), name
     # the t-column entries are exactly u * rho_t(.)
     u_img = RHO_T.embed_scalar(parse_rational("z")).inverse()
     for name, q in elements.items():
-        assert rho(q, RHO_T).scale(u_img).entries == expected_t[name].entries, name
+        assert RHO_T(q).scale(u_img).entries == expected_t[name].entries, name
 
 
 def test_matrix_operations():
@@ -104,9 +104,9 @@ def test_matrix_operations():
     ne = named_elements()
     ident = Matrix2.identity("y")
     assert ident.det() == ONE_RF
-    assert rho(ne.B2, RHO_Y).det() == RHO_Y.embed_scalar(parse_rational("z+z^2"))
-    lhs = rho(ne.D, RHO_Y) * rho(ne.B1, RHO_Y)
-    assert lhs.entries == rho(alg.gen_j(), RHO_Y).entries
+    assert RHO_Y(ne.B2).det() == RHO_Y.embed_scalar(parse_rational("z+z^2"))
+    lhs = RHO_Y(ne.D) * RHO_Y(ne.B1)
+    assert lhs.entries == RHO_Y(alg.gen_j()).entries
     rng = make_rng(32)
     for _ in range(200):
         m = Matrix2("y", *(random_rational(rng) for _ in range(4)))
@@ -115,7 +115,7 @@ def test_matrix_operations():
 
 
 def test_projective_matrix_equality():
-    m = rho(named_elements().C1, RHO_T)
+    m = RHO_T(named_elements().C1)
     scaled = m.scale(parse_rational("z+z^2"))
     assert m.projective_eq(scaled)
     assert not m.projective_eq(Matrix2.identity("t"))

@@ -4,19 +4,32 @@ Products, reduced norms, inverses, projective keys, the splittings and the
 tree action run on raw GF(2)[z] ints; each is compared here with the
 fraction-by-fraction formula in fraction_reference.py on random inputs, in
 the standard algebra [z, 1+z^3) and in [1/z, z/(1+z)), whose parameters are
-not polynomials.
+not polynomials.  Quaternion and Matrix2 store four numerators over one
+denominator; the tests below also check that this stored form is in lowest
+terms and that ==, hash and the coordinate views agree with it.
 """
+
+import copy
+import pickle
 
 import pytest
 
-from quatlat.binpoly import clgcd
+from quatlat.binpoly import ONE, clgcd
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.places import PLACE_ZERO, valuation
-from quatlat.quaternion import NotInvertibleError, QuaternionAlgebra, standard_algebra
-from quatlat.rational import parse_rational
+from quatlat.embeddings import Matrix2
+from quatlat.quaternion import NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
+from quatlat.rational import RationalFunction, parse_rational
 from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
 
-from conftest import make_rng, random_invertible_matrix, random_quaternion, random_rational
+from conftest import (
+    make_rng,
+    random_invertible_matrix,
+    random_invertible_quaternion,
+    random_nonzero_poly,
+    random_quaternion,
+    random_rational,
+)
 from fraction_reference import (
     reference_det,
     reference_distance,
@@ -53,7 +66,10 @@ def test_product_matches_the_fraction_formula(alg):
     for _ in range(SAMPLES):
         p = random_quaternion(rng, alg, DEGREE)
         q = random_quaternion(rng, alg, DEGREE)
-        assert p * q == reference_mul(p, q), (p, q)
+        want = reference_mul(p, q).coords
+        got = p * q
+        assert got == Quaternion(alg, want), (p, q)
+        assert got.coords == want, (p, q)  # the view built from the stored ints
 
 
 def test_inverse_is_conj_over_norm(alg):
@@ -118,3 +134,93 @@ def test_valuation_at_zero_counts_factors_of_z():
         if f.is_zero():
             continue
         assert valuation(f, PLACE_ZERO) == f.num.multiplicity(z) - f.den.multiplicity(z)
+
+
+def _gcd_all(xs) -> int:
+    g = 0
+    for x in xs:
+        g = clgcd(x, g) if g else x
+    return g
+
+
+def _random_nonzero_scalar(rng) -> RationalFunction:
+    return RationalFunction(random_nonzero_poly(rng, DEGREE), random_nonzero_poly(rng, DEGREE))
+
+
+def _quaternions_made_every_way(rng, alg):
+    """Elements from the constructor and from each operation that builds
+    the stored form itself."""
+    p = random_quaternion(rng, alg, DEGREE)
+    q = random_quaternion(rng, alg, DEGREE)
+    made = [p, p * q, p + q, p.conj(), p.scale(random_rational(rng, 2))]
+    if not p.rnorm().is_zero():
+        made.append(p.inverse())
+    return made
+
+
+def test_stored_forms_are_in_lowest_terms(alg):
+    rng = make_rng(67)
+    for _ in range(SAMPLES):
+        for x in _quaternions_made_every_way(rng, alg):
+            assert x._den != 0 and _gcd_all((*x._nums, x._den)) == 1, x
+        m = random_invertible_matrix(rng, "y", DEGREE)
+        n = Matrix2("y", *(random_rational(rng, DEGREE) for _ in range(4)))
+        q = random_quaternion(rng, standard_algebra(), DEGREE)
+        for x in (m, n, m * n, m + n, m.scale(random_rational(rng, 2)), RHO_Y(q), RHO_T(q)):
+            assert x._den != 0 and _gcd_all((*x._nums, x._den)) == 1, x
+
+
+def test_equality_and_hash_agree_with_the_coordinates(alg):
+    """Pairs that are equal by construction along different routes, and
+    unrelated pairs: == follows the coordinates, and equal means equal hash."""
+    rng = make_rng(68)
+    equal_pairs = 0
+    for _ in range(SAMPLES):
+        p = random_quaternion(rng, alg, DEGREE)
+        f = _random_nonzero_scalar(rng)
+        over_f = p.scale(RationalFunction(ONE, f.den))  # mostly the same numerators over another denominator
+        others = (Quaternion(alg, p.coords), p.scale(f).scale(f.inverse()), p * alg.one(), over_f)
+        for q in (*others, random_quaternion(rng, alg, DEGREE)):
+            same = p.coords == q.coords
+            assert (p == q) == same and (q == p) == same, (p, q)
+            if same:
+                equal_pairs += 1
+                assert hash(p) == hash(q), (p, q)
+        m = random_invertible_matrix(rng, "t", DEGREE)
+        for n in (Matrix2("t", *m.entries), m.scale(f).scale(f.inverse()), random_invertible_matrix(rng, "t", DEGREE)):
+            same = m.entries == n.entries
+            assert (m == n) == same, (m, n)
+            if same:
+                assert hash(m) == hash(n), (m, n)
+    assert equal_pairs >= 3 * SAMPLES
+
+
+def test_stored_forms_survive_copy_and_pickle(alg):
+    rng = make_rng(71)
+    q = random_quaternion(rng, alg, DEGREE) * random_quaternion(rng, alg, DEGREE)
+    m = random_invertible_matrix(rng, "t", DEGREE)
+    for x in (q, m):
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and hash(twin) == hash(x) and twin._nums == x._nums and twin._den == x._den
+    with pytest.raises(AttributeError):
+        q.algebra = None
+    with pytest.raises(AttributeError):
+        m.var = "y"
+
+
+def test_act_ignores_a_scalar_factor_of_the_matrix():
+    """act reads only the polynomial numerators of a matrix; scaling it,
+    denominators included, must not move the image vertex.  rho_t images
+    mostly have non-polynomial entries, so the dropped denominator is real."""
+    rng = make_rng(70)
+    alg = standard_algebra()
+    non_polynomial = 0
+    for _ in range(SAMPLES):
+        m = RHO_T(random_invertible_quaternion(rng, alg, DEGREE))
+        non_polynomial += m._den != 1
+        level = rng.randint(-3, 3)
+        v = TreeVertex("t", level, frozenset(e for e in range(level - 4, level) if rng.random() < 0.5))
+        moved = act(m, v)
+        assert act(m.scale(_random_nonzero_scalar(rng)), v) == moved, (m, v)
+        assert moved == vertex_from_matrix(m * vertex_matrix(v)), (m, v)
+    assert non_polynomial >= SAMPLES // 2

@@ -11,9 +11,10 @@ from quatlat.quaternion import (
     parse_quaternion,
     standard_algebra,
 )
-from quatlat.rational import ONE_RF, parse_rational, rf
+from quatlat.rational import ONE_RF, RationalFunction, parse_rational, rf
 
-from conftest import make_rng, random_nonzero_quaternion, random_quaternion
+from conftest import make_rng, random_nonzero_poly, random_nonzero_quaternion, random_quaternion
+from fraction_reference import reference_projective_eq
 
 
 def test_defining_relations():
@@ -148,11 +149,19 @@ def test_projective_eq():
 
 
 def test_projective_canon_agrees_with_projective_eq(algebra):
+    """Each p is paired with lambda*p and with an unrelated q; the
+    cross-product reference decides both pairs, so a fault in the key or in
+    projective_eq turns this red."""
     rng = make_rng(26)
     for _ in range(300):
         p = random_nonzero_quaternion(rng, algebra)
+        scale = RationalFunction(random_nonzero_poly(rng, 3), random_nonzero_poly(rng, 3))
         q = random_nonzero_quaternion(rng, algebra)
-        assert (p.projective_canon() == q.projective_canon()) == p.projective_eq(q)
+        for other in (p.scale(scale), q):
+            expected = reference_projective_eq(p, other)
+            assert (p.projective_canon() == other.projective_canon()) == expected, (p, other)
+            assert p.projective_eq(other) == expected, (p, other)
+        assert reference_projective_eq(p, p.scale(scale))
 
 
 def test_algebra_mismatch_is_rejected():
