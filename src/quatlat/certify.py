@@ -1,16 +1,17 @@
 """End-to-end arithmetic certificates.
 
-Each certificate re-derives one of the structural facts from scratch and
-reports PASS/FAIL with enough detail to see what broke: the ramification
-set of the algebra, the discriminant of the standard order, the standard
-vertex stabilizer, the neighbor geometry of the generating sets, and the
-simple-transitivity ball check on the product of the two trees.
+Each certificate is a plain function that re-derives one of the structural
+facts and returns a `CertificateResult`: PASS/FAIL with enough detail to see
+what broke.  Certificates never read the clock; `suite.run_all` times them.
+Here: the ramification set of the algebra, the discriminant of the standard
+order, the standard vertex stabilizer, the neighbor geometry of the
+generating sets, and the simple-transitivity ball check on the product of
+the two trees.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 from .embeddings import RHO_T, RHO_Y, Matrix2
@@ -32,6 +33,9 @@ from .tree import ProductVertex, act, ball_vertex_count, bt_act, distance, stand
 
 @dataclass
 class CertificateResult:
+    """One certificate's verdict.  `suite.run_all` sets elapsed_ms; as_json
+    leaves it out, so `verify --json` is byte-stable."""
+
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
@@ -48,7 +52,6 @@ def ramified_places() -> list[Place]:
 
 
 def ramification_certificate() -> CertificateResult:
-    start = time.perf_counter()
     ram = ramified_places()
     expected = [PLACE_ONE, PLACE_ZETA]
     passed = ram == expected and len(ram) % 2 == 0
@@ -56,7 +59,6 @@ def ramification_certificate() -> CertificateResult:
         "ramification",
         passed,
         {"ramified": [p.name for p in ram], "expected": [p.name for p in expected]},
-        (time.perf_counter() - start) * 1000,
     )
 
 
@@ -77,14 +79,12 @@ def _det4(m: list[list[RationalFunction]]) -> RationalFunction:
 
 
 def discriminant_certificate() -> CertificateResult:
-    start = time.perf_counter()
     disc = order_discriminant()
     expected = rf(0b1001) ** 2  # (1+z^3)^2
     return CertificateResult(
         "discriminant",
         disc == expected,
         {"discriminant": str(disc), "expected": str(expected)},
-        (time.perf_counter() - start) * 1000,
     )
 
 
@@ -104,7 +104,6 @@ def _mod_pi_matrix(m: Matrix2) -> list[list[int]] | None:
 
 def stabilizer_certificate() -> CertificateResult:
     """d fixes the standard vertex, fails R1-integrality, and squares to a scalar."""
-    start = time.perf_counter()
     ne = named_elements()
     details: dict = {}
     failures = []
@@ -140,13 +139,12 @@ def stabilizer_certificate() -> CertificateResult:
         failures.append("d^2 is not the scalar 1+z+z^2")
 
     details["failures"] = failures
-    return CertificateResult("stabilizer", not failures, details, (time.perf_counter() - start) * 1000)
+    return CertificateResult("stabilizer", not failures, details)
 
 
 def neighbors_certificate() -> CertificateResult:
     """The A side moves only the vertical tree factor, the B side only the
     horizontal one, each onto three distinct neighbors of the base vertex."""
-    start = time.perf_counter()
     structure = standard_structure()
     w = standard_product_vertex()
     failures = []
@@ -177,7 +175,7 @@ def neighbors_certificate() -> CertificateResult:
     details["b_horizontal_images"] = [v.key() for v in b_images]
 
     details["failures"] = failures
-    return CertificateResult("neighbors", not failures, details, (time.perf_counter() - start) * 1000)
+    return CertificateResult("neighbors", not failures, details)
 
 
 # -- the ball check ----------------------------------------------------------
@@ -193,14 +191,7 @@ class BallCheckReport:
     injective: bool
 
     def as_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "word_count": self.word_count,
-            "distinct_elements": self.distinct_elements,
-            "distinct_vertices": self.distinct_vertices,
-            "expected_vertices": self.expected_vertices,
-            "injective": self.injective,
-        }
+        return asdict(self)
 
 
 def ball_check(radius: int) -> BallCheckReport:
@@ -264,14 +255,8 @@ def ball_check(radius: int) -> BallCheckReport:
 
 
 def ball_certificate(radius: int = 3) -> CertificateResult:
-    start = time.perf_counter()
     report = ball_check(radius)
-    return CertificateResult(
-        "ball-check",
-        report.injective,
-        report.as_json(),
-        (time.perf_counter() - start) * 1000,
-    )
+    return CertificateResult("ball-check", report.injective, report.as_json())
 
 
 def fixes_base_vertex(word_letters: list[str]) -> bool:

@@ -20,7 +20,7 @@ import sys
 from .certify import ball_check
 from .invariants import albanese_kernel_dim, chern_numbers, complex_counts, is_prime
 from .lattice import standard_complex, standard_structure
-from .presentations import abelianization, fixed_presentations, orbifold_presentation
+from .presentations import abelianizations, fixed_presentations, orbifold_presentation
 from .squares import complex_to_json, links_to_dot
 from .suite import run_all
 
@@ -104,8 +104,8 @@ def cmd_invariants(args) -> int:
     if (args.N, args.q) == (4, 2):
         structure = standard_structure()
         payload["kernel_dims"] = {str(ell): albanese_kernel_dim(structure, ell) for ell in args.ell}
-        factors, rank = abelianization(fixed_presentations()["gamma"])
-        payload["gamma_ab"] = {"factors": factors, "free_rank": rank}
+        factors, rank = abelianizations()[0]
+        payload["gamma_ab"] = {"factors": list(factors), "free_rank": rank}  # text output prints [15]
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -11,14 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .certify import CertificateResult
 from .localperm import t_map
-from .presentations import (
-    abelianization,
-    gamma_presentation,
-    lambda_presentation,
-    reidemeister_schreier,
-    v4_quotient_of_lambda,
-)
+from .presentations import abelianizations
 from .squares import V4Structure
 
 
@@ -171,38 +166,28 @@ def hom_cyclic_dim(order: int, ell: int) -> int:
     return 1 if gcd(order, ell) == ell else 0
 
 
-@dataclass(frozen=True)
-class AlbaneseReport:
-    kernel_dims: dict[int, int]
-    gamma_ab_factors: tuple[int, ...]
-    gamma_ab_free_rank: int
-    hom_checks: dict[int, int]
-    passed: bool
-
-    def as_json(self) -> dict:
-        return {
-            "kernel_dims": {str(k): v for k, v in self.kernel_dims.items()},
-            "gamma_ab_factors": list(self.gamma_ab_factors),
-            "gamma_ab_free_rank": self.gamma_ab_free_rank,
-            "hom_checks": {str(k): v for k, v in self.hom_checks.items()},
-            "passed": self.passed,
-        }
-
-
-def albanese_certificate(structure: V4Structure) -> AlbaneseReport:
+def albanese_certificate(structure: V4Structure) -> CertificateResult:
     """Kernel dims vanish for l in {5, 7}; both routes to the abelianization
     give Z/15; Hom(Z/15, Z/l) vanishes for l in {7, 11, 13}."""
     kernel_dims = {ell: albanese_kernel_dim(structure, ell) for ell in (5, 7)}
-    factors, rank = abelianization(gamma_presentation())
-    rs_kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
-    rs_factors, rs_rank = abelianization(rs_kernel)
+    (factors, rank), (rs_factors, rs_rank) = abelianizations()
     hom_checks = {ell: hom_cyclic_dim(15, ell) for ell in (7, 11, 13)}
     passed = (
         all(v == 0 for v in kernel_dims.values())
-        and factors == [15]
+        and factors == (15,)
         and rank == 0
-        and rs_factors == [15]
+        and rs_factors == (15,)
         and rs_rank == 0
         and all(v == 0 for v in hom_checks.values())
     )
-    return AlbaneseReport(kernel_dims, tuple(factors), rank, hom_checks, passed)
+    return CertificateResult(
+        "albanese",
+        passed,
+        {
+            "kernel_dims": {str(k): v for k, v in kernel_dims.items()},
+            "gamma_ab_factors": factors,
+            "gamma_ab_free_rank": rank,
+            "hom_checks": {str(k): v for k, v in hom_checks.items()},
+            "passed": passed,
+        },
+    )

@@ -11,9 +11,10 @@ ambiguity left by choosing different orbit representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .quaternion import Quaternion
-from .smith import invariant_factors, smith_normal_form
+from .smith import invariant_factors
 from .squares import V4Structure, v4_orbits_of_squares, build_complex
 
 Word = tuple[int, ...]
@@ -415,32 +416,6 @@ def reidemeister_schreier(presentation: Presentation, qmap: FiniteQuotientMap) -
     return Presentation(tuple(names), tuple(relators))
 
 
-def simplify_presentation(p: Presentation) -> Presentation:
-    """Limited Tietze simplification: free reduction, dropping empty relators,
-    and deleting generators forced trivial by length-1 relators.  Anything
-    beyond that (full isomorphism testing) is deliberately out of scope."""
-    gens = list(p.generators)
-    relators = [free_reduce(r) for r in p.relators]
-    while True:
-        trivial = {abs(r[0]) for r in relators if len(r) == 1}
-        if not trivial:
-            break
-        keep = [i for i in range(1, len(gens) + 1) if i not in trivial]
-        remap = {old: new + 1 for new, old in enumerate(keep)}
-        gens = [gens[i - 1] for i in keep]
-        relators = [
-            free_reduce(
-                tuple(
-                    remap[abs(letter)] * (1 if letter > 0 else -1)
-                    for letter in r
-                    if abs(letter) not in trivial
-                )
-            )
-            for r in relators
-        ]
-    return Presentation(tuple(gens), tuple(r for r in relators if r))
-
-
 # -- abelianization ----------------------------------------------------------
 
 
@@ -452,11 +427,11 @@ def abelianization(presentation: Presentation) -> tuple[list[int], int]:
     return invariant_factors(matrix, cols=n)
 
 
-def abelianization_with_certificate(presentation: Presentation) -> tuple[list[int], int, bool]:
-    """Same, but also reports that U*M*V = D held (smith_normal_form asserts it)."""
-    n = len(presentation.generators)
-    matrix = [exponent_vector(rel, n) for rel in presentation.relators]
-    if matrix:
-        smith_normal_form(matrix)  # raises if the transform check fails
-    factors, rank = invariant_factors(matrix, cols=n)
-    return factors, rank, True
+@lru_cache(maxsize=1)
+def abelianizations() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
+    """(invariant factors, free rank) of Gamma^ab and of the abelianized
+    Reidemeister-Schreier kernel of Lambda -> V4: the two routes to Z/15."""
+    gamma_factors, gamma_rank = abelianization(gamma_presentation())
+    kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
+    kernel_factors, kernel_rank = abelianization(kernel)
+    return (tuple(gamma_factors), gamma_rank), (tuple(kernel_factors), kernel_rank)

@@ -42,14 +42,6 @@ class RationalFunction:
         object.__setattr__(f, "den", BinaryPoly(den))
         return f
 
-    @classmethod
-    def from_poly(cls, p: BinaryPoly) -> RationalFunction:
-        return cls(p, ONE)
-
-    @classmethod
-    def from_int_bits(cls, num_bits: int, den_bits: int = 1) -> RationalFunction:
-        return cls(BinaryPoly(num_bits), BinaryPoly(den_bits))
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -33,15 +33,11 @@ class GroupOps:
     inv: Callable[[Any], Any]
     canon: Callable[[Any], Any]
 
-    def eq(self, x: Any, y: Any) -> bool:
-        return self.canon(x) == self.canon(y)
-
 
 @dataclass(frozen=True)
 class Verdict:
     ok: bool
     failures: tuple[str, ...] = ()
-    assumed: tuple[str, ...] = ("generation",)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -66,7 +62,7 @@ def _inverse_pairing(names: tuple[str, ...], elems: dict, ops: GroupOps) -> dict
 
 
 def verify_v4(a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, ops: GroupOps) -> Verdict:
-    """Check the V4-structure axioms; generation is reported as assumed."""
+    """Check the V4-structure axioms; generation is assumed, not checked."""
     failures = []
     if not a_names or not b_names:
         failures.append("empty side")
@@ -170,13 +166,6 @@ class SquareComplexVH:
     @property
     def vertices(self) -> tuple[str, ...]:
         return VERTICES
-
-    def edge_id(self, label: str, index: int) -> int:
-        return self._edge_index[(label, index)]
-
-    @property
-    def _edge_index(self) -> dict[tuple[str, int], int]:
-        return {(e.label, e.index): e.id for e in self.edges}
 
     def counts(self) -> tuple[int, int, int]:
         return (4, len(self.edges), len(self.squares))

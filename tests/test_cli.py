@@ -1,12 +1,16 @@
+import importlib.util
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+from quatlat import cli
 from quatlat.cli import main
+from quatlat.places import PLACE_ONE
 
 FIXTURES = Path(__file__).parent / "fixtures"
+METRICS = Path(__file__).resolve().parent.parent / "benchmarks" / "metrics.py"
 
 
 def fixture_dir() -> Path:
@@ -29,6 +33,29 @@ def test_verify_json_is_stable(capsys):
     assert first["all_passed"] is True
     assert first["failures"] == []
     assert len(first["results"]) == 12
+
+
+def test_verify_reports_a_failing_certificate(monkeypatch, capsys):
+    monkeypatch.setattr("quatlat.certify.ramified_places", lambda: [PLACE_ONE])
+    assert main(["verify", "--radius", "1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["all_passed"] is False
+    assert data["failures"] == ["ramification"]
+    others = [r for r in data["results"] if r["name"] != "ramification"]
+    assert len(others) == 11 and all(r["passed"] for r in others)
+    assert main(["verify", "--radius", "1"]) == 1
+    assert "FAIL  ramification" in capsys.readouterr().out
+
+
+def test_run_all_keeps_the_contract_the_benchmark_reads():
+    spec = importlib.util.spec_from_file_location("benchmark_metrics", METRICS)
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    results = cli.run_all(1)
+    assert tuple(r.name for r in results) == metrics.CERTIFICATES
+    for r in results:
+        assert r.elapsed_ms >= 0
+        assert set(r.as_json()) == {"name", "passed", "details"}
 
 
 def test_present_lambda(capsys):

@@ -82,9 +82,10 @@ def test_hom_dimensions():
 
 
 def test_albanese_certificate():
-    report = albanese_certificate(standard_structure())
-    assert report.passed
-    assert report.kernel_dims == {5: 0, 7: 0}
-    assert report.gamma_ab_factors == (15,)
-    assert report.gamma_ab_free_rank == 0
-    assert report.hom_checks == {7: 0, 11: 0, 13: 0}
+    result = albanese_certificate(standard_structure())
+    assert result.name == "albanese" and result.passed
+    assert result.details["kernel_dims"] == {"5": 0, "7": 0}
+    assert result.details["gamma_ab_factors"] == (15,)
+    assert result.details["gamma_ab_free_rank"] == 0
+    assert result.details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
+    assert result.details["passed"] is True

@@ -41,7 +41,7 @@ def _identity_structure():
 def test_verify_v4_on_the_standard_sets():
     s = standard_structure()
     verdict = verify_v4(s.a_names, s.b_names, s.elements, s.ops)
-    assert verdict.ok and verdict.assumed == ("generation",)
+    assert verdict.ok
 
 
 def test_verify_v4_rejects_non_inverse_closed():
