@@ -2,7 +2,7 @@
 with certificates for the numerical invariants of the associated fake quadric.
 """
 
-from .binpoly import BinaryPoly, parse_poly
+from .binpoly import parse_poly
 from .embeddings import RHO_T, RHO_Y, Matrix2
 from .places import (
     PLACE_INF,
@@ -27,7 +27,6 @@ from .rational import RationalFunction, parse_rational, rf
 from .tree import ProductVertex, TreeVertex, act, bt_act, distance, standard_product_vertex, vertex_from_matrix
 
 __all__ = [
-    "BinaryPoly",
     "Matrix2",
     "NamedElements",
     "PLACE_INF",

@@ -1,19 +1,20 @@
-"""Polynomials over GF(2) in one variable, packed into Python ints.
+"""Polynomials over GF(2) in one variable, as plain Python ints.
 
-The polynomial a_0 + a_1 x + ... + a_n x^n is stored as the integer
-a_0 + a_1*2 + ... + a_n*2^n, so bit k is the coefficient of x^k.  The zero
-polynomial is the integer 0 and the representation is canonical (no trailing
-zero coefficients to strip).  Addition is XOR and multiplication is a
-carry-less product; both make p + p = 0, as required in characteristic 2.
+The polynomial a_0 + a_1 x + ... + a_n x^n is the integer
+a_0 + a_1*2 + ... + a_n*2^n, so bit k is the coefficient of x^k, the degree
+is bit_length() - 1 and the zero polynomial is 0.  The form is canonical, so
+== and hash are the int's own.  Addition is XOR and multiplication the
+carry-less product `clmul`; both make p + p = 0, as required in
+characteristic 2.  Every function here takes and returns such ints; there
+is no wrapper type.
 
-The variable is not part of the value: the same bit pattern is read as a
-polynomial in z, y, t or u depending on context.  Parsing and printing take
-the variable name as an argument ("1+z^3" <-> 0b1001).
+The variable is not part of the value: the same int is read as a polynomial
+in z, y, t or u depending on context.  Parsing and printing take the
+variable name as an argument ("1+z^3" <-> 0b1001).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import re
 
 
@@ -54,164 +55,86 @@ def clgcd(a: int, b: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class BinaryPoly:
-    """A polynomial over GF(2), with coefficient bits packed in an int."""
-
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ValueError("coefficient bits must be a non-negative integer")
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return self.bits.bit_length() - 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def is_one(self) -> bool:
-        return self.bits == 1
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def coefficient(self, k: int) -> int:
-        return (self.bits >> k) & 1 if k >= 0 else 0
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: BinaryPoly) -> BinaryPoly:
-        return BinaryPoly(self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: BinaryPoly) -> BinaryPoly:
-        return BinaryPoly(clmul(self.bits, other.bits))
-
-    def __divmod__(self, other: BinaryPoly) -> tuple[BinaryPoly, BinaryPoly]:
-        quo, rem = cldivmod(self.bits, other.bits)
-        return BinaryPoly(quo), BinaryPoly(rem)
-
-    def __floordiv__(self, other: BinaryPoly) -> BinaryPoly:
-        return BinaryPoly(cldivmod(self.bits, other.bits)[0])
-
-    def __mod__(self, other: BinaryPoly) -> BinaryPoly:
-        return BinaryPoly(cldivmod(self.bits, other.bits)[1])
-
-    def __pow__(self, n: int) -> BinaryPoly:
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = 1
-        base = self.bits
-        while n:
-            if n & 1:
-                result = clmul(result, base)
-            base = clmul(base, base)
-            n >>= 1
-        return BinaryPoly(result)
-
-    def gcd(self, other: BinaryPoly) -> BinaryPoly:
-        return BinaryPoly(clgcd(self.bits, other.bits))
-
-    def shift(self, k: int) -> BinaryPoly:
-        """Multiply by x^k (k may be negative if x^-k divides)."""
-        if k >= 0:
-            return BinaryPoly(self.bits << k)
-        if self.bits & ((1 << -k) - 1):
-            raise ValueError("shift would drop nonzero coefficients")
-        return BinaryPoly(self.bits >> -k)
-
-    def derivative(self) -> BinaryPoly:
-        """Formal derivative; over GF(2) only odd-degree terms survive."""
-        shifted = self.bits >> 1
-        mask = 0
-        bit = 1
-        while bit <= shifted:
-            mask |= bit
-            bit <<= 2
-        return BinaryPoly(shifted & mask)
-
-    def reverse(self) -> BinaryPoly:
-        """Coefficient reversal: x^deg * p(1/x).  Zero maps to zero."""
-        if self.bits == 0:
-            return ZERO
-        out = 0
-        d = self.degree
-        for k in range(d + 1):
-            if (self.bits >> k) & 1:
-                out |= 1 << (d - k)
-        return BinaryPoly(out)
-
-    def compose(self, other: BinaryPoly) -> BinaryPoly:
-        """Substitute: self(other)."""
-        result = 0
-        for k in range(self.degree, -1, -1):
-            result = clmul(result, other.bits) ^ ((self.bits >> k) & 1)
-        return BinaryPoly(result)
-
-    def multiplicity(self, factor: BinaryPoly) -> int:
-        """Largest e with factor^e dividing self; 0 for self == 0."""
-        if factor.degree < 1:
-            raise ValueError("factor must be non-constant")
-        if self.bits == 0:
-            return 0
-        count = 0
-        p = self
-        while True:
-            q, r = divmod(p, factor)
-            if r.bits:
-                return count
-            count += 1
-            p = q
-
-    def is_irreducible(self) -> bool:
-        """Trial division by everything of degree <= deg/2; fine for small inputs."""
-        d = self.degree
-        if d < 1:
-            return False
-        for fbits in range(2, 1 << (d // 2 + 1)):
-            f = BinaryPoly(fbits)
-            if f.degree >= 1 and (self % f).bits == 0:
-                return False
-        return True
-
-    # -- text form -------------------------------------------------------
-
-    def to_string(self, var: str = "z") -> str:
-        if self.bits == 0:
-            return "0"
-        terms = []
-        for k in range(self.degree + 1):
-            if (self.bits >> k) & 1:
-                if k == 0:
-                    terms.append("1")
-                elif k == 1:
-                    terms.append(var)
-                else:
-                    terms.append(f"{var}^{k}")
-        return "+".join(terms)
-
-    def __str__(self) -> str:
-        return self.to_string()
+def clpow(p: int, n: int) -> int:
+    """p^n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative exponent")
+    result = 1
+    while n:
+        if n & 1:
+            result = clmul(result, p)
+        p = clmul(p, p)
+        n >>= 1
+    return result
 
 
-ZERO = BinaryPoly(0)
-ONE = BinaryPoly(1)
-X = BinaryPoly(2)
+def compose(p: int, s: int) -> int:
+    """The substitution p(s), by Horner's rule."""
+    result = 0
+    for k in range(p.bit_length() - 1, -1, -1):
+        result = clmul(result, s) ^ ((p >> k) & 1)
+    return result
+
+
+def reverse(p: int, degree: int | None = None) -> int:
+    """x^degree * p(1/x), with degree >= deg p (default deg p); zero maps to zero."""
+    if p == 0:
+        return 0
+    out = int(bin(p)[:1:-1], 2)  # the bits of p read backwards: x^deg(p) * p(1/x)
+    return out if degree is None else out << (degree - p.bit_length() + 1)
+
+
+def derivative(p: int) -> int:
+    """Formal derivative; over GF(2) only the odd-degree terms survive."""
+    n = p.bit_length()
+    return (p >> 1) & (((1 << (n + n % 2)) - 1) // 3)  # 0b0101...01 keeps the even bits
+
+
+def multiplicity(p: int, factor: int) -> int:
+    """Largest e with factor^e dividing p; 0 for p == 0."""
+    if factor < 2:
+        raise ValueError("factor must be non-constant")
+    count = 0
+    while p:
+        quo, rem = cldivmod(p, factor)
+        if rem:
+            break
+        count += 1
+        p = quo
+    return count
+
+
+def is_irreducible(p: int) -> bool:
+    """Trial division by everything of degree <= deg/2; fine for small inputs."""
+    d = p.bit_length() - 1
+    if d < 1:
+        return False
+    return all(cldivmod(p, f)[1] for f in range(2, 1 << (d // 2 + 1)))
+
+
+def to_string(p: int, var: str = "z") -> str:
+    if p == 0:
+        return "0"
+    terms = []
+    for k in range(p.bit_length()):
+        if (p >> k) & 1:
+            if k == 0:
+                terms.append("1")
+            elif k == 1:
+                terms.append(var)
+            else:
+                terms.append(f"{var}^{k}")
+    return "+".join(terms)
+
 
 _TERM_RE = re.compile(r"^(?:1|(?P<var>[A-Za-z])(?:\^(?P<exp>\d+))?)$")
 
 
-def parse_poly(text: str, var: str = "z") -> BinaryPoly:
+def parse_poly(text: str, var: str = "z") -> int:
     """Parse "1+z^3" style text; whitespace is ignored, terms may repeat."""
     s = text.replace(" ", "")
     if s == "0":
-        return ZERO
+        return 0
     bits = 0
     for term in s.split("+"):
         m = _TERM_RE.match(term)
@@ -224,4 +147,4 @@ def parse_poly(text: str, var: str = "z") -> BinaryPoly:
                 raise ValueError(f"unexpected variable {m.group('var')!r}, wanted {var!r}")
             exp = int(m.group("exp") or 1)
             bits ^= 1 << exp
-    return BinaryPoly(bits)
+    return bits

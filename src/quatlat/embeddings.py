@@ -13,19 +13,24 @@ relations, and det(rho(q)) equals the embedded reduced norm.
 
 A Matrix2 is stored like a quaternion: four polynomial numerators over one
 denominator, in lowest terms, with the entries as RationalFunction values
-built only on demand.  An embedding sums the embedded numerators of q
-against the four basis images, precomputed as int matrices over one
-denominator, and reduces the result once; products, det and trace run on
-the stored ints.
+built only on demand; products, det and trace run on the stored ints.
+
+An embedding works on the five ints a quaternion stores (numerators
+n0..n3 over den) and never builds a fraction.  rho_y substitutes y^2 + y
+into each int.  rho_t first reverses all five to one degree D, the largest
+among them: n_k(1/u) / den(1/u) = u^D n_k(1/u) / u^D den(1/u), so the u^D
+cancels and the reversed ints are the same element's numerators over a
+denominator in u; then it substitutes t^2 + t.  Both maps keep the five
+ints coprime.  The images are then summed against the four basis images,
+precomputed as int matrices over one denominator, and reduced once.
+`embed_scalar` is the same map on the two ints of a fraction.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .binpoly import ONE, BinaryPoly, clmul
+from .binpoly import clmul, compose, reverse
 from .quaternion import Quaternion
-from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _lowest_terms, _primitive_part, _reduce_over, rf
+from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _primitive_part, _reduce_over, rf
 
 
 class Matrix2:
@@ -70,7 +75,7 @@ class Matrix2:
     def entries(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
         entries = self._entries
         if entries is None:
-            entries = tuple(_lowest_terms(x, self._den) for x in self._nums)
+            entries = tuple(RationalFunction(x, self._den) for x in self._nums)
             object.__setattr__(self, "_entries", entries)
         return entries
 
@@ -109,16 +114,16 @@ class Matrix2:
         return Matrix2._from_ints(self.var, nums, clmul(dp, dq))
 
     def scale(self, f: RationalFunction) -> Matrix2:
-        nums = tuple(clmul(f.num.bits, x) for x in self._nums)
-        return Matrix2._from_ints(self.var, nums, clmul(f.den.bits, self._den))
+        nums = tuple(clmul(f.num, x) for x in self._nums)
+        return Matrix2._from_ints(self.var, nums, clmul(f.den, self._den))
 
     def det(self) -> RationalFunction:
         a, b, c, d = self._nums
-        return _lowest_terms(clmul(a, d) ^ clmul(b, c), clmul(self._den, self._den))
+        return RationalFunction(clmul(a, d) ^ clmul(b, c), clmul(self._den, self._den))
 
     def trace(self) -> RationalFunction:
         a, _, _, d = self._nums
-        return _lowest_terms(a ^ d, self._den)
+        return RationalFunction(a ^ d, self._den)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -142,11 +147,13 @@ class Matrix2:
 
 
 class EmbeddingMap:
-    """One of the two splitting embeddings, with its scalar substitution."""
+    """One of the two splitting embeddings: z = y^2 + y, or with `inverted`
+    z = 1/u and u = t^2 + t."""
 
-    def __init__(self, name: str, var: str, image_i: Matrix2, image_j: Matrix2):
+    def __init__(self, name: str, var: str, image_i: Matrix2, image_j: Matrix2, inverted: bool):
         self.name = name
         self.var = var
+        self.inverted = inverted
         self.image_i = image_i
         self.image_j = image_j
         self.image_ij = image_i * image_j
@@ -155,54 +162,40 @@ class EmbeddingMap:
         images = (self.identity, image_i, image_j, self.image_ij)
         *nums, self._image_den = _common_form([e for m in images for e in m.entries])
         self._image_nums = tuple(tuple(nums[4 * k : 4 * k + 4]) for k in range(4))
-        # scalar embeddings recur constantly (ball checks, norm comparisons)
-        self.embed_scalar = lru_cache(maxsize=1 << 16)(self._embed_scalar)
 
-    def _embed_scalar(self, f: RationalFunction) -> RationalFunction:
-        raise NotImplementedError
+    def _substitute(self, ints: tuple[int, ...]) -> list[int]:
+        """The images of numerators over one denominator (the last int), as
+        numerators over one denominator in the extension's variable."""
+        if self.inverted:
+            degree = max(x.bit_length() for x in ints) - 1
+            ints = [reverse(x, degree) for x in ints]
+        return [compose(x, 0b110) for x in ints]
+
+    def embed_scalar(self, f: RationalFunction) -> RationalFunction:
+        return RationalFunction(*self._substitute((f.num, f.den)))
 
     def __call__(self, q: Quaternion) -> Matrix2:
         """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J)."""
-        *xs, den = _common_form([self.embed_scalar(c) for c in q.coords])
-        den = clmul(den, self._image_den)
+        *xs, den = self._substitute((*q._nums, q._den))
         entries = [0, 0, 0, 0]
         for x, image in zip(xs, self._image_nums):
             if x:
                 for k, m in enumerate(image):
                     if m:
                         entries[k] ^= clmul(x, m)
-        return Matrix2._from_ints(self.var, tuple(entries), den)
+        return Matrix2._from_ints(self.var, tuple(entries), clmul(den, self._image_den))
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.name})"
 
 
-class _RhoY(EmbeddingMap):
-    def _embed_scalar(self, f: RationalFunction) -> RationalFunction:
-        # z -> y^2 + y
-        sub = BinaryPoly(0b110)
-        return RationalFunction(f.num.compose(sub), f.den.compose(sub))
-
-
-class _RhoT(EmbeddingMap):
-    def _embed_scalar(self, f: RationalFunction) -> RationalFunction:
-        # z = 1/u, then u -> t^2 + t
-        s = f.den.degree - f.num.degree
-        num, den = f.num.reverse(), f.den.reverse()
-        sub = BinaryPoly(0b110)
-        out = RationalFunction(num.compose(sub), den.compose(sub))
-        u_img = RationalFunction(sub, ONE)
-        return out * u_img**s
-
-
 def _build_rho_y() -> EmbeddingMap:
     y = rf(0b10)
     one_y = rf(0b11)
-    # 1+z^3 with z = y^2+y
-    b_img = RationalFunction(BinaryPoly(0b1001).compose(BinaryPoly(0b110)), ONE)
+    b_img = rf(compose(0b1001, 0b110))  # 1+z^3 with z = y^2+y
     image_i = Matrix2("y", y, ZERO_RF, ZERO_RF, one_y)
     image_j = Matrix2("y", ZERO_RF, b_img, ONE_RF, ZERO_RF)
-    return _RhoY("rho_y", "y", image_i, image_j)
+    return EmbeddingMap("rho_y", "y", image_i, image_j, inverted=False)
 
 
 def _build_rho_t() -> EmbeddingMap:
@@ -223,9 +216,8 @@ def _build_rho_t() -> EmbeddingMap:
         (u * u).inverse(),
         ZERO_RF,
     )
-    return _RhoT("rho_t", "t", image_i, image_j)
+    return EmbeddingMap("rho_t", "t", image_i, image_j, inverted=True)
 
 
 RHO_Y = _build_rho_y()
 RHO_T = _build_rho_t()
-

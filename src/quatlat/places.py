@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .binpoly import ONE, BinaryPoly
+from .binpoly import cldivmod, clmul, compose, is_irreducible, multiplicity, reverse, to_string
 from .rational import RationalFunction
 
 INFINITE_VALUATION = math.inf
@@ -35,11 +35,11 @@ class Place:
     """A closed point of P^1 over GF(2): finite with a minimal polynomial, or infinity."""
 
     kind: str  # "finite" | "infinity"
-    minpoly: BinaryPoly | None = None
+    minpoly: int | None = None  # a GF(2)[x] int (see binpoly)
 
     def __post_init__(self) -> None:
         if self.kind == "finite":
-            if self.minpoly is None or not self.minpoly.is_irreducible():
+            if self.minpoly is None or not is_irreducible(self.minpoly):
                 raise ValueError("finite place needs an irreducible minimal polynomial")
         elif self.kind == "infinity":
             if self.minpoly is not None:
@@ -49,27 +49,27 @@ class Place:
 
     @property
     def degree(self) -> int:
-        return 1 if self.kind == "infinity" else self.minpoly.degree
+        return 1 if self.kind == "infinity" else self.minpoly.bit_length() - 1
 
     @property
     def name(self) -> str:
         if self.kind == "infinity":
             return "inf"
-        if self.minpoly.bits == 0b10:
+        if self.minpoly == 0b10:
             return "0"
-        if self.minpoly.bits == 0b11:
+        if self.minpoly == 0b11:
             return "1"
-        if self.minpoly.bits == 0b111:
+        if self.minpoly == 0b111:
             return "zeta"
-        return self.minpoly.to_string("x")
+        return to_string(self.minpoly, "x")
 
     def __str__(self) -> str:
         return self.name
 
 
-PLACE_ZERO = Place("finite", BinaryPoly(0b10))
-PLACE_ONE = Place("finite", BinaryPoly(0b11))
-PLACE_ZETA = Place("finite", BinaryPoly(0b111))
+PLACE_ZERO = Place("finite", 0b10)
+PLACE_ONE = Place("finite", 0b11)
+PLACE_ZETA = Place("finite", 0b111)
 PLACE_INF = Place("infinity")
 
 NAMED_PLACES = (PLACE_ZERO, PLACE_ONE, PLACE_ZETA, PLACE_INF)
@@ -80,11 +80,11 @@ def valuation(f: RationalFunction, place: Place):
     if f.is_zero():
         return INFINITE_VALUATION
     if place.kind == "infinity":
-        return f.den.degree - f.num.degree
+        return f.den.bit_length() - f.num.bit_length()
     m = place.minpoly
-    if m.bits == 0b10:
-        return _val_at_zero(f.num.bits, f.den.bits)
-    return f.num.multiplicity(m) - f.den.multiplicity(m)
+    if m == 0b10:
+        return _val_at_zero(f.num, f.den)
+    return multiplicity(f.num, m) - multiplicity(f.den, m)
 
 
 def _val_at_zero(num: int, den: int) -> int:
@@ -110,20 +110,17 @@ def _series(num: int, den: int, upper: int) -> dict[int, int]:
     return out
 
 
-def _localize(f: RationalFunction, place: Place) -> tuple[BinaryPoly, BinaryPoly]:
+def _localize(f: RationalFunction, place: Place) -> tuple[int, int]:
     """Rewrite f as a fraction in the local coordinate, so the place sits at x = 0."""
     if place is PLACE_ZERO or place == PLACE_ZERO:
         return f.num, f.den
     if place == PLACE_ONE:
-        shift = BinaryPoly(0b11)  # x+1: involution swapping the places 0 and 1
-        return f.num.compose(shift), f.den.compose(shift)
+        # x+1: involution swapping the places 0 and 1
+        return compose(f.num, 0b11), compose(f.den, 0b11)
     if place.kind == "infinity":
-        # z = 1/u: n(z)/d(z) = u^(deg d - deg n) * rev(n)(u) / rev(d)(u)
-        s = f.den.degree - f.num.degree
-        num, den = f.num.reverse(), f.den.reverse()
-        if s >= 0:
-            return num.shift(s), den
-        return num, den.shift(-s)
+        # z = 1/u: n(z)/d(z) = rev(n)(u) / rev(d)(u), both reversed to the larger degree
+        degree = max(f.num.bit_length(), f.den.bit_length()) - 1
+        return reverse(f.num, degree), reverse(f.den, degree)
     raise UnsupportedPlaceError(f"no degree-1 local coordinate at place {place.name}")
 
 
@@ -135,7 +132,7 @@ def laurent_expand(f: RationalFunction, place: Place, upper: int) -> dict[int, i
     if place.degree != 1:
         raise UnsupportedPlaceError(f"place {place.name} has degree {place.degree} > 1")
     num, den = _localize(f, place)
-    return _series(num.bits, den.bits, upper)
+    return _series(num, den, upper)
 
 
 # -- GF(4) machinery for the degree-2 place ------------------------------
@@ -167,8 +164,8 @@ def _f4poly_mul(p: list[int], q: list[int]) -> list[int]:
     return _f4poly_trim(out)
 
 
-def _f4poly_from_f2(p: BinaryPoly) -> list[int]:
-    return [(p.bits >> k) & 1 for k in range(p.degree + 1)]
+def _f4poly_from_f2(p: int) -> list[int]:
+    return [(p >> k) & 1 for k in range(p.bit_length())]
 
 
 def _f4poly_add_const(p: list[int], c: int) -> list[int]:
@@ -217,35 +214,35 @@ def _f4_series_coeff(num: list[int], den: list[int], index: int) -> int:
 
 @dataclass(frozen=True)
 class ResidueFieldElement:
-    """An element of the residue field at a place, as a representative modulo its minimal polynomial."""
+    """An element of the residue field at a place, as a representative modulo
+    its minimal polynomial (a GF(2)[x] int of degree below the place's)."""
 
     place: Place
-    representative: BinaryPoly
+    representative: int
 
     def __post_init__(self) -> None:
-        bound = self.place.degree
-        if self.representative.degree >= bound:
+        if self.representative.bit_length() > self.place.degree:
             raise ValueError("representative not reduced modulo the place")
 
     def is_zero(self) -> bool:
-        return self.representative.is_zero()
+        return self.representative == 0
 
     def trace(self) -> int:
         """Trace down to GF(2): sum of Frobenius iterates modulo the minimal polynomial."""
         if self.place.degree == 1:
-            return self.representative.bits & 1
+            return self.representative & 1
         m = self.place.minpoly
-        total = BinaryPoly(0)
+        total = 0
         power = self.representative
         for _ in range(self.place.degree):
-            total = total + power
-            power = (power * power) % m
-        if total.degree > 0:
+            total ^= power
+            power = cldivmod(clmul(power, power), m)[1]
+        if total > 1:
             raise AssertionError("trace escaped GF(2)")
-        return total.bits & 1
+        return total
 
     def __str__(self) -> str:
-        return self.representative.to_string("x")
+        return to_string(self.representative, "x")
 
 
 def residue(a: RationalFunction, b: RationalFunction, place: Place) -> ResidueFieldElement:
@@ -253,14 +250,14 @@ def residue(a: RationalFunction, b: RationalFunction, place: Place) -> ResidueFi
     if b.is_zero():
         raise ZeroDivisionError("b must be nonzero")
     if a.is_zero():
-        return ResidueFieldElement(place, BinaryPoly(0))
+        return ResidueFieldElement(place, 0)
     g = a * b.derivative() / b
     if place.degree == 1:
         if place.kind == "infinity":
             # d(x)/d(1/x) = x^2 in characteristic 2
-            g = g * RationalFunction(BinaryPoly(0b100), ONE)
+            g = g * RationalFunction(0b100)
         coeff = laurent_expand(g, place, 0).get(-1, 0)
-        return ResidueFieldElement(place, BinaryPoly(coeff))
+        return ResidueFieldElement(place, coeff)
     if place != PLACE_ZETA:
         raise UnsupportedPlaceError(f"residues not implemented at place {place.name}")
     num = _f4poly_shift_by_w(_f4poly_from_f2(g.num))
@@ -268,7 +265,7 @@ def residue(a: RationalFunction, b: RationalFunction, place: Place) -> ResidueFi
     c = _f4_series_coeff(num, den, -1)
     # carry GF(4) back to GF(2)[x]/(x^2+x+1) via w -> class of x
     rep = (c & 1) | ((c >> 1) & 1) << 1
-    return ResidueFieldElement(place, BinaryPoly(rep))
+    return ResidueFieldElement(place, rep)
 
 
 def local_symbol(a: RationalFunction, b: RationalFunction, place: Place) -> int:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binpoly import BinaryPoly, clmul
+from .binpoly import cldivmod, clmul
 from .rational import (
     ONE_RF,
     ZERO_RF,
     RationalFunction,
     _common_form,
-    _lowest_terms,
     _primitive_part,
     _reduce_over,
     parse_rational,
@@ -60,7 +59,7 @@ class QuaternionAlgebra:
         if self.b.is_zero():
             raise ValueError("the parameter b must be nonzero")
         # the structure constants 1, a, b, ab over the common denominator of a and b
-        na, da, nb, db = self.a.num.bits, self.a.den.bits, self.b.num.bits, self.b.den.bits
+        na, da, nb, db = self.a.num, self.a.den, self.b.num, self.b.den
         object.__setattr__(self, "_ints", (clmul(da, db), clmul(na, db), clmul(da, nb), clmul(na, nb)))
 
     def element(self, x0: RationalFunction, x1: RationalFunction, x2: RationalFunction, x3: RationalFunction) -> Quaternion:
@@ -128,7 +127,7 @@ class Quaternion:
     def coords(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
         coords = self._coords
         if coords is None:
-            coords = tuple(_lowest_terms(x, self._den) for x in self._nums)
+            coords = tuple(RationalFunction(x, self._den) for x in self._nums)
             object.__setattr__(self, "_coords", coords)
         return coords
 
@@ -180,8 +179,8 @@ class Quaternion:
         return Quaternion._from_ints(self.algebra, (z0, z1, z2, z3), den)
 
     def scale(self, f: RationalFunction) -> Quaternion:
-        nums = tuple(clmul(f.num.bits, x) for x in self._nums)
-        return Quaternion._from_ints(self.algebra, nums, clmul(f.den.bits, self._den))
+        nums = tuple(clmul(f.num, x) for x in self._nums)
+        return Quaternion._from_ints(self.algebra, nums, clmul(f.den, self._den))
 
     def conj(self) -> Quaternion:
         x0, x1, x2, x3 = self._nums
@@ -190,7 +189,7 @@ class Quaternion:
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
         den = self._den
-        return _lowest_terms(self._norm_num(), clmul(self.algebra._ints[0], clmul(den, den)))
+        return RationalFunction(self._norm_num(), clmul(self.algebra._ints[0], clmul(den, den)))
 
     def _norm_num(self) -> int:
         """The numerator of the reduced norm over one * den^2, where `one` is
@@ -205,7 +204,7 @@ class Quaternion:
         )
 
     def rtrace(self) -> RationalFunction:
-        return _lowest_terms(self._nums[1], self._den)
+        return RationalFunction(self._nums[1], self._den)
 
     def inverse(self) -> Quaternion:
         """conj(q) / nrd(q) = conj(n) * one * den / norm numerator."""
@@ -314,11 +313,11 @@ def named_elements(algebra: QuaternionAlgebra | None = None) -> NamedElements:
 
 # Unit groups of the coefficient rings used for integrality tests: the rings
 # GF(2)[z, 1/z], GF(2)[z, 1/(z(1+z))] and GF(2)[z, 1/(z(1+z^3))] have unit
-# groups generated by the listed irreducibles.
+# groups generated by the listed irreducibles (GF(2)[z] ints: z, 1+z, 1+z+z^2).
 RING_UNITS = {
-    "R0": (BinaryPoly(0b10),),
-    "R1": (BinaryPoly(0b10), BinaryPoly(0b11)),
-    "R": (BinaryPoly(0b10), BinaryPoly(0b11), BinaryPoly(0b111)),
+    "R0": (0b10,),
+    "R1": (0b10, 0b11),
+    "R": (0b10, 0b11, 0b111),
 }
 
 
@@ -327,16 +326,14 @@ def is_ring_unit(f: RationalFunction, ring: str) -> bool:
     factor entirely into the ring's inverted irreducibles)."""
     if f.is_zero():
         return False
-    gens = RING_UNITS[ring]
-    for part in (f.num, f.den):
-        p = part
-        for g in gens:
+    for p in (f.num, f.den):
+        for g in RING_UNITS[ring]:
             while True:
-                q, r = divmod(p, g)
-                if r.bits:
+                q, r = cldivmod(p, g)
+                if r:
                     break
                 p = q
-        if not p.is_one():
+        if p != 1:
             return False
     return True
 

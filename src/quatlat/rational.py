@@ -1,100 +1,99 @@
 """The rational function field over GF(2) in one variable.
 
-A value is a reduced fraction of BinaryPoly: the denominator is nonzero and
-gcd(num, den) = 1.  Over GF(2) every nonzero polynomial is monic, so the
-reduced form is unique and equality/hashing are structural.  All operations
-are exact.  The public constructor reduces with one gcd; the hot paths of the
-layers above (quaternion products and norms, the splittings, the trees)
-compute on the raw coefficient ints instead and reduce once per output, or
-not at all where no canonical form is needed.
+A value is a fraction num/den of two GF(2)[x] ints (see binpoly) in lowest
+terms: den is nonzero, gcd(num, den) = 1, and zero is 0/1.  Over GF(2)
+every nonzero polynomial is monic, so this form is unique and equality and
+hashing compare (num, den) directly.  All operations are exact; the
+constructor reduces with one gcd, skipped when den is 1.  The hot paths of
+the layers above (quaternion products and norms, the splittings, the trees)
+compute on numerators over a shared denominator with the helpers at the end
+of this module and build a fraction only where one is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .binpoly import ONE, ZERO, BinaryPoly, cldivmod, clgcd, clmul, parse_poly
+from .binpoly import cldivmod, clgcd, clmul, clpow, derivative, parse_poly, to_string
 
 
-@dataclass(frozen=True)
 class RationalFunction:
-    num: BinaryPoly
-    den: BinaryPoly
+    """num/den over GF(2), both ints, in lowest terms; immutable."""
 
-    def __post_init__(self) -> None:
-        if self.den.bits == 0:
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1) -> None:
+        if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if self.num.bits == 0:
-            object.__setattr__(self, "den", ONE)
-            return
-        g = clgcd(self.num.bits, self.den.bits)
-        if g != 1:
-            object.__setattr__(self, "num", BinaryPoly(cldivmod(self.num.bits, g)[0]))
-            object.__setattr__(self, "den", BinaryPoly(cldivmod(self.den.bits, g)[0]))
+        if num == 0:
+            den = 1
+        elif den != 1:
+            g = clgcd(den, num)
+            if g != 1:
+                num, den = cldivmod(num, g)[0], cldivmod(den, g)[0]
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
-    # -- constructors ----------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RationalFunction is immutable; cannot set {name}")
 
-    @classmethod
-    def _reduced(cls, num: int, den: int) -> RationalFunction:
-        """Wrap bits already in lowest terms (den 1 when num is 0): no gcd."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "num", BinaryPoly(num))
-        object.__setattr__(f, "den", BinaryPoly(den))
-        return f
+    def __reduce__(self):
+        return (RationalFunction, (self.num, self.den))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RationalFunction({self.num:#b}, {self.den:#b})"
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
+        return self.num == 0
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return self.num != 0
 
     # -- field operations -------------------------------------------------
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        return RationalFunction(clmul(self.num, other.den) ^ clmul(other.num, self.den), clmul(self.den, other.den))
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(clmul(self.num, other.num), clmul(self.den, other.den))
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:
-        if other.is_zero():
+        if other.num == 0:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction(clmul(self.num, other.den), clmul(self.den, other.num))
 
     def inverse(self) -> RationalFunction:
-        if self.is_zero():
+        if self.num == 0:
             raise ZeroDivisionError("zero has no inverse")
         return RationalFunction(self.den, self.num)
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
             return self.inverse() ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+        return RationalFunction(clpow(self.num, n), clpow(self.den, n))
 
     def derivative(self) -> RationalFunction:
         """d/dx via the quotient rule; exact, with + standing in for -."""
-        return RationalFunction(
-            self.num.derivative() * self.den + self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        num, den = self.num, self.den
+        return RationalFunction(clmul(derivative(num), den) ^ clmul(num, derivative(den)), clmul(den, den))
 
     # -- text form -------------------------------------------------------
 
     def to_string(self, var: str = "z") -> str:
-        num = self.num.to_string(var)
-        if self.den.is_one():
+        num = to_string(self.num, var)
+        if self.den == 1:
             return num
-        den = self.den.to_string(var)
+        den = to_string(self.den, var)
         if "+" in den:
             den = f"({den})"
         return f"{num}/{den}"
@@ -103,19 +102,28 @@ class RationalFunction:
         return self.to_string()
 
 
-ZERO_RF = RationalFunction(ZERO, ONE)
-ONE_RF = RationalFunction(ONE, ONE)
+rf = RationalFunction  # shorthand used all over the tests: rf(num_bits, den_bits=1)
+
+ZERO_RF = RationalFunction(0)
+ONE_RF = RationalFunction(1)
 
 
-def _lowest_terms(num: int, den: int) -> RationalFunction:
-    """The fraction num/den (den nonzero) reduced with one gcd."""
-    if den != 1:
-        if num == 0:
-            return ZERO_RF
-        g = clgcd(den, num)
-        if g != 1:
-            num, den = cldivmod(num, g)[0], cldivmod(den, g)[0]
-    return RationalFunction._reduced(num, den)
+def parse_rational(text: str, var: str = "z") -> RationalFunction:
+    """Parse "z/(1+z)" style text: one optional '/', parentheses optional."""
+    s = text.replace(" ", "")
+    if "/" in s:
+        top, _, bottom = s.partition("/")
+        return RationalFunction(_parse_part(top, var), _parse_part(bottom, var))
+    return RationalFunction(_parse_part(s, var))
+
+
+def _parse_part(s: str, var: str) -> int:
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    return parse_poly(s, var)
+
+
+# -- numerators over one denominator ------------------------------------------
 
 
 def _common_form(fracs) -> tuple[int, ...]:
@@ -123,13 +131,13 @@ def _common_form(fracs) -> tuple[int, ...]:
     their denominators."""
     den = 1
     for f in fracs:
-        d = f.den.bits
+        d = f.den
         if d != 1 and d != den:
             den = clmul(den, cldivmod(d, clgcd(den, d))[0])
     out = []
     for f in fracs:
-        d = f.den.bits
-        out.append(clmul(f.num.bits, den if d == 1 else cldivmod(den, d)[0]))
+        d = f.den
+        out.append(clmul(f.num, den if d == 1 else cldivmod(den, d)[0]))
     out.append(den)
     return tuple(out)
 
@@ -162,23 +170,3 @@ def _primitive_part(nums: tuple[int, ...]) -> tuple[int, ...]:
     if content == 0:
         raise ValueError("the zero vector has no projective representative")
     return tuple(cldivmod(x, content)[0] for x in nums)
-
-
-def rf(num_bits: int, den_bits: int = 1) -> RationalFunction:
-    """Shorthand used all over the tests: bits in, reduced fraction out."""
-    return RationalFunction(BinaryPoly(num_bits), BinaryPoly(den_bits))
-
-
-def parse_rational(text: str, var: str = "z") -> RationalFunction:
-    """Parse "z/(1+z)" style text: one optional '/', parentheses optional."""
-    s = text.replace(" ", "")
-    if "/" in s:
-        top, _, bottom = s.partition("/")
-        return RationalFunction(_parse_part(top, var), _parse_part(bottom, var))
-    return RationalFunction(_parse_part(s, var), ONE)
-
-
-def _parse_part(s: str, var: str) -> BinaryPoly:
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    return parse_poly(s, var)

@@ -253,19 +253,6 @@ def v4_orbits_of_squares(complex_: SquareComplexVH) -> list[list[Square]]:
     return orbits
 
 
-def squares_in_same_orbit(structure: V4Structure, s1: Square, s2: Square) -> bool:
-    orbit = {s1}
-    frontier = [s1]
-    while frontier:
-        s = frontier.pop()
-        for gamma in ("v", "h"):
-            img = v4_square_image(structure, s, gamma)
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return s2 in orbit
-
-
 def euler_characteristic(complex_: SquareComplexVH) -> int:
     """Vertices - unoriented edges + squares of the quotient complex."""
     v, e, s = complex_.counts()

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from quatlat.binpoly import BinaryPoly
 from quatlat.embeddings import Matrix2
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, standard_algebra
 from quatlat.rational import ONE_RF, RationalFunction
@@ -16,14 +15,15 @@ def make_rng(seed: int = 0x5EED) -> random.Random:
     return random.Random(seed)
 
 
-def random_poly(rng: random.Random, max_degree: int = 5) -> BinaryPoly:
-    return BinaryPoly(rng.getrandbits(max_degree + 1))
+def random_poly(rng: random.Random, max_degree: int = 5) -> int:
+    """A GF(2)[x] int of degree <= max_degree, zero included."""
+    return rng.getrandbits(max_degree + 1)
 
 
-def random_nonzero_poly(rng: random.Random, max_degree: int = 5) -> BinaryPoly:
+def random_nonzero_poly(rng: random.Random, max_degree: int = 5) -> int:
     while True:
         p = random_poly(rng, max_degree)
-        if not p.is_zero():
+        if p:
             return p
 
 
@@ -51,8 +51,8 @@ def random_invertible_quaternion(rng: random.Random, algebra: QuaternionAlgebra,
 
 def random_unit(rng: random.Random, var_bits: int = 0b10) -> RationalFunction:
     """A valuation-zero element: nonzero constant terms top and bottom."""
-    num = BinaryPoly(1 | (rng.getrandbits(4) << 1))
-    den = BinaryPoly(1 | (rng.getrandbits(4) << 1))
+    num = 1 | (rng.getrandbits(4) << 1)
+    den = 1 | (rng.getrandbits(4) << 1)
     return RationalFunction(num, den)
 
 
@@ -60,15 +60,15 @@ def random_integral_unit_matrix(rng: random.Random, var: str) -> Matrix2:
     """A random element of GL2 of the valuation ring: a product of integral
     elementary matrices, unit diagonals and swaps."""
     m = Matrix2.identity(var)
-    zero = RationalFunction(BinaryPoly(0), BinaryPoly(1))
+    zero = RationalFunction(0)
     one = ONE_RF
     for _ in range(rng.randint(2, 5)):
         kind = rng.randrange(4)
         if kind == 0:
-            p = RationalFunction(random_poly(rng, 3), BinaryPoly(1))
+            p = RationalFunction(random_poly(rng, 3))
             f = Matrix2(var, one, p, zero, one)
         elif kind == 1:
-            p = RationalFunction(random_poly(rng, 3), BinaryPoly(1))
+            p = RationalFunction(random_poly(rng, 3))
             f = Matrix2(var, one, zero, p, one)
         elif kind == 2:
             f = Matrix2(var, random_unit(rng), zero, zero, random_unit(rng))

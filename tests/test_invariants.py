@@ -68,12 +68,6 @@ def test_albanese_kernel_mod_two_report_only():
     assert albanese_kernel_dim(s, 2) == oracle_dim == 0
 
 
-def test_kernel_dim_is_sign_convention_independent():
-    s = standard_structure()
-    for ell in (2, 3, 5, 7):
-        assert albanese_kernel_dim(s, ell) == albanese_kernel_dim(s, ell, flip_signs=True)
-
-
 def test_hom_dimensions():
     assert hom_cyclic_dim(15, 7) == 0
     assert hom_cyclic_dim(15, 5) == 1
@@ -89,3 +83,17 @@ def test_albanese_certificate():
     assert result.details["gamma_ab_free_rank"] == 0
     assert result.details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
     assert result.details["passed"] is True
+
+
+def test_albanese_hom_checks_read_the_computed_abelianization(monkeypatch):
+    """With Gamma^ab reported as Z/21, Hom(Gamma^ab, Z/7) is Z/7 and the
+    certificate turns red; a free part counts once for every l."""
+    rs_route = ((15,), 0)
+    monkeypatch.setattr("quatlat.invariants.abelianizations", lambda: (((21,), 0), rs_route))
+    result = albanese_certificate(standard_structure())
+    assert result.details["hom_checks"] == {"7": 1, "11": 0, "13": 0}
+    assert not result.passed
+    monkeypatch.setattr("quatlat.invariants.abelianizations", lambda: (((15,), 1), rs_route))
+    result = albanese_certificate(standard_structure())
+    assert result.details["hom_checks"] == {"7": 1, "11": 1, "13": 1}
+    assert not result.passed

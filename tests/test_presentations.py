@@ -28,7 +28,7 @@ from quatlat.presentations import (
     v4_quotient_of_lambda,
     word_inverse,
 )
-from quatlat.smith import smith_normal_form
+from quatlat.smith import invariant_factors, smith_normal_form
 from quatlat.squares import GroupOps, build_structure
 
 
@@ -158,6 +158,31 @@ def test_smith_normal_form_random_against_minor_oracle():
                 assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
         oracle = _minor_gcd_invariant_factors(m, cols)
         assert [x for x in diag if x != 0] == oracle
+
+
+def _sympy_invariant_factors(matrix, cols):
+    """invariant_factors' answer read off sympy's Smith normal form over ZZ."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+    nonzero = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+    return [x for x in nonzero if x != 1], cols - len(nonzero)
+
+
+def test_invariant_factors_against_sympy():
+    """The Reidemeister-Schreier relator matrix (20 x 13, cokernel Z/15) and
+    random small integer matrices, against sympy's Smith normal form."""
+    kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
+    n = len(kernel.generators)
+    matrix = [exponent_vector(r, n) for r in kernel.relators]
+    assert invariant_factors(matrix) == _sympy_invariant_factors(matrix, n) == ([15], 0)
+    rng = random.Random(51)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        scale = rng.choice((1, 1, 2, 6))  # a common factor makes every invariant factor nontrivial
+        m = [[scale * rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+        assert invariant_factors(m) == _sympy_invariant_factors(m, cols), m
 
 
 def test_abelianization_of_gamma_is_z15():
