@@ -257,12 +257,3 @@ def ball_check(radius: int) -> BallCheckReport:
 def ball_certificate(radius: int = 3) -> CertificateResult:
     report = ball_check(radius)
     return CertificateResult("ball-check", report.injective, report.as_json())
-
-
-def fixes_base_vertex(word_letters: list[str]) -> bool:
-    """Whether the product of the named generators fixes the base vertex."""
-    structure = standard_structure()
-    elem = standard_algebra().one()
-    for name in word_letters:
-        elem = elem * structure.element(name)
-    return bt_act(elem, standard_product_vertex()) == standard_product_vertex()

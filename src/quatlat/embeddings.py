@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .binpoly import clmul, compose, reverse
 from .quaternion import Quaternion
-from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _primitive_part, _reduce_over, rf
+from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _reduce_over, rf
 
 
 class Matrix2:
@@ -124,17 +124,6 @@ class Matrix2:
     def trace(self) -> RationalFunction:
         a, _, _, d = self._nums
         return RationalFunction(a ^ d, self._den)
-
-    def is_zero(self) -> bool:
-        return not any(self._nums)
-
-    def projective_eq(self, other: Matrix2) -> bool:
-        """Equal up to a nonzero scalar of the function field: the same
-        primitive numerator 4-tuple."""
-        self._same_var(other)
-        if self.is_zero() or other.is_zero():
-            raise ValueError("projective equality undefined for the zero matrix")
-        return _primitive_part(self._nums) == _primitive_part(other._nums)
 
     def _same_var(self, other: Matrix2) -> None:
         if self.var != other.var:

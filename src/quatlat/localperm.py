@@ -7,114 +7,35 @@ product Sym(labels) wr Sym({0,1}).  The groups generated by these sigmas are
 compared against the reference group {((s, tau s tau), e)} = Sym(X) x {+-1},
 tau being the inversion involution on the label set.
 
-A wreath element ((g0, g1), e) acts by (x, i) -> (g_{e(i)}(x), e(i)); the
-permutations are stored as plain index arrays over the 2|X| points, which
-makes composition, closure and hashing immediate.
+A permutation is a plain index tuple over the 2|X| points, point k < n being
+(labels[k], 0) and point n + k being (labels[k], 1); the wreath element
+((g0, g1), e) acts by (x, i) -> (g_{e(i)}(x), e(i)).  A group is the
+frozenset of its index tuples, so groups compare with == and <= and their
+order is len.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .squares import Square, V4Structure
 
-
-@dataclass(frozen=True)
-class WreathPerm:
-    """A permutation of labels x {0,1}; point k < n is (labels[k], 0), else (labels[k-n], 1)."""
-
-    labels: tuple[str, ...]
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = 2 * len(self.labels)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError("mapping is not a permutation")
-
-    @classmethod
-    def identity(cls, labels: tuple[str, ...]) -> WreathPerm:
-        return cls(labels, tuple(range(2 * len(labels))))
-
-    @classmethod
-    def from_blocks(cls, labels: tuple[str, ...], g0: dict[str, str], g1: dict[str, str], flip: bool) -> WreathPerm:
-        """Assemble ((g0, g1), e): component g_i maps INTO fiber i."""
-        n = len(labels)
-        pos = {x: k for k, x in enumerate(labels)}
-        mapping = [0] * (2 * n)
-        for k, x in enumerate(labels):
-            if flip:
-                mapping[k] = pos[g1[x]] + n  # (x,0) -> (g1(x), 1)
-                mapping[k + n] = pos[g0[x]]  # (x,1) -> (g0(x), 0)
-            else:
-                mapping[k] = pos[g0[x]]
-                mapping[k + n] = pos[g1[x]] + n
-        return cls(labels, tuple(mapping))
-
-    def compose(self, other: WreathPerm) -> WreathPerm:
-        """self after other (apply other first)."""
-        if self.labels != other.labels:
-            raise ValueError("wreath permutations over different label sets")
-        return WreathPerm(self.labels, tuple(self.mapping[k] for k in other.mapping))
-
-    def inverse(self) -> WreathPerm:
-        inv = [0] * len(self.mapping)
-        for k, v in enumerate(self.mapping):
-            inv[v] = k
-        return WreathPerm(self.labels, tuple(inv))
-
-    @property
-    def flip(self) -> bool:
-        n = len(self.labels)
-        goes_up = [self.mapping[k] >= n for k in range(n)]
-        comes_down = [self.mapping[k + n] < n for k in range(n)]
-        if all(goes_up) and all(comes_down):
-            return True
-        if not any(goes_up) and not any(comes_down):
-            return False
-        raise ValueError("permutation does not respect the two fibers")
-
-    def components(self) -> tuple[dict[str, str], dict[str, str], bool]:
-        """((g0, g1), flip) with g_i the component mapping into fiber i."""
-        n = len(self.labels)
-        flip = self.flip
-        g0: dict[str, str] = {}
-        g1: dict[str, str] = {}
-        for k, x in enumerate(self.labels):
-            img0 = self.mapping[k]
-            img1 = self.mapping[k + n]
-            if flip:
-                g1[x] = self.labels[img0 - n]
-                g0[x] = self.labels[img1]
-            else:
-                g0[x] = self.labels[img0]
-                g1[x] = self.labels[img1 - n]
-        return g0, g1, flip
-
-    def cycle_str(self) -> str:
-        g0, g1, flip = self.components()
-        return f"(({_cycles(g0, self.labels)}, {_cycles(g1, self.labels)}), {'flip' if flip else 'id'})"
-
-    def __str__(self) -> str:
-        return self.cycle_str()
+Perm = tuple[int, ...]
 
 
-def _cycles(perm: dict[str, str], labels: tuple[str, ...]) -> str:
-    seen = set()
-    out = []
-    for start in labels:
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        out.append("(" + " ".join(cycle) + ")")
-    return "".join(out) if out else "()"
+def wreath_perm(labels: tuple[str, ...], g0: dict[str, str], g1: dict[str, str], flip: bool) -> Perm:
+    """The index tuple of ((g0, g1), e): component g_i maps INTO fiber i."""
+    n = len(labels)
+    pos = {x: k for k, x in enumerate(labels)}
+    mapping = [0] * (2 * n)
+    for k, x in enumerate(labels):
+        if flip:
+            mapping[k] = pos[g1[x]] + n  # (x,0) -> (g1(x), 1)
+            mapping[k + n] = pos[g0[x]]  # (x,1) -> (g0(x), 0)
+        else:
+            mapping[k] = pos[g0[x]]
+            mapping[k + n] = pos[g1[x]] + n
+    return tuple(mapping)
 
 
 # -- the t-maps ------------------------------------------------------------
@@ -148,8 +69,9 @@ def t_map(structure: V4Structure, label: str, index: int, target: int) -> dict[S
     return out
 
 
-def sigma(structure: V4Structure, label: str, index: int) -> WreathPerm:
-    """The wreath permutation t^0 (t^1)^-1 | t^1 (t^0)^-1 induced by the edge."""
+def sigma(structure: V4Structure, label: str, index: int) -> Perm:
+    """The wreath permutation t^0 (t^1)^-1 | t^1 (t^0)^-1 induced by the edge,
+    over the opposite side's labels."""
     t0 = t_map(structure, label, index, 0)
     t1 = t_map(structure, label, index, 1)
     opposite = structure.b_names if label in structure.a_names else structure.a_names
@@ -157,70 +79,32 @@ def sigma(structure: V4Structure, label: str, index: int) -> WreathPerm:
     g1 = {t0[s][0]: t1[s][0] for s in t0}
     if set(g0) != set(opposite) or set(g1) != set(opposite):
         raise AssertionError("sigma components are not permutations of the opposite side")
-    return WreathPerm.from_blocks(tuple(opposite), g0, g1, flip=True)
+    return wreath_perm(opposite, g0, g1, flip=True)
 
 
 # -- groups ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    generators: tuple[WreathPerm, ...]
-    elements: frozenset[tuple[int, ...]]
-    labels: tuple[str, ...]
-
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, perm: WreathPerm) -> bool:
-        return perm.mapping in self.elements
-
-    def __le__(self, other: PermGroup) -> bool:
-        return self.elements <= other.elements
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PermGroup) and self.elements == other.elements and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.elements))
-
-    def is_transitive(self) -> bool:
-        """Transitivity on labels x {0,1}."""
-        n = 2 * len(self.labels)
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            p = frontier.pop()
-            for m in self.elements:
-                q = m[p]
-                if q not in reached:
-                    reached.add(q)
-                    frontier.append(q)
-        return len(reached) == n
-
-
-def generate(perms: list[WreathPerm]) -> PermGroup:
+def generate(perms: list[Perm]) -> frozenset[Perm]:
     """Closure under composition, breadth-first; finite by construction."""
     if not perms:
         raise ValueError("need at least one generator")
-    labels = perms[0].labels
-    identity = WreathPerm.identity(labels)
-    elements = {identity.mapping}
-    frontier = [identity.mapping]
-    gens = [p.mapping for p in perms]
+    identity = tuple(range(len(perms[0])))
+    elements = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gens:
+            for g in perms:
                 prod = tuple(g[k] for k in m)  # g after m
                 if prod not in elements:
                     elements.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return PermGroup(tuple(perms), frozenset(elements), labels)
+    return frozenset(elements)
 
 
-def local_group(structure: V4Structure, side: str, index: int) -> PermGroup:
+def local_group(structure: V4Structure, side: str, index: int) -> frozenset[Perm]:
     """P^A_j (side="A", generated over B-edges) or P^B_i (side="B")."""
     if side == "A":
         gens = [sigma(structure, b, index) for b in structure.b_names]
@@ -231,17 +115,13 @@ def local_group(structure: V4Structure, side: str, index: int) -> PermGroup:
     return generate(gens)
 
 
-def reference_group(labels: tuple[str, ...], inv: dict[str, str]) -> PermGroup:
+def reference_group(labels: tuple[str, ...], inv: dict[str, str]) -> frozenset[Perm]:
     """All ((s, tau s tau), e) for s in Sym(labels), e in Sym({0,1});
     tau is the inversion involution on the labels."""
     elements = set()
-    gens: list[WreathPerm] = []
     for perm_images in permutations(labels):
         s = dict(zip(labels, perm_images))
         tst = {x: inv[s[inv[x]]] for x in labels}
         for flip in (False, True):
-            w = WreathPerm.from_blocks(labels, s, tst, flip)
-            elements.add(w.mapping)
-            if len(gens) < 4:
-                gens.append(w)
-    return PermGroup(tuple(gens), frozenset(elements), labels)
+            elements.add(wreath_perm(labels, s, tst, flip))
+    return frozenset(elements)

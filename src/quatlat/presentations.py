@@ -6,6 +6,10 @@ Words over a presentation's generators are tuples of nonzero signed indices:
 up to free reduction, cyclic rotation, inversion and replacing g^-1 by g for
 generators with a square relator (involutions), which is exactly the
 ambiguity left by choosing different orbit representatives.
+
+The finite quotient behind the second route to Gamma^ab = Z/15 is
+Lambda -> V4, with V4 = (Z/2)^2 written as 2-bit ints under XOR; a quotient
+map is just the tuple of generator images, and its cosets are their span.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ def free_reduce(word: Word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def word_inverse(word: Word) -> Word:
-    return tuple(-letter for letter in reversed(word))
 
 
 def exponent_vector(word: Word, n_gens: int) -> list[int]:
@@ -259,124 +259,42 @@ def is_projectively_trivial(q: Quaternion) -> bool:
     return q.is_scalar() and not q.is_zero()
 
 
-# -- finite quotients and Reidemeister-Schreier -----------------------------
-
-
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group as a multiplication table; element 0 is the identity."""
-
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.names)
-        if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
-            raise ValueError("element 0 must be the identity")
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return next(j for j in range(len(self.names)) if self.table[i][j] == 0)
-
-    def order(self) -> int:
-        return len(self.names)
-
-
-def klein_four() -> FiniteGroup:
-    # elements 1, v, h, vh
-    names = ("1", "v", "h", "vh")
-    table = (
-        (0, 1, 2, 3),
-        (1, 0, 3, 2),
-        (2, 3, 0, 1),
-        (3, 2, 1, 0),
-    )
-    return FiniteGroup(names, table)
-
-
-def trivial_group() -> FiniteGroup:
-    return FiniteGroup(("1",), ((0,),))
+# -- the quotient Lambda -> V4 and Reidemeister-Schreier ----------------------
 
 
 class InvalidQuotientError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteQuotientMap:
-    """Generator images in a finite group, with all relators mapping to 1."""
-
-    presentation: Presentation
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.presentation.generators):
-            raise ValueError("one image per generator required")
-        for rel in self.presentation.relators:
-            if self.apply(rel) != 0:
-                raise InvalidQuotientError(f"relator {self.presentation.word_str(rel)} does not map to 1")
-
-    def apply(self, word: Word) -> int:
-        out = 0
-        for letter in word:
-            img = self.images[abs(letter) - 1]
-            out = self.target.mul(out, img if letter > 0 else self.target.inv(img))
-        return out
-
-    def image_subgroup(self) -> set[int]:
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            g = frontier.pop()
-            for img in self.images:
-                for h in (img, self.target.inv(img)):
-                    k = self.target.mul(g, h)
-                    if k not in reached:
-                        reached.add(k)
-                        frontier.append(k)
-        return reached
+# V4 = (Z/2)^2 as 2-bit ints under XOR (1 = v, 2 = h, 3 = vh):
+# b1, c1 -> the vertical generator; b2, c2 -> the horizontal one
+V4_QUOTIENT_OF_LAMBDA = (1, 2, 1, 2)
 
 
-def v4_quotient_of_lambda() -> FiniteQuotientMap:
-    """b1, c1 -> the vertical generator; b2, c2 -> the horizontal one."""
-    return FiniteQuotientMap(lambda_presentation(), klein_four(), (1, 2, 1, 2))
+def reidemeister_schreier(presentation: Presentation, images: tuple[int, ...]) -> Presentation:
+    """Presentation of the kernel of the map sending generator k to images[k]
+    in an elementary abelian 2-group of ints under XOR.
 
-
-def reidemeister_schreier(presentation: Presentation, qmap: FiniteQuotientMap) -> Presentation:
-    """Presentation of the kernel of the quotient map.
-
-    Cosets are the elements of the (finite) target; the Schreier transversal
-    comes from a breadth-first coset tree over positive generator letters.
-    Schreier generators are named x{coset}_{gen}; tree generators are dropped
-    and every relator is rewritten from every coset, then freely reduced.
+    The cosets are the XOR span of the images, found by a breadth-first
+    coset tree over positive generator letters, which is also the Schreier
+    transversal.  Schreier generators are named x{coset}_{gen}; tree
+    generators are dropped and every relator is rewritten from every coset,
+    then freely reduced.  A relator that does not map to 0 raises
+    InvalidQuotientError.
     """
-    if qmap.presentation is not presentation and qmap.presentation != presentation:
-        raise ValueError("quotient map belongs to a different presentation")
-    target = qmap.target
-    if qmap.image_subgroup() != set(range(target.order())):
-        raise InvalidQuotientError("generator images do not generate the target")
     n_gens = len(presentation.generators)
-    images = qmap.images
+    if len(images) != n_gens:
+        raise ValueError("one image per generator required")
 
-    # breadth-first coset tree: cosets are target elements, root 0
+    # breadth-first coset tree, root 0; the list grows while it is walked
     order = [0]
     tree_edges: set[tuple[int, int]] = set()
-    discovered = {0}
-    queue = [0]
-    while queue:
-        coset = queue.pop(0)
+    for coset in order:
         for g in range(n_gens):
-            nxt = target.mul(coset, images[g])
-            if nxt not in discovered:
-                discovered.add(nxt)
+            nxt = coset ^ images[g]
+            if nxt not in order:
                 tree_edges.add((coset, g))
                 order.append(nxt)
-                queue.append(nxt)
-    if len(order) != target.order():
-        raise InvalidQuotientError("coset enumeration incomplete")
 
     # Schreier generators: one per (coset, generator) pair off the tree
     gen_name: dict[tuple[int, int], int] = {}
@@ -395,16 +313,16 @@ def reidemeister_schreier(presentation: Presentation, qmap: FiniteQuotientMap) -
             g = abs(letter) - 1
             if letter > 0:
                 key = (coset, g)
-                coset = target.mul(coset, images[g])
+                coset ^= images[g]
                 if key not in tree_edges:
                     out.append(gen_name[key])
             else:
-                coset = target.mul(coset, target.inv(images[g]))
+                coset ^= images[g]
                 key = (coset, g)
                 if key not in tree_edges:
                     out.append(-gen_name[key])
         if coset != start:
-            raise InvalidQuotientError("word does not normalize the kernel coset")
+            raise InvalidQuotientError(f"relator {presentation.word_str(word)} does not map to 1")
         return free_reduce(tuple(out))
 
     relators = []
@@ -432,6 +350,6 @@ def abelianizations() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...
     """(invariant factors, free rank) of Gamma^ab and of the abelianized
     Reidemeister-Schreier kernel of Lambda -> V4: the two routes to Z/15."""
     gamma_factors, gamma_rank = abelianization(gamma_presentation())
-    kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
+    kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
     kernel_factors, kernel_rank = abelianization(kernel)
     return (tuple(gamma_factors), gamma_rank), (tuple(kernel_factors), kernel_rank)

@@ -215,13 +215,6 @@ class Quaternion:
         f = clmul(self.algebra._ints[0], self._den)
         return Quaternion._from_ints(self.algebra, tuple(clmul(f, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
 
-    def projective_eq(self, other: Quaternion) -> bool:
-        """Equality in the projectivization: p = lambda*q for a nonzero scalar."""
-        self._same_algebra(other)
-        if self.is_zero() != other.is_zero():
-            return False
-        return self.projective_canon() == other.projective_canon()
-
     def projective_canon(self) -> tuple[int, int, int, int]:
         """Canonical representative: the primitive coordinate 4-tuple over
         GF(2)[z], the stored numerators divided by their gcd."""
@@ -336,8 +329,3 @@ def is_ring_unit(f: RationalFunction, ring: str) -> bool:
         if p != 1:
             return False
     return True
-
-
-def invertible_over(q: Quaternion, ring: str) -> bool:
-    """True iff the element lies in the unit group of the order over the ring."""
-    return is_ring_unit(q.rnorm(), ring)

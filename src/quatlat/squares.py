@@ -61,20 +61,22 @@ def _inverse_pairing(names: tuple[str, ...], elems: dict, ops: GroupOps) -> dict
     return pairing
 
 
-def verify_v4(a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, ops: GroupOps) -> Verdict:
-    """Check the V4-structure axioms; generation is assumed, not checked."""
-    failures = []
+def _check_v4(
+    a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, ops: GroupOps
+) -> tuple[list[str], dict[str, str], tuple[Square, ...]]:
+    """One pass over the axioms: (failures, inverse pairing, squares), the
+    last two resolved only when there are no failures."""
     if not a_names or not b_names:
-        failures.append("empty side")
-        return Verdict(False, tuple(failures))
+        return ["empty side"], {}, ()
     inv_a = _inverse_pairing(a_names, elems, ops)
     inv_b = _inverse_pairing(b_names, elems, ops)
+    failures = []
     if inv_a is None:
         failures.append("A not inverse-closed (or has duplicate elements)")
     if inv_b is None:
         failures.append("B not inverse-closed (or has duplicate elements)")
     if failures:
-        return Verdict(False, tuple(failures))
+        return failures, {}, ()
     prod_ab: dict[Any, tuple[str, str]] = {}
     for a in a_names:
         for b in b_names:
@@ -91,6 +93,16 @@ def verify_v4(a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, o
             prod_ba[key] = (b, a)
     if not failures and set(prod_ab) != set(prod_ba):
         failures.append("AB and BA differ as sets")
+    if failures:
+        return failures, {}, ()
+    # the square [a,b'; b,a'] for each ab' = ba', in (a, b') order
+    squares = tuple((a, bp) + prod_ba[key] for key, (a, bp) in prod_ab.items())
+    return [], inv_a | inv_b, squares
+
+
+def verify_v4(a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, ops: GroupOps) -> Verdict:
+    """Check the V4-structure axioms; generation is assumed, not checked."""
+    failures, _, _ = _check_v4(a_names, b_names, elems, ops)
     return Verdict(not failures, tuple(failures))
 
 
@@ -120,20 +132,10 @@ def build_structure(a_labeled: list[tuple[str, Any]], b_labeled: list[tuple[str,
     elems = dict(a_labeled) | dict(b_labeled)
     if len(elems) != len(a_names) + len(b_names):
         raise InvalidStructureError("labels must be unique across A and B")
-    verdict = verify_v4(a_names, b_names, elems, ops)
-    if not verdict:
-        raise InvalidStructureError("; ".join(verdict.failures))
-    inv = _inverse_pairing(a_names, elems, ops) | _inverse_pairing(b_names, elems, ops)
-    prod_ba = {}
-    for b in b_names:
-        for a in a_names:
-            prod_ba[ops.canon(ops.mul(elems[b], elems[a]))] = (b, a)
-    squares = []
-    for a in a_names:
-        for bp in b_names:
-            b, ap = prod_ba[ops.canon(ops.mul(elems[a], elems[bp]))]
-            squares.append((a, bp, b, ap))
-    return V4Structure(a_names, b_names, elems, ops, inv, tuple(squares))
+    failures, inv, squares = _check_v4(a_names, b_names, elems, ops)
+    if failures:
+        raise InvalidStructureError("; ".join(failures))
+    return V4Structure(a_names, b_names, elems, ops, inv, squares)
 
 
 def is_inverse_stable(structure: V4Structure) -> bool:

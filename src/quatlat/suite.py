@@ -76,15 +76,15 @@ def local_groups_certificate() -> CertificateResult:
     ok = (
         pa0 == pa1 == ref_a
         and pb0 == pb1 == ref_b
-        and pa0.order() == 12
-        and pb0.order() == 12
+        and len(pa0) == 12
+        and len(pb0) == 12
     )
     return CertificateResult(
         "local-permutation-groups",
         ok,
         {
-            "order_a": pa0.order(),
-            "order_b": pb0.order(),
+            "order_a": len(pa0),
+            "order_b": len(pb0),
             "a_equal_reference": pa0 == ref_a,
             "b_equal_reference": pb0 == ref_b,
         },

@@ -49,13 +49,6 @@ class TreeVertex:
         if any(e >= self.level for e in self.tail):
             raise ValueError("tail exponents must lie below the level")
 
-    def neighbors(self) -> tuple[TreeVertex, TreeVertex, TreeVertex]:
-        """The three adjacent vertices (valency q+1 = 3 over GF(2))."""
-        up_plain = TreeVertex(self.field, self.level + 1, self.tail)
-        up_bumped = TreeVertex(self.field, self.level + 1, self.tail ^ {self.level})
-        down = TreeVertex(self.field, self.level - 1, frozenset(e for e in self.tail if e < self.level - 1))
-        return (up_plain, up_bumped, down)
-
     def key(self) -> str:
         """Serialization "field:level:tail-hex"; tail bit k is the coefficient
         of pi^(level-1-k), so the encoding terminates and is canonical."""
@@ -166,18 +159,3 @@ def ball_vertex_count(radius: int) -> int:
     """Closed-form number of product-tree vertices within L1 distance `radius`."""
     spheres = [1] + [3 * 2 ** (k - 1) for k in range(1, radius + 1)]
     return sum(spheres[i] * spheres[j] for i in range(radius + 1) for j in range(radius + 1) if i + j <= radius)
-
-
-def ball_in_tree(center: TreeVertex, radius: int) -> list[set[TreeVertex]]:
-    """Spheres of radius 0..radius around the center, by breadth-first search."""
-    spheres = [{center}]
-    seen = {center}
-    for _ in range(radius):
-        frontier = set()
-        for v in spheres[-1]:
-            for n in v.neighbors():
-                if n not in seen:
-                    seen.add(n)
-                    frontier.add(n)
-        spheres.append(frontier)
-    return spheres

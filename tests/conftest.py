@@ -1,8 +1,10 @@
-"""Shared helpers: deterministic random generators for the property suites."""
+"""Shared helpers: deterministic random generators for the property suites,
+and a decoder for the paper's cycle notation of wreath permutations."""
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -83,6 +85,26 @@ def random_invertible_matrix(rng: random.Random, var: str, max_degree: int = 3) 
         m = Matrix2(var, *(random_rational(rng, max_degree) for _ in range(4)))
         if not m.det().is_zero():
             return m
+
+
+def wreath_from_cycles(text: str, labels: tuple[str, ...]) -> tuple[int, ...]:
+    """Decode "((g0 cycles, g1 cycles), flip|id)", with g_i the component
+    mapping into fiber i, into an index tuple over labels x {0,1}: point k
+    is (labels[k], 0) and point n + k is (labels[k], 1)."""
+    match = re.fullmatch(r"\(\(([^,]*), ([^,]*)\), (flip|id)\)", text)
+    if match is None:
+        raise ValueError(f"not a wreath cycle string: {text!r}")
+    g0, g1 = {x: x for x in labels}, {x: x for x in labels}
+    for g, cycles in ((g0, match[1]), (g1, match[2])):
+        for cycle in re.findall(r"\(([^()]*)\)", cycles):
+            names = cycle.split()
+            for k, x in enumerate(names):
+                g[x] = names[(k + 1) % len(names)]
+    n = len(labels)
+    pos = {x: k for k, x in enumerate(labels)}
+    if match[3] == "flip":  # (x,0) -> (g1(x), 1) and (x,1) -> (g0(x), 0)
+        return tuple([pos[g1[x]] + n for x in labels] + [pos[g0[x]] for x in labels])
+    return tuple([pos[g0[x]] for x in labels] + [pos[g1[x]] + n for x in labels])
 
 
 @pytest.fixture(scope="session")

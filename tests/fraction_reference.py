@@ -1,7 +1,7 @@
 """Fraction-by-fraction reference formulas for the integer kernel.
 
 quatlat computes quaternion products, reduced norms, the splittings and
-projective equality on raw GF(2)[z] ints, reducing once per output.  The
+projective keys on raw GF(2)[z] ints, reducing once per output.  The
 functions here compute the same values the slow, obvious way, through
 RationalFunction arithmetic (every + and * a reduced fraction), and serve
 as the oracles of the differential tests in test_kernel.py.
@@ -28,15 +28,24 @@ def reference_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     return Quaternion(p.algebra, (z0, z1, z2, z3))
 
 
-def reference_projective_eq(p: Quaternion, q: Quaternion) -> bool:
-    """p = lambda*q for a nonzero scalar: all 2x2 cross products vanish and
+def _proportional(x, y) -> bool:
+    """x = lambda*y for a nonzero scalar: all 2x2 cross products vanish and
     the zero patterns agree."""
-    x, y = p.coords, q.coords
     for i in range(4):
         for j in range(i + 1, 4):
             if x[i] * y[j] != x[j] * y[i]:
                 return False
     return all(x[i].is_zero() == y[i].is_zero() for i in range(4))
+
+
+def reference_projective_eq(p: Quaternion, q: Quaternion) -> bool:
+    """p = lambda*q for a nonzero scalar, coordinate by coordinate."""
+    return _proportional(p.coords, q.coords)
+
+
+def reference_matrix_projective_eq(m: Matrix2, n: Matrix2) -> bool:
+    """m = lambda*n for a nonzero scalar of the same function field."""
+    return m.var == n.var and _proportional(m.entries, n.entries)
 
 
 def reference_rho(which: EmbeddingMap, q: Quaternion) -> Matrix2:

@@ -25,6 +25,7 @@ from quatlat.lattice import generator_images, standard_complex, standard_structu
 from quatlat.localperm import local_group, reference_group, sigma
 from quatlat.places import NAMED_PLACES, PLACE_ONE, PLACE_ZETA, valuation
 from quatlat.presentations import (
+    V4_QUOTIENT_OF_LAMBDA,
     abelianization,
     evaluate_word,
     fixed_presentations,
@@ -33,7 +34,6 @@ from quatlat.presentations import (
     orbifold_presentation,
     reidemeister_schreier,
     same_presentation,
-    v4_quotient_of_lambda,
 )
 from quatlat.quaternion import named_elements, parse_quaternion, standard_algebra
 from quatlat.rational import RationalFunction, parse_rational
@@ -54,7 +54,9 @@ from conftest import (
     random_poly,
     random_quaternion,
     random_unit,
+    wreath_from_cycles,
 )
+from fraction_reference import reference_matrix_projective_eq
 from test_embeddings import expected_generator_table
 
 
@@ -98,8 +100,8 @@ def test_criterion_03_splitting_oracles():
         expected_y, expected_t = expected_generator_table()
         ne = named_elements()
         for name, q in (("b1", ne.B1), ("b2", ne.B2), ("c1", ne.C1), ("c2", ne.C2)):
-            assert RHO_Y(q).projective_eq(expected_y[name])
-            assert RHO_T(q).projective_eq(expected_t[name])
+            assert reference_matrix_projective_eq(RHO_Y(q), expected_y[name])
+            assert reference_matrix_projective_eq(RHO_T(q), expected_t[name])
 
 
 def test_criterion_04_v4_structure():
@@ -154,12 +156,12 @@ def test_criterion_06_local_permutation_groups():
         pb0, pb1 = local_group(s, "B", 0), local_group(s, "B", 1)
         ref_a = reference_group(s.a_names, s.inv)
         ref_b = reference_group(s.b_names, s.inv)
-        assert pa0.order() == pa1.order() == ref_a.order() == 12
-        assert pb0.order() == pb1.order() == ref_b.order() == 12
+        assert len(pa0) == len(pa1) == len(ref_a) == 12
+        assert len(pb0) == len(pb1) == len(ref_b) == 12
         assert pa0 == pa1 == ref_a
         assert pb0 == pb1 == ref_b
-        assert sigma(s, "b2", 0).cycle_str() == "(((b1 c1 b1^-1), (b1 b1^-1 c1)), flip)"
-        assert sigma(s, "c2", 0).cycle_str() == "(((b1 b1^-1), (b1 b1^-1)), flip)"
+        assert sigma(s, "b2", 0) == wreath_from_cycles("(((b1 c1 b1^-1), (b1 b1^-1 c1)), flip)", s.a_names)
+        assert sigma(s, "c2", 0) == wreath_from_cycles("(((b1 b1^-1), (b1 b1^-1)), flip)", s.a_names)
 
 
 def test_criterion_07_stabilizer():
@@ -204,7 +206,7 @@ def test_criterion_10_presentations():
 def test_criterion_11_abelianization():
     with criterion(11, "abelianization", budget_s=1.0):
         assert abelianization(fixed_presentations()["gamma"]) == ([15], 0)
-        kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
+        kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
         assert abelianization(kernel) == ([15], 0)
 
 

@@ -3,7 +3,6 @@ import pytest
 from quatlat.certify import (
     ball_check,
     discriminant_certificate,
-    fixes_base_vertex,
     neighbors_certificate,
     order_discriminant,
     ramification_certificate,
@@ -14,7 +13,7 @@ from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
 from quatlat.quaternion import QuaternionAlgebra, standard_algebra
 from quatlat.rational import parse_rational, rf
-from quatlat.tree import ball_vertex_count
+from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
 
 def test_ramified_places():
@@ -85,6 +84,15 @@ def test_ball_check_radius_three():
 def test_ball_check_guards():
     with pytest.raises(ValueError):
         ball_check(-1)
+
+
+def fixes_base_vertex(word_letters: list[str]) -> bool:
+    """Whether the product of the named generators fixes the base vertex."""
+    structure = standard_structure()
+    elem = standard_algebra().one()
+    for name in word_letters:
+        elem = elem * structure.element(name)
+    return bt_act(elem, standard_product_vertex()) == standard_product_vertex()
 
 
 def test_no_short_word_fixes_the_base_vertex():

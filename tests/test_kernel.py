@@ -97,7 +97,7 @@ def test_projective_canon_matches_cross_products(alg):
         if q.is_zero():
             continue
         key = p.projective_canon()
-        assert (key == q.projective_canon()) == reference_projective_eq(p, q) == p.projective_eq(q)
+        assert (key == q.projective_canon()) == reference_projective_eq(p, q)
         content = 0
         for x in key:
             content = clgcd(content, x)

@@ -6,7 +6,7 @@ import pytest
 
 from quatlat.lattice import generator_images, standard_structure
 from quatlat.presentations import (
-    FiniteQuotientMap,
+    V4_QUOTIENT_OF_LAMBDA,
     InvalidQuotientError,
     Presentation,
     abelianization,
@@ -19,17 +19,30 @@ from quatlat.presentations import (
     gamma_presentation,
     gr_presentation,
     is_projectively_trivial,
-    klein_four,
     lambda_presentation,
     orbifold_presentation,
     reidemeister_schreier,
     same_presentation,
-    trivial_group,
-    v4_quotient_of_lambda,
-    word_inverse,
 )
 from quatlat.smith import invariant_factors, smith_normal_form
 from quatlat.squares import GroupOps, build_structure
+
+# the Reidemeister-Schreier kernel of Lambda -> V4: Schreier generators
+# x{coset}_{gen} with cosets 1 = v, 2 = h, 3 = vh, and the 4 x 5 rewritten relators
+RS_KERNEL_GENERATORS = (
+    "x0_c1", "x0_c2", "x1_b1", "x1_c1", "x1_c2", "x2_b1", "x2_b2",
+    "x2_c1", "x2_c2", "x3_b1", "x3_b2", "x3_c1", "x3_c2",
+)
+RS_KERNEL_RELATORS = (
+    (1, 4), (2, 9), (1, 5, -8, -2), (12, 7), (5, 10),
+    (4, 1), (5, 13), (4, 2, -12, -5), (3, 8, 11), (3, 2, 6),
+    (8, 12), (9, 2), (8, 13, -1, -9), (6, 11, 4), (6, 13, 3, -7),
+    (12, 8), (13, 5), (12, 9, -4, -13), (10, 7, 1), (10, 9, -11),
+)
+
+
+def word_inverse(word):
+    return tuple(-letter for letter in reversed(word))
 
 
 def test_free_reduction_and_inverse():
@@ -173,7 +186,7 @@ def _sympy_invariant_factors(matrix, cols):
 def test_invariant_factors_against_sympy():
     """The Reidemeister-Schreier relator matrix (20 x 13, cokernel Z/15) and
     random small integer matrices, against sympy's Smith normal form."""
-    kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
+    kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
     n = len(kernel.generators)
     matrix = [exponent_vector(r, n) for r in kernel.relators]
     assert invariant_factors(matrix) == _sympy_invariant_factors(matrix, n) == ([15], 0)
@@ -218,34 +231,46 @@ def test_abelianization_free_rank():
 
 
 def test_v4_quotient_map_is_valid():
-    qmap = v4_quotient_of_lambda()
-    assert qmap.target.order() == 4
-    assert qmap.image_subgroup() == {0, 1, 2, 3}
+    """Every relator of Lambda maps to 0, and the images span all of V4."""
+    images = V4_QUOTIENT_OF_LAMBDA
+    lam = lambda_presentation()
+    for rel in lam.relators:
+        value = 0
+        for letter in rel:
+            value ^= images[abs(letter) - 1]
+        assert value == 0, lam.word_str(rel)
+    span = {0}
+    for x in images:
+        span |= {y ^ x for y in span}
+    assert span == {0, 1, 2, 3}
 
 
 def test_invalid_quotient_is_rejected():
     with pytest.raises(InvalidQuotientError):
-        FiniteQuotientMap(lambda_presentation(), klein_four(), (1, 0, 2, 0))
+        reidemeister_schreier(lambda_presentation(), (1, 0, 2, 0))
+    with pytest.raises(ValueError):
+        reidemeister_schreier(lambda_presentation(), (1, 2, 1))
 
 
 def test_kernel_of_the_v4_quotient():
     lam = lambda_presentation()
-    kernel = reidemeister_schreier(lam, v4_quotient_of_lambda())
+    kernel = reidemeister_schreier(lam, V4_QUOTIENT_OF_LAMBDA)
     # generator count before pruning: index*(gens-1) + 1
     assert len(kernel.generators) == 4 * (4 - 1) + 1 == 13
     assert len(kernel.relators) == 4 * 5
+    assert kernel.generators == RS_KERNEL_GENERATORS
+    assert kernel.relators == RS_KERNEL_RELATORS
     factors, rank = abelianization(kernel)
     assert factors == [15] and rank == 0
 
 
 def test_kernel_of_the_trivial_quotient_is_the_group_itself():
     lam = lambda_presentation()
-    qmap = FiniteQuotientMap(lam, trivial_group(), (0, 0, 0, 0))
-    kernel = reidemeister_schreier(lam, qmap)
+    kernel = reidemeister_schreier(lam, (0,) * len(lam.generators))
     renamed = Presentation(tuple(n[3:] for n in kernel.generators), kernel.relators)
     assert same_presentation(renamed, lam)
 
 
 def test_rs_and_gamma_abelianizations_agree():
-    kernel = reidemeister_schreier(lambda_presentation(), v4_quotient_of_lambda())
+    kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
     assert abelianization(kernel) == abelianization(gamma_presentation())

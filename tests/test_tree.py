@@ -7,7 +7,6 @@ from quatlat.tree import (
     ProductVertex,
     TreeVertex,
     act,
-    ball_in_tree,
     ball_vertex_count,
     bt_act,
     distance,
@@ -19,6 +18,30 @@ from quatlat.tree import (
 from conftest import make_rng, random_integral_unit_matrix, random_invertible_matrix, random_unit
 
 W = standard_vertex("y")
+
+
+def neighbors(v: TreeVertex) -> tuple[TreeVertex, TreeVertex, TreeVertex]:
+    """The three adjacent vertices (valency q+1 = 3 over GF(2)), read off the
+    coordinates: two children one level up, the parent one level down."""
+    up_plain = TreeVertex(v.field, v.level + 1, v.tail)
+    up_bumped = TreeVertex(v.field, v.level + 1, v.tail ^ {v.level})
+    down = TreeVertex(v.field, v.level - 1, frozenset(e for e in v.tail if e < v.level - 1))
+    return (up_plain, up_bumped, down)
+
+
+def ball_in_tree(center: TreeVertex, radius: int) -> list[set[TreeVertex]]:
+    """Spheres of radius 0..radius around the center, by breadth-first search."""
+    spheres = [{center}]
+    seen = {center}
+    for _ in range(radius):
+        frontier = set()
+        for v in spheres[-1]:
+            for n in neighbors(v):
+                if n not in seen:
+                    seen.add(n)
+                    frontier.add(n)
+        spheres.append(frontier)
+    return spheres
 
 
 def test_vertex_from_matrix_examples():
@@ -110,7 +133,7 @@ def test_isometry_and_parity():
 
 
 def test_neighbors():
-    assert set(W.neighbors()) == {
+    assert set(neighbors(W)) == {
         TreeVertex("y", 1, frozenset()),
         TreeVertex("y", 1, frozenset({0})),
         TreeVertex("y", -1, frozenset()),
@@ -120,11 +143,11 @@ def test_neighbors():
         level = rng.randint(-3, 3)
         tail = frozenset(e for e in range(level - 3, level) if rng.random() < 0.5)
         v = TreeVertex("y", level, tail)
-        ns = v.neighbors()
+        ns = neighbors(v)
         assert len(set(ns)) == 3
         for n in ns:
             assert distance(v, n) == 1
-            assert v in n.neighbors()
+            assert v in neighbors(n)
 
 
 def test_ball_sizes_in_the_tree():
