@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 from .embeddings import RHO_T, RHO_Y, Matrix2
-from .lattice import quaternion_ops, standard_structure
+from .lattice import standard_structure
 from .places import (
     NAMED_PLACES,
     PLACE_ONE,
@@ -28,6 +28,7 @@ from .places import (
 )
 from .quaternion import is_ring_unit, named_elements, standard_algebra
 from .rational import RationalFunction, rf
+from .squares import V4Structure
 from .tree import ProductVertex, act, ball_vertex_count, bt_act, distance, standard_product_vertex
 
 
@@ -142,17 +143,16 @@ def stabilizer_certificate() -> CertificateResult:
     return CertificateResult("stabilizer", not failures, details)
 
 
-def neighbors_certificate() -> CertificateResult:
+def neighbors_certificate(structure: V4Structure) -> CertificateResult:
     """The A side moves only the vertical tree factor, the B side only the
     horizontal one, each onto three distinct neighbors of the base vertex."""
-    structure = standard_structure()
     w = standard_product_vertex()
     failures = []
     details: dict = {}
 
     a_images = []
     for name in structure.a_names:
-        img = bt_act(structure.element(name), w)
+        img = bt_act(structure.elements[name], w)
         if img.horizontal != w.horizontal:
             failures.append(f"{name} moved the horizontal factor")
         if distance(img.vertical, w.vertical) != 1:
@@ -164,7 +164,7 @@ def neighbors_certificate() -> CertificateResult:
 
     b_images = []
     for name in structure.b_names:
-        img = bt_act(structure.element(name), w)
+        img = bt_act(structure.elements[name], w)
         if img.vertical != w.vertical:
             failures.append(f"{name} moved the vertical factor")
         if distance(img.horizontal, w.horizontal) != 1:
@@ -205,16 +205,16 @@ def ball_check(radius: int) -> BallCheckReport:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     structure = standard_structure()
-    ops = quaternion_ops()
+    canon = structure.ops.canon
     letters = list(structure.a_names) + list(structure.b_names)
     inverse_of = {name: structure.inv[name] for name in letters}
-    gen_elems = {name: structure.element(name) for name in letters}
+    gen_elems = {name: structure.elements[name] for name in letters}
     gen_mats = {name: (RHO_Y(gen_elems[name]), RHO_T(gen_elems[name])) for name in letters}
 
     w = standard_product_vertex()
     one = standard_algebra().one()
-    element_to_vertex: dict = {ops.canon(one): w}
-    vertex_to_element: dict = {w: ops.canon(one)}
+    element_to_vertex: dict = {canon(one): w}
+    vertex_to_element: dict = {w: canon(one)}
     word_count = 1
     consistent = True
     # layer entries: (element, product vertex, leftmost letter)
@@ -231,7 +231,7 @@ def ball_check(radius: int) -> BallCheckReport:
                 new_vert = ProductVertex(new_vert_h, new_vert_t)
                 new_elem = gen_elems[name] * elem
                 word_count += 1
-                key = ops.canon(new_elem)
+                key = canon(new_elem)
                 if key in element_to_vertex:
                     if element_to_vertex[key] != new_vert:
                         consistent = False

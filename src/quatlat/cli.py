@@ -19,7 +19,7 @@ import sys
 
 from .certify import ball_check
 from .invariants import albanese_kernel_dim, chern_numbers, complex_counts, is_prime
-from .lattice import standard_complex, standard_structure
+from .lattice import standard_structure
 from .presentations import abelianizations, fixed_presentations, orbifold_presentation
 from .squares import complex_to_json, links_to_dot
 from .suite import run_all
@@ -117,18 +117,21 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_export(args) -> int:
-    complex_ = standard_complex()
+    structure = standard_structure()
     if args.what == "complex":
         if args.format != "json":
             return _usage_error("the complex exports as json only")
-        text = json.dumps(complex_to_json(complex_), indent=2, sort_keys=True)
+        text = json.dumps(complex_to_json(structure), indent=2, sort_keys=True)
     else:
         if args.format != "dot":
             return _usage_error("links export as dot only")
-        text = links_to_dot(complex_)
+        text = links_to_dot(structure)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _usage_error(f"--out {args.out}: {exc.strerror}")
     else:
         print(text)
     return 0

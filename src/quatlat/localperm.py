@@ -1,11 +1,12 @@
 """Local permutation groups of a V4-structure.
 
 Each edge of the complex carries bijections t between the squares attached
-to it and the opposite-type edges at a corner vertex; composing two of them
-gives a permutation sigma of (labels x {0,1}) that lies in the wreath
-product Sym(labels) wr Sym({0,1}).  The groups generated by these sigmas are
-compared against the reference group {((s, tau s tau), e)} = Sym(X) x {+-1},
-tau being the inversion involution on the label set.
+to it and the opposite-type edges at a corner vertex, read off each square
+with `squares.corner`; composing two of them gives a permutation sigma of
+(labels x {0,1}) that lies in the wreath product Sym(labels) wr Sym({0,1}).
+The groups generated by these sigmas are compared against the reference
+group {((s, tau s tau), e)} = Sym(X) x {+-1}, tau being the inversion
+involution on the label set.
 
 A permutation is a plain index tuple over the 2|X| points, point k < n being
 (labels[k], 0) and point n + k being (labels[k], 1); the wreath element
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .squares import Square, V4Structure
+from .squares import Square, V4Structure, corner
 
 Perm = tuple[int, ...]
 
@@ -41,29 +42,33 @@ def wreath_perm(labels: tuple[str, ...], g0: dict[str, str], g1: dict[str, str],
 # -- the t-maps ------------------------------------------------------------
 
 
+def _at_corner(structure: V4Structure, square: Square, label: str, index: int, target: int) -> tuple[str, str]:
+    """(own label, opposite label) at the corner of the square where the
+    edge (label, index) meets the opposite-type edges of index `target`."""
+    if label in structure.a_names:
+        return corner(square, index, target)
+    if label in structure.b_names:
+        a, b = corner(square, target, index)
+        return b, a
+    raise ValueError(f"unknown edge label {label!r}")
+
+
 def squares_on_edge(structure: V4Structure, label: str, index: int) -> list[Square]:
     """Squares whose boundary contains the edge (label, index)."""
-    if label in structure.a_names:
-        slot = 0 if index == 0 else 3
-    elif label in structure.b_names:
-        slot = 2 if index == 0 else 1
-    else:
-        raise ValueError(f"unknown edge label {label!r}")
-    return [s for s in structure.squares if s[slot] == label]
+    return [s for s in structure.squares if _at_corner(structure, s, label, index, 0)[0] == label]
 
 
 def t_map(structure: V4Structure, label: str, index: int, target: int) -> dict[Square, tuple[str, int]]:
     """The bijection from squares on the edge (label, index) to the
-    opposite-type edges attached to the corner vertex s_{index,target}."""
+    opposite-type edges of index `target`, read off at the corner where they
+    meet: s_{index,target} for a vertical edge, s_{target,index} for a
+    horizontal one."""
     if target not in (0, 1):
         raise ValueError("target index must be 0 or 1")
-    out = {}
-    for s in squares_on_edge(structure, label, index):
-        a, bp, b, ap = s
-        if label in structure.a_names:
-            out[s] = (b if target == 0 else bp, target)
-        else:
-            out[s] = (a if target == 0 else ap, target)
+    out = {
+        s: (_at_corner(structure, s, label, index, target)[1], target)
+        for s in squares_on_edge(structure, label, index)
+    }
     if len(set(out.values())) != len(out):
         raise AssertionError("t-map failed to be injective")
     return out

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .quaternion import Quaternion
 from .smith import invariant_factors
-from .squares import V4Structure, v4_orbits_of_squares, build_complex
+from .squares import V4Structure, v4_orbits_of_squares
 
 Word = tuple[int, ...]
 
@@ -178,8 +178,7 @@ def orbifold_presentation(structure: V4Structure) -> Presentation:
                 signed[partner] = -idx
     relators: list[Word] = [(signed[name], signed[name]) for name in torsion]
     involutions = frozenset(abs(signed[name]) for name in torsion)
-    complex_ = build_complex(structure)
-    for orbit in v4_orbits_of_squares(complex_):
+    for orbit in v4_orbits_of_squares(structure):
         a, bp, b, ap = orbit[0]
         raw = (signed[a], signed[bp], -signed[ap], -signed[b])
         relators.append(_involution_normalize(raw, involutions))

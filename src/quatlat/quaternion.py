@@ -71,9 +71,6 @@ class QuaternionAlgebra:
     def one(self) -> Quaternion:
         return self.scalar(ONE_RF)
 
-    def zero(self) -> Quaternion:
-        return self.scalar(ZERO_RF)
-
     def gen_i(self) -> Quaternion:
         return self.element(ZERO_RF, ONE_RF, ZERO_RF, ZERO_RF)
 
@@ -181,10 +178,6 @@ class Quaternion:
     def scale(self, f: RationalFunction) -> Quaternion:
         nums = tuple(clmul(f.num, x) for x in self._nums)
         return Quaternion._from_ints(self.algebra, nums, clmul(f.den, self._den))
-
-    def conj(self) -> Quaternion:
-        x0, x1, x2, x3 = self._nums
-        return Quaternion._from_ints(self.algebra, (x0 ^ x1, x1, x2, x3), self._den)
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""

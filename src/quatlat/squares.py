@@ -1,4 +1,4 @@
-"""V4-structures and their four-vertex square complexes.
+"""V4-structures and the four-vertex square complexes they determine.
 
 A V4-structure of a group is an ordered pair (A, B) of finite inverse-closed
 subsets such that AB = BA and both pairing maps (a,b) -> ab and (a,b) -> ba
@@ -7,17 +7,20 @@ domain: callers supply multiplication, inversion and a canonicalization map
 whose outputs are hashable and equal exactly for equal group elements (for
 quaternions: the projective representative).
 
-The associated complex has vertices s00, s01, s10, s11; vertical edges (a,i)
-from s_i0 to s_i1; horizontal edges (b,j) from s_0j to s_1j; and one square
-[a,b'; b,a'] glued along ((a,0), (b',1), rev (a',1), rev (b,0)) for every
-relation ab' = ba'.  The Klein four group acts on it, and inverse-stability
-of the structure is equivalent to the label-inverting involution preserving
-the square set.
+The structure is its complex: vertices s00, s01, s10, s11; vertical edges
+(a,i) from s_i0 to s_i1; horizontal edges (b,j) from s_0j to s_1j; and one
+square [a,b'; b,a'] for every relation ab' = ba', whose corner at s_ij joins
+(a,i) or (a',i) to (b,j) or (b',j), unprimed at index 0 and primed at 1
+(`corner` is the one statement of this gluing), so its boundary runs
+((a,0), (b',1), rev (a',1), rev (b,0)).  The Klein four group acts on the
+complex, and inverse-stability of the structure is equivalent to the
+label-inverting involution preserving the square set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable
 
 Square = tuple[str, str, str, str]  # (a, b', b, a') as label names
@@ -38,9 +41,6 @@ class GroupOps:
 class Verdict:
     ok: bool
     failures: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _inverse_pairing(names: tuple[str, ...], elems: dict, ops: GroupOps) -> dict[str, str] | None:
@@ -118,11 +118,8 @@ class V4Structure:
     b_names: tuple[str, ...]
     elements: dict[str, Any]
     ops: GroupOps
-    inv: dict[str, str] = field(default_factory=dict)
-    squares: tuple[Square, ...] = ()
-
-    def element(self, name: str) -> Any:
-        return self.elements[name]
+    inv: dict[str, str]
+    squares: tuple[Square, ...]
 
 
 def build_structure(a_labeled: list[tuple[str, Any]], b_labeled: list[tuple[str, Any]], ops: GroupOps) -> V4Structure:
@@ -148,67 +145,28 @@ def is_inverse_stable(structure: V4Structure) -> bool:
 # -- the complex -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    label: str
-    index: int  # i for vertical (a,i), j for horizontal (b,j)
-    orientation: str  # "v" | "h"
-    source: str
-    target: str
+def corner(square: Square, i: int, j: int) -> tuple[str, str]:
+    """(a, b): the labels of the vertical edge (a,i) and the horizontal edge
+    (b,j) that meet at the square's corner s_ij."""
+    a, bp, b, ap = square
+    return (a if i == 0 else ap, b if j == 0 else bp)
 
 
-@dataclass(frozen=True)
-class SquareComplexVH:
-    structure: V4Structure
-    edges: tuple[Edge, ...]
-    squares: tuple[Square, ...]
-    square_paths: tuple[tuple[int, int, int, int], ...]  # unoriented edge ids along the gluing
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return VERTICES
-
-    def counts(self) -> tuple[int, int, int]:
-        return (4, len(self.edges), len(self.squares))
+def cell_counts(structure: V4Structure) -> tuple[int, int, int]:
+    """(vertices, unoriented edges, squares) of the complex."""
+    return (len(VERTICES), 2 * (len(structure.a_names) + len(structure.b_names)), len(structure.squares))
 
 
-def build_complex(structure: V4Structure) -> SquareComplexVH:
-    """The four-vertex complex; raises if the structure fails verification."""
-    if len(structure.squares) != len(structure.a_names) * len(structure.b_names):
-        raise InvalidStructureError("square count does not match |A|*|B|")
-    edges = []
-    for a in structure.a_names:
-        for i in (0, 1):
-            edges.append(Edge(len(edges), a, i, "v", f"s{i}0", f"s{i}1"))
-    for b in structure.b_names:
-        for j in (0, 1):
-            edges.append(Edge(len(edges), b, j, "h", f"s0{j}", f"s1{j}"))
-    index = {(e.label, e.index): e.id for e in edges}
-    paths = tuple(
-        (index[(a, 0)], index[(bp, 1)], index[(ap, 1)], index[(b, 0)])
-        for a, bp, b, ap in structure.squares
-    )
-    return SquareComplexVH(structure, tuple(edges), structure.squares, paths)
-
-
-def link(complex_: SquareComplexVH, vertex: str) -> list[tuple[str, str]]:
+def link(structure: V4Structure, vertex: str) -> list[tuple[str, str]]:
     """Corner graph at the vertex: one (a-label, b-label) edge per square corner."""
     if vertex not in VERTICES:
         raise ValueError(f"unknown vertex {vertex}")
     i, j = int(vertex[1]), int(vertex[2])
-    corners = []
-    for a, bp, b, ap in complex_.squares:
-        va = a if i == 0 else ap
-        hb = b if j == 0 else bp
-        corners.append((va, hb))
-    return corners
+    return [corner(square, i, j) for square in structure.squares]
 
 
 def is_complete_bipartite(corners: list[tuple[str, str]], a_names: tuple[str, ...], b_names: tuple[str, ...]) -> bool:
     """Every (a, b) pair spans exactly one corner."""
-    from collections import Counter
-
     counts = Counter(corners)
     return set(counts) == {(a, b) for a in a_names for b in b_names} and all(v == 1 for v in counts.values())
 
@@ -226,16 +184,15 @@ def v4_square_image(structure: V4Structure, square: Square, gamma: str) -> Squar
     raise ValueError(f"unknown Klein-four generator {gamma!r}")
 
 
-def v4_orbits_of_squares(complex_: SquareComplexVH) -> list[list[Square]]:
+def v4_orbits_of_squares(structure: V4Structure) -> list[list[Square]]:
     """Orbits of the Klein-four action on squares, each listed from its
     deterministic representative (least by label order)."""
-    structure = complex_.structure
     order = {name: k for k, name in enumerate(structure.a_names + structure.b_names)}
 
     def sort_key(s: Square):
         return tuple(order[x] for x in s)
 
-    remaining = set(complex_.squares)
+    remaining = set(structure.squares)
     orbits = []
     while remaining:
         seed = min(remaining, key=sort_key)
@@ -255,39 +212,38 @@ def v4_orbits_of_squares(complex_: SquareComplexVH) -> list[list[Square]]:
     return orbits
 
 
-def euler_characteristic(complex_: SquareComplexVH) -> int:
+def euler_characteristic(structure: V4Structure) -> int:
     """Vertices - unoriented edges + squares of the quotient complex."""
-    v, e, s = complex_.counts()
+    v, e, s = cell_counts(structure)
     return v - e + s
 
 
 # -- exports ---------------------------------------------------------------
 
 
-def complex_to_json(complex_: SquareComplexVH) -> dict:
-    return {
-        "schema_version": 1,
-        "vertices": list(VERTICES),
-        "edges": [
-            {
-                "id": e.id,
-                "label": e.label,
-                "from": e.source,
-                "to": e.target,
-                "orientation": e.orientation,
-            }
-            for e in complex_.edges
-        ],
-        "squares": [list(path) for path in complex_.square_paths],
-    }
+def complex_to_json(structure: V4Structure) -> dict:
+    """Edges numbered as written: each a with i = 0, 1, then each b with
+    j = 0, 1; each square is the ids along its boundary."""
+    edges, ids = [], {}
+    for orientation, names in (("v", structure.a_names), ("h", structure.b_names)):
+        for label in names:
+            for k in (0, 1):
+                ids[label, k] = len(edges)
+                ends = (f"s{k}0", f"s{k}1") if orientation == "v" else (f"s0{k}", f"s1{k}")
+                edges.append({"id": ids[label, k], "label": label, "from": ends[0], "to": ends[1], "orientation": orientation})
+    squares = []
+    for square in structure.squares:
+        (a, b), (ap, bp) = corner(square, 0, 0), corner(square, 1, 1)
+        squares.append([ids[a, 0], ids[bp, 1], ids[ap, 1], ids[b, 0]])
+    return {"schema_version": 1, "vertices": list(VERTICES), "edges": edges, "squares": squares}
 
 
-def links_to_dot(complex_: SquareComplexVH) -> str:
+def links_to_dot(structure: V4Structure) -> str:
     lines = ["graph links {"]
     for vertex in VERTICES:
         lines.append(f'  subgraph "cluster_{vertex}" {{')
         lines.append(f'    label = "{vertex}";')
-        for a, b in link(complex_, vertex):
+        for a, b in link(structure, vertex):
             lines.append(f'    "{vertex}:{a}" -- "{vertex}:{b}";')
         lines.append("  }")
     lines.append("}")

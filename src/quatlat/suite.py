@@ -2,10 +2,11 @@
 
 Every certificate is a plain function that returns a `CertificateResult` and
 never reads the clock; `run_all` runs the twelve of them in order and is the
-one place that times them.  Each builds what it needs (or reads the lattice's
-and the presentations' memoized objects), so a green run certifies the whole
-chain: exact arithmetic, the splittings, the structure and its complex, the
-local permutation groups, the presentations and the invariants.
+one place that times them.  It builds the standard V4-structure once, before
+the clock starts, and passes it to each certificate that reads it, so a green
+run certifies the whole chain: exact arithmetic, the splittings, the
+structure and its complex, the local permutation groups, the presentations
+and the invariants.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .certify import (
     stabilizer_certificate,
 )
 from .invariants import albanese_certificate, chern_numbers, complex_counts
-from .lattice import generator_images, standard_complex, standard_structure
+from .lattice import generator_images, standard_structure
 from .localperm import local_group, reference_group
 from .presentations import (
     abelianizations,
@@ -32,11 +33,19 @@ from .presentations import (
     orbifold_presentation,
     same_presentation,
 )
-from .squares import euler_characteristic, is_complete_bipartite, is_inverse_stable, link, verify_v4
+from .squares import (
+    VERTICES,
+    V4Structure,
+    cell_counts,
+    euler_characteristic,
+    is_complete_bipartite,
+    is_inverse_stable,
+    link,
+    verify_v4,
+)
 
 
-def structure_certificate() -> CertificateResult:
-    structure = standard_structure()
+def structure_certificate(structure: V4Structure) -> CertificateResult:
     verdict = verify_v4(structure.a_names, structure.b_names, structure.elements, structure.ops)
     stable = is_inverse_stable(structure)
     counts_ok = len(structure.squares) == 9
@@ -52,21 +61,17 @@ def structure_certificate() -> CertificateResult:
     )
 
 
-def links_certificate() -> CertificateResult:
-    complex_ = standard_complex()
-    structure = complex_.structure
-    counts = complex_.counts()
+def links_certificate(structure: V4Structure) -> CertificateResult:
+    counts = cell_counts(structure)
     all_links = {
-        v: is_complete_bipartite(link(complex_, v), structure.a_names, structure.b_names)
-        for v in complex_.vertices
+        v: is_complete_bipartite(link(structure, v), structure.a_names, structure.b_names) for v in VERTICES
     }
-    chi = euler_characteristic(complex_)
+    chi = euler_characteristic(structure)
     ok = counts == (4, 12, 9) and all(all_links.values()) and chi == 1
     return CertificateResult("links", ok, {"counts": list(counts), "links_complete": all_links, "chi": chi})
 
 
-def local_groups_certificate() -> CertificateResult:
-    structure = standard_structure()
+def local_groups_certificate(structure: V4Structure) -> CertificateResult:
     pa0 = local_group(structure, "A", 0)
     pa1 = local_group(structure, "A", 1)
     pb0 = local_group(structure, "B", 0)
@@ -91,7 +96,7 @@ def local_groups_certificate() -> CertificateResult:
     )
 
 
-def relators_certificate() -> CertificateResult:
+def relators_certificate(structure: V4Structure) -> CertificateResult:
     images = generator_images()
     failures = []
     for label, pres in fixed_presentations().items():
@@ -99,7 +104,7 @@ def relators_certificate() -> CertificateResult:
             value = evaluate_word(rel, images, pres)
             if not is_projectively_trivial(value):
                 failures.append(f"{label}: {pres.word_str(rel)}")
-    generated = orbifold_presentation(standard_structure())
+    generated = orbifold_presentation(structure)
     matches = same_presentation(generated, lambda_presentation())
     if not matches:
         failures.append("orbifold presentation differs from the fixed one")
@@ -119,10 +124,22 @@ def abelianization_certificate() -> CertificateResult:
     )
 
 
-def invariants_certificate() -> CertificateResult:
-    counts = complex_counts(4, 2)
-    c1_sq, c2 = chern_numbers(4, 2)
-    ok = (counts.edges, counts.squares, counts.chi) == (12, 9, 1) and (c1_sq, c2) == (8, 4)
+def invariants_certificate(structure: V4Structure) -> CertificateResult:
+    """The counting formulas at N = 4 vertices and q = |A| - 1 agree with the
+    structure's own cell counts and give c1^2 = 8, c2 = 4."""
+    cells = cell_counts(structure)
+    n, q = cells[0], len(structure.a_names) - 1
+    try:
+        if len(structure.b_names) != q + 1:
+            raise ValueError("|A| != |B|, so the two trees have different degrees")
+        counts, (c1_sq, c2) = complex_counts(n, q), chern_numbers(n, q)
+    except ValueError as exc:
+        return CertificateResult("invariants", False, {"failure": f"N = {n}, q = {q}: {exc}"})
+    ok = (
+        (counts.vertices, counts.edges, counts.squares) == cells
+        and (counts.edges, counts.squares, counts.chi) == (12, 9, 1)
+        and (c1_sq, c2) == (8, 4)
+    )
     return CertificateResult(
         "invariants",
         ok,
@@ -140,19 +157,20 @@ def run_all(radius: int = 3) -> list[CertificateResult]:
     """Run every certificate in order, setting each result's elapsed_ms."""
     # built per call: a module-level tuple would pin the functions, and code
     # that rebinds this module's names (a tracer) would not reach it
+    structure = standard_structure()
     checks = (
         ramification_certificate,
         discriminant_certificate,
-        structure_certificate,
-        links_certificate,
-        local_groups_certificate,
+        lambda: structure_certificate(structure),
+        lambda: links_certificate(structure),
+        lambda: local_groups_certificate(structure),
         stabilizer_certificate,
-        neighbors_certificate,
-        relators_certificate,
+        lambda: neighbors_certificate(structure),
+        lambda: relators_certificate(structure),
         abelianization_certificate,
         lambda: ball_certificate(radius),
-        invariants_certificate,
-        lambda: albanese_certificate(standard_structure()),
+        lambda: invariants_certificate(structure),
+        lambda: albanese_certificate(structure),
     )
     results = []
     for check in checks:

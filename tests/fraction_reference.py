@@ -28,6 +28,13 @@ def reference_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     return Quaternion(p.algebra, (z0, z1, z2, z3))
 
 
+def reference_conj(q: Quaternion) -> Quaternion:
+    """The standard involution: I^2 = I + a, so conj(I) = I + 1 while J and
+    IJ are fixed, giving (x0 + x1) + x1*I + x2*J + x3*IJ."""
+    x0, x1, x2, x3 = q.coords
+    return Quaternion(q.algebra, (x0 + x1, x1, x2, x3))
+
+
 def _proportional(x, y) -> bool:
     """x = lambda*y for a nonzero scalar: all 2x2 cross products vanish and
     the zero patterns agree."""

@@ -21,7 +21,7 @@ from quatlat.certify import (
 )
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.invariants import albanese_certificate, albanese_kernel_dim, chern_numbers, complex_counts
-from quatlat.lattice import generator_images, standard_complex, standard_structure
+from quatlat.lattice import generator_images, standard_structure
 from quatlat.localperm import local_group, reference_group, sigma
 from quatlat.places import NAMED_PLACES, PLACE_ONE, PLACE_ZETA, valuation
 from quatlat.presentations import (
@@ -38,6 +38,8 @@ from quatlat.presentations import (
 from quatlat.quaternion import named_elements, parse_quaternion, standard_algebra
 from quatlat.rational import RationalFunction, parse_rational
 from quatlat.squares import (
+    VERTICES,
+    cell_counts,
     is_complete_bipartite,
     is_inverse_stable,
     link,
@@ -124,19 +126,18 @@ def test_criterion_04_v4_structure():
             ("c1", "c2"): scalar("1+z") * parse_quaternion("z^2 + IJ", alg),
         }
         for (left, right), expected in products.items():
-            assert s.element(left) * s.element(right) == expected, (left, right)
+            assert s.elements[left] * s.elements[right] == expected, (left, right)
 
 
 def test_criterion_05_complex():
     with criterion(5, "square complex"):
-        c = standard_complex()
-        assert c.counts() == (4, 12, 9)
-        s = c.structure
-        for v in c.vertices:
-            corners = link(c, v)
+        s = standard_structure()
+        assert cell_counts(s) == (4, 12, 9)
+        for v in VERTICES:
+            corners = link(s, v)
             assert len(corners) == 9
             assert is_complete_bipartite(corners, s.a_names, s.b_names)
-        orbits = v4_orbits_of_squares(c)
+        orbits = v4_orbits_of_squares(s)
         assert len(orbits) == 3
         stated = [
             ("b1", "b2", "b2^-1", "c1"),
@@ -174,7 +175,7 @@ def test_criterion_07_stabilizer():
 
 def test_criterion_08_neighbors():
     with criterion(8, "neighbors"):
-        result = neighbors_certificate()
+        result = neighbors_certificate(standard_structure())
         assert result.passed, result.details
 
 

@@ -59,7 +59,7 @@ def test_stabilizer_certificate():
 
 
 def test_neighbors_certificate():
-    result = neighbors_certificate()
+    result = neighbors_certificate(standard_structure())
     assert result.passed, result.details
     assert len(set(result.details["a_vertical_images"])) == 3
     assert len(set(result.details["b_horizontal_images"])) == 3
@@ -91,7 +91,7 @@ def fixes_base_vertex(word_letters: list[str]) -> bool:
     structure = standard_structure()
     elem = standard_algebra().one()
     for name in word_letters:
-        elem = elem * structure.element(name)
+        elem = elem * structure.elements[name]
     return bt_act(elem, standard_product_vertex()) == standard_product_vertex()
 
 

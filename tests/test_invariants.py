@@ -10,6 +10,10 @@ from quatlat.invariants import (
 )
 from quatlat.lattice import standard_structure
 from quatlat.smith import smith_normal_form
+from quatlat.squares import cell_counts, euler_characteristic
+from quatlat.suite import invariants_certificate
+
+from test_squares import identity_structure, nonstable_structure
 
 
 def test_complex_counts():
@@ -32,13 +36,25 @@ def test_chern_numbers():
 
 
 def test_counts_match_the_built_complex():
-    from quatlat.lattice import standard_complex
-    from quatlat.squares import euler_characteristic
-
     counts = complex_counts(4, 2)
-    complex_ = standard_complex()
-    assert complex_.counts() == (4, counts.edges, counts.squares)
-    assert euler_characteristic(complex_) == counts.chi == 1
+    s = standard_structure()
+    assert cell_counts(s) == (4, counts.edges, counts.squares)
+    assert euler_characteristic(s) == counts.chi == 1
+
+
+def test_invariants_certificate_reads_its_structure():
+    """The standard structure passes; a structure whose cell counts are not
+    those of the fake quadric, or that lies outside the formulas' range,
+    fails with its reason instead of raising."""
+    result = invariants_certificate(standard_structure())
+    assert result.passed
+    assert result.details == {"edges": 12, "squares": 9, "chi": 1, "c1_squared": 8, "c2": 4}
+    result = invariants_certificate(nonstable_structure())  # SL(2,3): q = 3, 16 edges and 16 squares
+    assert result.passed is False
+    assert (result.details["edges"], result.details["squares"], result.details["c1_squared"]) == (16, 16, 32)
+    result = invariants_certificate(identity_structure())  # one square, q = 0
+    assert result.passed is False
+    assert "residue field size >= 2" in result.details["failure"]
 
 
 def test_boundary_matrix_shape():

@@ -1,12 +1,13 @@
 import pytest
 
-from quatlat.lattice import quaternion_ops, standard_complex, standard_structure
+from quatlat.lattice import standard_structure
 from quatlat.quaternion import named_elements
 from quatlat.squares import (
+    VERTICES,
     GroupOps,
     InvalidStructureError,
-    build_complex,
     build_structure,
+    cell_counts,
     complex_to_json,
     euler_characteristic,
     is_complete_bipartite,
@@ -19,7 +20,7 @@ from quatlat.squares import (
 )
 
 
-def _perm_ops() -> GroupOps:
+def perm_ops() -> GroupOps:
     def compose(p, q):
         return tuple(p[q[i]] for i in range(len(p)))
 
@@ -32,9 +33,9 @@ def _perm_ops() -> GroupOps:
     return GroupOps(mul=compose, inv=inverse, canon=lambda p: p)
 
 
-def _identity_structure():
+def identity_structure():
     ident = (0,)
-    return build_structure([("x", ident)], [("y", ident)], _perm_ops())
+    return build_structure([("x", ident)], [("y", ident)], perm_ops())
 
 
 def test_verify_v4_on_the_standard_sets():
@@ -45,32 +46,30 @@ def test_verify_v4_on_the_standard_sets():
 
 def test_verify_v4_rejects_non_inverse_closed():
     ne = named_elements()
-    verdict = verify_v4(("b1",), ("b2",), {"b1": ne.B1, "b2": ne.B2}, quaternion_ops())
+    verdict = verify_v4(("b1",), ("b2",), {"b1": ne.B1, "b2": ne.B2}, standard_structure().ops)
     assert not verdict.ok
     assert any("inverse" in f for f in verdict.failures)
 
 
 def test_degenerate_identity_structure():
-    s = _identity_structure()
+    s = identity_structure()
     assert len(s.squares) == 1
     assert is_inverse_stable(s)
-    c = build_complex(s)
-    assert c.counts() == (4, 4, 1)
-    assert euler_characteristic(c) == 1
-    for v in c.vertices:
-        corners = link(c, v)
+    assert cell_counts(s) == (4, 4, 1)
+    assert euler_characteristic(s) == 1
+    for v in VERTICES:
+        corners = link(s, v)
         assert is_complete_bipartite(corners, s.a_names, s.b_names)
         assert corners == [("x", "y")]
-    assert len(v4_orbits_of_squares(c)) == 1
+    assert len(v4_orbits_of_squares(s)) == 1
 
 
-def test_standard_complex_counts_and_links():
-    c = standard_complex()
-    assert c.counts() == (4, 12, 9)
-    assert euler_characteristic(c) == 1
-    s = c.structure
-    for v in c.vertices:
-        assert is_complete_bipartite(link(c, v), s.a_names, s.b_names)
+def test_standard_cell_counts_and_links():
+    s = standard_structure()
+    assert cell_counts(s) == (4, 12, 9)
+    assert euler_characteristic(s) == 1
+    for v in VERTICES:
+        assert is_complete_bipartite(link(s, v), s.a_names, s.b_names)
 
 
 def test_edges_lie_on_the_right_number_of_squares():
@@ -133,15 +132,19 @@ def test_witnesses_live_in_sl2_f3():
         assert p in images
 
 
-def test_synthetic_non_inverse_stable_structure():
-    ops = _perm_ops()
+def nonstable_structure():
     a_side = [(f"a{k}", p) for k, p in enumerate(NONSTABLE_A)]
     b_side = [(f"b{k}", p) for k, p in enumerate(NONSTABLE_B)]
-    s = build_structure(a_side, b_side, ops)
+    return build_structure(a_side, b_side, perm_ops())
+
+
+def test_synthetic_non_inverse_stable_structure():
+    s = nonstable_structure()
     assert len(s.squares) == 16
     assert not is_inverse_stable(s)
     # oracle: check the definition directly on the raw permutations
-    elems = dict(a_side) | dict(b_side)
+    ops = perm_ops()
+    elems = {f"a{k}": p for k, p in enumerate(NONSTABLE_A)} | {f"b{k}": p for k, p in enumerate(NONSTABLE_B)}
     square_rels = set()
     for a, bp, b, ap in s.squares:
         assert ops.mul(elems[a], elems[bp]) == ops.mul(elems[b], elems[ap])
@@ -154,9 +157,8 @@ def test_synthetic_non_inverse_stable_structure():
 
 
 def test_v4_action_and_orbits():
-    c = standard_complex()
-    s = c.structure
-    orbits = v4_orbits_of_squares(c)
+    s = standard_structure()
+    orbits = v4_orbits_of_squares(s)
     assert sorted(len(o) for o in orbits) == [1, 4, 4]
     assert sum(len(o) for o in orbits) == 9
     # the stated representatives each lie in a distinct orbit
@@ -202,15 +204,15 @@ def test_v4_action_respects_orientation():
             assert b in s.b_names and bp in s.b_names
 
 
-def test_build_complex_requires_valid_structure():
-    ops = _perm_ops()
+def test_build_structure_rejects_an_invalid_structure():
+    ops = perm_ops()
     with pytest.raises(InvalidStructureError):
         build_structure([("a", (1, 0, 2))], [("b", (0, 2, 1))], ops)
 
 
 def test_json_and_dot_exports():
-    c = standard_complex()
-    data = complex_to_json(c)
+    s = standard_structure()
+    data = complex_to_json(s)
     assert data["schema_version"] == 1
     assert data["vertices"] == ["s00", "s01", "s10", "s11"]
     assert len(data["edges"]) == 12
@@ -218,5 +220,5 @@ def test_json_and_dot_exports():
     assert all(len(path) == 4 for path in data["squares"])
     edge_ids = {e["id"] for e in data["edges"]}
     assert all(set(path) <= edge_ids for path in data["squares"])
-    dot = links_to_dot(c)
+    dot = links_to_dot(s)
     assert dot.startswith("graph links {") and dot.count("--") == 36

@@ -1,15 +1,17 @@
 """Guard on the package surface: no public helper that only tests call.
 
-Every module-level public function or class in src/quatlat/ must be listed
-in quatlat.__all__ or referred to by package code outside its own
-definition.  A definition that only tests use belongs in tests/, or nowhere.
-References are read from the syntax tree (names, attributes and imported
-names), so a method of the same name elsewhere also counts as a use.
+Every public module-level function or class in src/quatlat/, and every
+public method or property of such a class, must be listed in
+quatlat.__all__ or referred to by package code outside its own definition.
+A definition that only tests use belongs in tests/, or nowhere.  References
+are read from the syntax tree (names, attributes and imported names), so a
+method of the same name elsewhere also counts as a use.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import quatlat
@@ -17,31 +19,40 @@ import quatlat
 SRC = Path(quatlat.__file__).parent
 
 
-def _names(node: ast.AST) -> set[str]:
-    out = set()
+def _names(node: ast.AST) -> Counter:
+    out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
-            out.add(n.name)
+            out[n.name] += 1
     return out
 
 
+def _public(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def unused_public_definitions() -> list[str]:
-    """module.name of each public top-level def or class nothing else names."""
-    nodes = [(path.stem, node) for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
-    uses = [(node, _names(node)) for _, node in nodes]
+    """module.name of each public top-level def or class, and module.Class.name
+    of each public method or property, that nothing else names."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    definitions = []
+    for module, tree in trees:
+        for node in tree.body:
+            if _public(node):
+                definitions.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{module}.{node.name}.{m.name}", m) for m in node.body if _public(m)]
+    total = sum((_names(tree) for _, tree in trees), Counter())
     exported = set(quatlat.__all__)
-    unused = []
-    for module, node in nodes:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        if node.name in exported or any(node.name in names for other, names in uses if other is not node):
-            continue
-        unused.append(f"{module}.{node.name}")
-    return unused
+    return [
+        qualname
+        for qualname, node in definitions
+        if node.name not in exported and total[node.name] == _names(node)[node.name]
+    ]
 
 
 def test_every_public_definition_is_used_by_the_package():
