@@ -150,30 +150,21 @@ def neighbors_certificate(structure: V4Structure) -> CertificateResult:
     failures = []
     details: dict = {}
 
-    a_images = []
-    for name in structure.a_names:
-        img = bt_act(structure.elements[name], w)
-        if img.horizontal != w.horizontal:
-            failures.append(f"{name} moved the horizontal factor")
-        if distance(img.vertical, w.vertical) != 1:
-            failures.append(f"{name} did not send the vertical base to a neighbor")
-        a_images.append(img.vertical)
-    if len(set(a_images)) != 3:
-        failures.append("A images not pairwise distinct")
-    details["a_vertical_images"] = [v.key() for v in a_images]
-
-    b_images = []
-    for name in structure.b_names:
-        img = bt_act(structure.elements[name], w)
-        if img.vertical != w.vertical:
-            failures.append(f"{name} moved the vertical factor")
-        if distance(img.horizontal, w.horizontal) != 1:
-            failures.append(f"{name} did not send the horizontal base to a neighbor")
-        b_images.append(img.horizontal)
-    if len(set(b_images)) != 3:
-        failures.append("B images not pairwise distinct")
-    details["b_horizontal_images"] = [v.key() for v in b_images]
-
+    for side, names, moved, fixed in (
+        ("A", structure.a_names, "vertical", "horizontal"),
+        ("B", structure.b_names, "horizontal", "vertical"),
+    ):
+        images = []
+        for name in names:
+            img = bt_act(structure.elements[name], w)
+            if getattr(img, fixed) != getattr(w, fixed):
+                failures.append(f"{name} moved the {fixed} factor")
+            if distance(getattr(img, moved), getattr(w, moved)) != 1:
+                failures.append(f"{name} did not send the {moved} base to a neighbor")
+            images.append(getattr(img, moved))
+        if len(set(images)) != 3:
+            failures.append(f"{side} images not pairwise distinct")
+        details[f"{side.lower()}_{moved}_images"] = [v.key() for v in images]
     details["failures"] = failures
     return CertificateResult("neighbors", not failures, details)
 

@@ -89,65 +89,42 @@ def boundary_matrix(structure: V4Structure) -> list[list[int]]:
 
     Domain: for each vertex s_ij a zero-sum function on A (the h part) and
     one on B (the v part), in the basis e_x - e_x0 over the non-initial
-    labels; 4 * (|A|-1 + |B|-1) columns.  Rows: one per (unoriented edge,
-    attached square) pair.  A horizontal edge (b,j) contributes
-    f_h(0,j) o t^0 - f_h(1,j) o t^1, a vertical edge (a,i) contributes
-    f_v(i,0) o t^0 - f_v(i,1) o t^1.
+    labels; 4 * (|A|-1 + |B|-1) columns, vertex by vertex in the order
+    s_00, s_01, s_10, s_11.  Rows: one per (unoriented edge, attached
+    square) pair, the horizontal edges first.  A horizontal edge (b,j)
+    contributes f_h(0,j) o t^0 - f_h(1,j) o t^1, a vertical edge (a,i)
+    contributes f_v(i,0) o t^0 - f_v(i,1) o t^1.
     """
     a_names, b_names = structure.a_names, structure.b_names
-    columns: list[tuple[int, int, str, str]] = []  # (i, j, side, label)
-    for i in (0, 1):
-        for j in (0, 1):
-            for x in a_names[1:]:
-                columns.append((i, j, "h", x))
-            for x in b_names[1:]:
-                columns.append((i, j, "v", x))
-    col_index = {c: k for k, c in enumerate(columns)}
-
-    def basis_value(side_names: tuple[str, ...], label: str, at: str) -> int:
-        # value at `at` of the basis vector e_label - e_first
-        if at == label:
-            return 1
-        if at == side_names[0]:
-            return -1
-        return 0
-
+    width = len(a_names) + len(b_names) - 2  # columns of vertex s_ij: h part, then v part
     rows: list[list[int]] = []
-
-    def emit_block(label: str, block: list[list[int]]) -> None:
-        # zero-sum input functions must land in zero-sum functions on the squares
-        if any(sum(col) != 0 for col in zip(*block)):
-            raise AssertionError(f"edge {label} does not preserve zero-sum functions")
-        rows.extend(block)
-
-    for b in b_names:
-        for j in (0, 1):
-            t0 = t_map(structure, b, j, 0)
-            t1 = t_map(structure, b, j, 1)
-            block = []
-            for square in t0:
-                row = [0] * len(columns)
-                a0 = t0[square][0]
-                a1 = t1[square][0]
-                for x in a_names[1:]:
-                    row[col_index[(0, j, "h", x)]] += basis_value(a_names, x, a0)
-                    row[col_index[(1, j, "h", x)]] -= basis_value(a_names, x, a1)
-                block.append(row)
-            emit_block(f"({b},{j})", block)
-    for a in a_names:
-        for i in (0, 1):
-            t0 = t_map(structure, a, i, 0)
-            t1 = t_map(structure, a, i, 1)
-            block = []
-            for square in t0:
-                row = [0] * len(columns)
-                b0 = t0[square][0]
-                b1 = t1[square][0]
-                for x in b_names[1:]:
-                    row[col_index[(i, 0, "v", x)]] += basis_value(b_names, x, b0)
-                    row[col_index[(i, 1, "v", x)]] -= basis_value(b_names, x, b1)
-                block.append(row)
-            emit_block(f"({a},{i})", block)
+    # (edge labels, labels of the functions the edge moves, offset of that
+    # part in a vertex's columns, vertex steps of the edge's end and index):
+    # edge (b,j) joins s_0j to s_1j, edge (a,i) joins s_i0 to s_i1
+    for edges, labels, offset, end_step, index_step in (
+        (b_names, a_names, 0, 2, 1),
+        (a_names, b_names, len(a_names) - 1, 1, 2),
+    ):
+        for label in edges:
+            for index in (0, 1):
+                ends = (t_map(structure, label, index, 0), t_map(structure, label, index, 1))
+                block = []
+                for square in ends[0]:
+                    row = [0] * (4 * width)
+                    for end, sign in ((0, 1), (1, -1)):
+                        start = (end * end_step + index * index_step) * width + offset
+                        at = ends[end][square][0]
+                        # the value at `at` of each basis vector e_x - e_x0
+                        if at == labels[0]:
+                            for k in range(start, start + len(labels) - 1):
+                                row[k] -= sign
+                        else:
+                            row[start + labels.index(at) - 1] += sign
+                    block.append(row)
+                # zero-sum input functions must land in zero-sum functions on the squares
+                if any(sum(col) != 0 for col in zip(*block)):
+                    raise AssertionError(f"edge ({label},{index}) does not preserve zero-sum functions")
+                rows.extend(block)
     return rows
 
 

@@ -4,14 +4,20 @@ Supported places: the finite places cut out by the irreducible polynomials
 x, x+1 and x^2+x+1, and the place at infinity.  Uniformizers are x, x+1,
 x^2+x+1 and 1/x respectively.  Everything here is exact.
 
+Every expansion runs through `_series`, the one series division: it
+returns a truncated Laurent series over GF(2) as a binpoly int, with the
+lowest exponent in the highest bit (the order of tree vertex tails).
+
 The residue of a differential a*db/b at a degree-1 place is the coefficient
 of pi^-1 in the Laurent expansion over GF(2).  At the degree-2 place the
 expansion coefficients live in GF(4); extracting them with polynomial
 representatives modulo x^2+x+1 only matches the Laurent expansion for simple
-poles, so instead the place is split over GF(4): the completion at x^2+x+1
-equals the completion of GF(4)(x) at x - w for a cube root of unity w, where
-the coefficient field GF(4) consists of actual constants and the series
-expansion is the plain one.  The result is carried back through w -> x mod
+poles, so instead the place is split over GF(4) = GF(2)[w]: the completion
+at x^2+x+1 equals the completion of GF(4)(x) at x = w, a cube root of unity.
+Substituting x = w + s writes each polynomial as p0(s) + w*p1(s) with p0, p1
+in GF(2)[s]; multiplying numerator and denominator by the conjugate of the
+denominator leaves the norm, in GF(2)[s], below, so the GF(4) residue is two
+GF(2) series coefficients.  The result is carried back through w -> x mod
 x^2+x+1.
 """
 
@@ -92,22 +98,22 @@ def _val_at_zero(num: int, den: int) -> int:
     return (num & -num).bit_length() - (den & -den).bit_length()
 
 
-def _series(num: int, den: int, upper: int) -> dict[int, int]:
-    """Exponents (-> 1) below `upper` of the nonzero coefficients of the
-    Laurent series of num/den at x = 0; num/den need not be reduced."""
-    out: dict[int, int] = {}
+def _series(num: int, den: int, upper: int) -> int:
+    """The Laurent series of num/den at x = 0 below x^upper, as an int whose
+    bit k is the coefficient of x^(upper-1-k); num/den need not be reduced."""
     if num == 0:
-        return out
+        return 0
     low_n, low_d = num & -num, den & -den
     rem, d0 = num // low_n, den // low_d
-    for k in range(low_n.bit_length() - low_d.bit_length(), upper):
-        if rem == 0:
-            break
+    out, k = 0, low_n.bit_length() - low_d.bit_length()
+    while k < upper and rem:
+        out <<= 1
         if rem & 1:
-            out[k] = 1
+            out |= 1
             rem ^= d0
         rem >>= 1
-    return out
+        k += 1
+    return out << (upper - k) if k < upper else out
 
 
 def _localize(f: RationalFunction, place: Place) -> tuple[int, int]:
@@ -131,85 +137,18 @@ def laurent_expand(f: RationalFunction, place: Place, upper: int) -> dict[int, i
     """
     if place.degree != 1:
         raise UnsupportedPlaceError(f"place {place.name} has degree {place.degree} > 1")
-    num, den = _localize(f, place)
-    return _series(num, den, upper)
+    bits = _series(*_localize(f, place), upper)
+    return {upper - 1 - k: 1 for k in range(bits.bit_length()) if bits >> k & 1}
 
 
-# -- GF(4) machinery for the degree-2 place ------------------------------
-#
-# GF(4) elements are ints 0..3 with bit 0 the constant part and bit 1 the
-# w part, w^2 = w + 1.  Polynomials over GF(4) are coefficient lists.
-
-_F4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
-_F4_INV = {1: 1, 2: 3, 3: 2}
-_F4_W = 2
-
-
-def _f4poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _f4poly_mul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            row = _F4_MUL[a]
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] ^= row[b]
-    return _f4poly_trim(out)
-
-
-def _f4poly_from_f2(p: int) -> list[int]:
-    return [(p >> k) & 1 for k in range(p.bit_length())]
-
-
-def _f4poly_add_const(p: list[int], c: int) -> list[int]:
-    if not c:
-        return p
-    if not p:
-        return [c]
-    return _f4poly_trim([p[0] ^ c] + p[1:])
-
-
-def _f4poly_shift_by_w(p: list[int]) -> list[int]:
-    """Substitute x -> x + w (char 2, so this moves the root w to the origin)."""
-    out: list[int] = []
-    for coeff in reversed(p):
-        out = _f4poly_add_const(_f4poly_mul(out, [_F4_W, 1]), coeff)
-    return out
-
-
-def _f4_series_coeff(num: list[int], den: list[int], index: int) -> int:
-    """Coefficient of x^index in num/den as a Laurent series over GF(4) at x = 0."""
-    vn = next((i for i, c in enumerate(num) if c), None)
-    if vn is None:
-        return 0
-    vd = next(i for i, c in enumerate(den) if c)
-    v = vn - vd
-    if index < v:
-        return 0
-    n0 = num[vn:]
-    d0 = den[vd:]
-    inv_lead = _F4_INV[d0[0]]
-    rem = list(n0)
-    coeff = 0
-    for k in range(v, index + 1):
-        c = _F4_MUL[rem[0] if rem else 0][inv_lead]
-        coeff = c
-        if c:
-            sub = [_F4_MUL[c][b] for b in d0]
-            for i, s in enumerate(sub):
-                if i < len(rem):
-                    rem[i] ^= s
-                else:
-                    rem.append(s)
-        rem = rem[1:]
-    return coeff
+def _at_zeta(p: int) -> tuple[int, int]:
+    """p(w+s) = p0(s) + w*p1(s) for a cube root of unity w (w^2 = w+1): the
+    place x^2+x+1 moved to s = 0, by Horner's rule."""
+    p0 = p1 = 0
+    for k in range(p.bit_length() - 1, -1, -1):
+        # (p0 + w*p1)(s + w) = (s*p0 + p1) + w*(p0 + (s+1)*p1)
+        p0, p1 = (p0 << 1) ^ p1 ^ (p >> k & 1), p0 ^ (p1 << 1) ^ p1
+    return p0, p1
 
 
 @dataclass(frozen=True)
@@ -256,16 +195,18 @@ def residue(a: RationalFunction, b: RationalFunction, place: Place) -> ResidueFi
         if place.kind == "infinity":
             # d(x)/d(1/x) = x^2 in characteristic 2
             g = g * RationalFunction(0b100)
-        coeff = laurent_expand(g, place, 0).get(-1, 0)
-        return ResidueFieldElement(place, coeff)
+        return ResidueFieldElement(place, _series(*_localize(g, place), 0) & 1)
     if place != PLACE_ZETA:
         raise UnsupportedPlaceError(f"residues not implemented at place {place.name}")
-    num = _f4poly_shift_by_w(_f4poly_from_f2(g.num))
-    den = _f4poly_shift_by_w(_f4poly_from_f2(g.den))
-    c = _f4_series_coeff(num, den, -1)
+    # g = (n0 + w*n1)/(d0 + w*d1) at s = 0; times the conjugate d0+d1 + w*d1
+    # over and under, the denominator is the norm d0^2 + d0*d1 + d1^2 in GF(2)[s]
+    n0, n1 = _at_zeta(g.num)
+    d0, d1 = _at_zeta(g.den)
+    norm = clmul(d0, d0) ^ clmul(d0, d1) ^ clmul(d1, d1)
+    c0 = _series(clmul(n0, d0 ^ d1) ^ clmul(n1, d1), norm, 0) & 1
+    c1 = _series(clmul(n0, d1) ^ clmul(n1, d0), norm, 0) & 1
     # carry GF(4) back to GF(2)[x]/(x^2+x+1) via w -> class of x
-    rep = (c & 1) | ((c >> 1) & 1) << 1
-    return ResidueFieldElement(place, rep)
+    return ResidueFieldElement(place, c0 | c1 << 1)
 
 
 def local_symbol(a: RationalFunction, b: RationalFunction, place: Place) -> int:

@@ -282,10 +282,10 @@ class NamedElements:
     D: Quaternion
 
 
-def named_elements(algebra: QuaternionAlgebra | None = None) -> NamedElements:
+def named_elements() -> NamedElements:
     """B1 = (1+z)I + J, B2 = z+z^2 + (1+z)I + J + IJ, C1 = 1+z^2 + IJ,
-    C2 = z+z^2 + IJ, D = 1+z+z^2 + IJ."""
-    alg = algebra or standard_algebra()
+    C2 = z+z^2 + IJ, D = 1+z+z^2 + IJ in the standard algebra."""
+    alg = standard_algebra()
     one_z = rf(0b11)  # 1+z
     z_zsq = rf(0b110)  # z+z^2
     return NamedElements(

@@ -37,12 +37,6 @@ class GroupOps:
     canon: Callable[[Any], Any]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
 def _inverse_pairing(names: tuple[str, ...], elems: dict, ops: GroupOps) -> dict[str, str] | None:
     """name -> name of the inverse, or None if the set is not inverse-closed."""
     keys = {name: ops.canon(elems[name]) for name in names}
@@ -100,10 +94,11 @@ def _check_v4(
     return [], inv_a | inv_b, squares
 
 
-def verify_v4(a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, ops: GroupOps) -> Verdict:
-    """Check the V4-structure axioms; generation is assumed, not checked."""
+def verify_v4(a_names: tuple[str, ...], b_names: tuple[str, ...], elems: dict, ops: GroupOps) -> tuple[str, ...]:
+    """The failed V4-structure axioms, empty when all hold; generation is
+    assumed, not checked."""
     failures, _, _ = _check_v4(a_names, b_names, elems, ops)
-    return Verdict(not failures, tuple(failures))
+    return tuple(failures)
 
 
 class InvalidStructureError(ValueError):

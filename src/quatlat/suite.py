@@ -46,14 +46,14 @@ from .squares import (
 
 
 def structure_certificate(structure: V4Structure) -> CertificateResult:
-    verdict = verify_v4(structure.a_names, structure.b_names, structure.elements, structure.ops)
+    verified = not verify_v4(structure.a_names, structure.b_names, structure.elements, structure.ops)
     stable = is_inverse_stable(structure)
     counts_ok = len(structure.squares) == 9
     return CertificateResult(
         "v4-structure",
-        verdict.ok and stable and counts_ok,
+        verified and stable and counts_ok,
         {
-            "verified": verdict.ok,
+            "verified": verified,
             "assumed": ["generation"],
             "squares": len(structure.squares),
             "inverse_stable": stable,

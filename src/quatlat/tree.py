@@ -5,10 +5,12 @@ the local field is its completion at the variable, so valuations and
 truncated expansions come from the degree-1 place at 0.
 
 A vertex is the class of the column lattice of [[pi^n, c], [0, 1]] modulo
-right units and scalars, stored canonically as (level n, tail c) where the
-tail is the finite set of exponents (< n, coefficients in GF(2)) of the
-Laurent polynomial c reduced modulo pi^n.  Canonical coordinates make
-vertices hashable, which the ball enumerations rely on.
+right units and scalars, stored canonically as (level n, tail) where the
+tail is the Laurent polynomial c reduced modulo pi^n, written as the int
+whose bit k is the coefficient of pi^(n-1-k) -- the order in which
+`places._series` produces it.  Every nonnegative int is a tail, so
+canonical coordinates are two ints and make vertices hashable, which the
+ball enumerations rely on.
 
 A vertex is a lattice class up to scalars, so a matrix acts through its
 polynomial numerators alone: `vertex_from_matrix` and `act` drop the
@@ -22,19 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binpoly import clmul
+from .binpoly import clmul, reverse
 from .embeddings import RHO_T, RHO_Y, Matrix2
 from .places import _series
 from .quaternion import Quaternion
-
-
-def _tail_bits(tail: frozenset[int]) -> tuple[int, int]:
-    """(num, s) with the Laurent polynomial sum of pi^e over the tail equal to num / pi^s."""
-    s = max(-min(tail, default=0), 0)
-    num = 0
-    for e in tail:
-        num |= 1 << (e + s)
-    return num, s
 
 
 @dataclass(frozen=True)
@@ -43,26 +36,23 @@ class TreeVertex:
 
     field: str
     level: int
-    tail: frozenset[int]
+    tail: int
 
     def __post_init__(self) -> None:
-        if any(e >= self.level for e in self.tail):
-            raise ValueError("tail exponents must lie below the level")
+        if self.tail < 0:
+            raise ValueError("a tail is a nonnegative int")
 
     def key(self) -> str:
         """Serialization "field:level:tail-hex"; tail bit k is the coefficient
         of pi^(level-1-k), so the encoding terminates and is canonical."""
-        value = 0
-        for e in self.tail:
-            value |= 1 << (self.level - 1 - e)
-        return f"{self.field}:{self.level}:{value:x}"
+        return f"{self.field}:{self.level}:{self.tail:x}"
 
     def __str__(self) -> str:
         return self.key()
 
 
 def standard_vertex(field: str) -> TreeVertex:
-    return TreeVertex(field, 0, frozenset())
+    return TreeVertex(field, 0, 0)
 
 
 def vertex_from_matrix(m: Matrix2) -> TreeVertex:
@@ -87,17 +77,7 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
     # the lattice by d:  [[det/d^2 * d, b/d], [0, 1]] up to units, and
     # det/d^2 is valuation-equal to pi^n
     level = (det & -det).bit_length() + 1 - 2 * (d & -d).bit_length()
-    return _canonical_vertex(field, level, frozenset(_series(b, d, level)))
-
-
-def _canonical_vertex(field: str, level: int, tail: frozenset[int]) -> TreeVertex:
-    """A TreeVertex from coordinates that are canonical by construction, so
-    the check in __post_init__ is skipped."""
-    v = object.__new__(TreeVertex)
-    object.__setattr__(v, "field", field)
-    object.__setattr__(v, "level", level)
-    object.__setattr__(v, "tail", tail)
-    return v
+    return TreeVertex(field, level, _series(b, d, level))
 
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
@@ -105,14 +85,16 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     if m.var != v.field:
         raise ValueError("matrix and vertex live over different fields")
     # m is N/den for a polynomial matrix N, and the matrix of v is
-    # [[pi^n, c], [0, 1]] with c = tail / pi^s.  A vertex is a lattice class
-    # up to scalars, so m.v = N.V' for V' = pi^(s + max(-n, 0)) times the
-    # matrix of v: [[pi^(max(n, 0) + s), tail * pi^down], [0, pi^(s + down)]]
-    # with down = max(-n, 0), all polynomial.
-    tail, s = _tail_bits(v.tail)
-    up, down = max(v.level, 0) + s, max(-v.level, 0)
+    # [[pi^n, c], [0, 1]] with c = reverse(tail) * pi^(n - w), w the bit
+    # length of the tail.  A vertex is a lattice class up to scalars, so
+    # m.v = N.V' for V' = pi^max(w - n, 0) times the matrix of v:
+    # [[pi^max(n, w), reverse(tail) * pi^max(n - w, 0)], [0, pi^max(w - n, 0)]],
+    # all polynomial.
+    n, w = v.level, v.tail.bit_length()
+    up, s = max(n, w), max(w - n, 0)
+    tail = reverse(v.tail) << max(n - w, 0)
     a, b, c, d = m._nums
-    return _vertex(v.field, a << up, (clmul(a, tail) ^ (b << s)) << down, c << up, (clmul(c, tail) ^ (d << s)) << down)
+    return _vertex(v.field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
 
 
 def distance(v1: TreeVertex, v2: TreeVertex) -> int:
@@ -120,11 +102,14 @@ def distance(v1: TreeVertex, v2: TreeVertex) -> int:
 
     adj([[pi^n1, c1], [0, 1]]) * [[pi^n2, c2], [0, 1]] = [[pi^n2, c1 + c2], [0, pi^n1]], so the
     distance is n1 + n2 - 2 * min(n1, n2, v(c1 + c2)), and c1 + c2 is the
-    symmetric difference of the two tails.
+    XOR of the two tails shifted to the common level max(n1, n2), where the
+    highest set bit is the lowest exponent.
     """
     if v1.field != v2.field:
         raise ValueError("vertices of different trees")
-    low = min(v1.level, v2.level, min(v1.tail ^ v2.tail, default=v1.level))
+    top = max(v1.level, v2.level)
+    diff = (v1.tail << (top - v1.level)) ^ (v2.tail << (top - v2.level))
+    low = min(v1.level, v2.level, top - diff.bit_length())
     return v1.level + v2.level - 2 * low
 
 

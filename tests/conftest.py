@@ -1,5 +1,6 @@
 """Shared helpers: deterministic random generators for the property suites,
-and a decoder for the paper's cycle notation of wreath permutations."""
+a tree-vertex tail built from its exponents, and a decoder for the paper's
+cycle notation of wreath permutations."""
 
 from __future__ import annotations
 
@@ -85,6 +86,17 @@ def random_invertible_matrix(rng: random.Random, var: str, max_degree: int = 3) 
         m = Matrix2(var, *(random_rational(rng, max_degree) for _ in range(4)))
         if not m.det().is_zero():
             return m
+
+
+def make_tail(level: int, exponents) -> int:
+    """The TreeVertex tail at `level` of the Laurent polynomial sum of pi^e
+    over the exponents, each below the level: bit level-1-e is set per e."""
+    tail = 0
+    for e in exponents:
+        if e >= level:
+            raise ValueError(f"exponent {e} is not below the level {level}")
+        tail ^= 1 << (level - 1 - e)
+    return tail
 
 
 def wreath_from_cycles(text: str, labels: tuple[str, ...]) -> tuple[int, ...]:

@@ -5,6 +5,10 @@ projective keys on raw GF(2)[z] ints, reducing once per output.  The
 functions here compute the same values the slow, obvious way, through
 RationalFunction arithmetic (every + and * a reduced fraction), and serve
 as the oracles of the differential tests in test_kernel.py.
+
+`reference_zeta_residue` is the residue at the degree-2 place computed over
+GF(4) with coefficient lists and lookup tables, the oracle for the
+conjugate-and-norm route of quatlat.places.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from quatlat.embeddings import EmbeddingMap, Matrix2
 from quatlat.places import PLACE_ZERO, valuation
 from quatlat.quaternion import Quaternion
-from quatlat.rational import rf
+from quatlat.rational import RationalFunction, rf
 from quatlat.tree import TreeVertex
 
 
@@ -70,12 +74,104 @@ def reference_det(m: Matrix2):
     return m.e11 * m.e22 + m.e12 * m.e21
 
 
+# -- GF(4) machinery for the degree-2 place ------------------------------
+#
+# GF(4) elements are ints 0..3 with bit 0 the constant part and bit 1 the
+# w part, w^2 = w + 1.  Polynomials over GF(4) are coefficient lists.
+
+_F4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+_F4_INV = {1: 1, 2: 3, 3: 2}
+_F4_W = 2
+
+
+def _f4poly_trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _f4poly_mul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            row = _F4_MUL[a]
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] ^= row[b]
+    return _f4poly_trim(out)
+
+
+def _f4poly_from_f2(p: int) -> list[int]:
+    return [(p >> k) & 1 for k in range(p.bit_length())]
+
+
+def _f4poly_add_const(p: list[int], c: int) -> list[int]:
+    if not c:
+        return p
+    if not p:
+        return [c]
+    return _f4poly_trim([p[0] ^ c] + p[1:])
+
+
+def _f4poly_shift_by_w(p: list[int]) -> list[int]:
+    """Substitute x -> x + w (char 2, so this moves the root w to the origin)."""
+    out: list[int] = []
+    for coeff in reversed(p):
+        out = _f4poly_add_const(_f4poly_mul(out, [_F4_W, 1]), coeff)
+    return out
+
+
+def _f4_series_coeff(num: list[int], den: list[int], index: int) -> int:
+    """Coefficient of x^index in num/den as a Laurent series over GF(4) at x = 0."""
+    vn = next((i for i, c in enumerate(num) if c), None)
+    if vn is None:
+        return 0
+    vd = next(i for i, c in enumerate(den) if c)
+    v = vn - vd
+    if index < v:
+        return 0
+    n0 = num[vn:]
+    d0 = den[vd:]
+    inv_lead = _F4_INV[d0[0]]
+    rem = list(n0)
+    coeff = 0
+    for k in range(v, index + 1):
+        c = _F4_MUL[rem[0] if rem else 0][inv_lead]
+        coeff = c
+        if c:
+            sub = [_F4_MUL[c][b] for b in d0]
+            for i, s in enumerate(sub):
+                if i < len(rem):
+                    rem[i] ^= s
+                else:
+                    rem.append(s)
+        rem = rem[1:]
+    return coeff
+
+
+def reference_zeta_residue(a: RationalFunction, b: RationalFunction) -> int:
+    """Representative modulo x^2+x+1 of the residue of a*db/b at the place
+    x^2+x+1, from the Laurent expansion of the split place x = w over GF(4)."""
+    if a.is_zero():
+        return 0
+    g = a * b.derivative() / b
+    num = _f4poly_shift_by_w(_f4poly_from_f2(g.num))
+    den = _f4poly_shift_by_w(_f4poly_from_f2(g.den))
+    c = _f4_series_coeff(num, den, -1)
+    # carry GF(4) back to GF(2)[x]/(x^2+x+1) via w -> class of x
+    return (c & 1) | ((c >> 1) & 1) << 1
+
+
 def vertex_matrix(v: TreeVertex) -> Matrix2:
     """[[pi^n, c], [0, 1]]: the lattice whose class is the vertex (level n, tail c)."""
     pi_n = rf(1 << v.level) if v.level >= 0 else rf(1, 1 << -v.level)
     c = rf(0)
-    for e in v.tail:
-        c = c + (rf(1 << e) if e >= 0 else rf(1, 1 << -e))
+    for k in range(v.tail.bit_length()):
+        if v.tail >> k & 1:  # the coefficient of pi^e, e = level - 1 - k
+            e = v.level - 1 - k
+            c = c + (rf(1 << e) if e >= 0 else rf(1, 1 << -e))
     return Matrix2(v.field, pi_n, c, rf(0), rf(1))
 
 

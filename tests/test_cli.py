@@ -105,6 +105,11 @@ def test_invariants_command(capsys):
         (["ball-check", "--radius", "5", "--json"], "ball-check-r5.json"),
         (["export", "--what", "complex", "--format", "json"], "complex.json"),
         (["export", "--what", "links", "--format", "dot"], "links.dot"),
+        (["invariants", "--ell", "2", "3", "5", "7", "11", "13", "--json"], "invariants-ell.json"),
+        (["present", "lambda", "--json"], "present-lambda.json"),
+        (["present", "gr", "--json"], "present-gr.json"),
+        (["present", "gamma", "--json"], "present-gamma.json"),
+        (["present", "orbifold", "--json"], "present-orbifold.json"),
     ),
 )
 def test_json_output_matches_fixture_byte_for_byte(argv, fixture, capsys):

@@ -24,6 +24,7 @@ from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
 
 from conftest import (
     make_rng,
+    make_tail,
     random_invertible_matrix,
     random_invertible_quaternion,
     random_nonzero_poly,
@@ -121,7 +122,7 @@ def test_tree_action_and_distance_match_matrix_arithmetic():
     for _ in range(SAMPLES):
         m = random_invertible_matrix(rng, "y", DEGREE)
         level = rng.randint(-3, 3)
-        v = TreeVertex("y", level, frozenset(e for e in range(level - 4, level) if rng.random() < 0.5))
+        v = TreeVertex("y", level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
         moved = act(m, v)
         assert moved == vertex_from_matrix(m * vertex_matrix(v))
         assert distance(v, moved) == reference_distance(v, moved)
@@ -220,7 +221,7 @@ def test_act_ignores_a_scalar_factor_of_the_matrix():
         m = RHO_T(random_invertible_quaternion(rng, alg, DEGREE))
         non_polynomial += m._den != 1
         level = rng.randint(-3, 3)
-        v = TreeVertex("t", level, frozenset(e for e in range(level - 4, level) if rng.random() < 0.5))
+        v = TreeVertex("t", level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
         moved = act(m, v)
         assert act(m.scale(_random_nonzero_scalar(rng)), v) == moved, (m, v)
         assert moved == vertex_from_matrix(m * vertex_matrix(v)), (m, v)

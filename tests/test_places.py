@@ -19,6 +19,7 @@ from quatlat.places import (
 from quatlat.rational import RationalFunction, parse_rational, rf
 
 from conftest import make_rng, random_nonzero_poly, random_poly
+from fraction_reference import reference_zeta_residue
 
 Z = parse_rational("z")
 B = parse_rational("1+z^3")
@@ -146,6 +147,22 @@ def test_residue_theorem_with_higher_order_poles():
     r = _res_form(rf(1) / (m**2 * Z), PLACE_ZETA)
     assert r.representative == 0b10
     assert _res_form(rf(1) / (m**2 * Z), PLACE_ZERO).representative == 1
+
+
+def test_zeta_residue_matches_the_gf4_oracle():
+    """The conjugate-and-norm residue at x^2+x+1 against the GF(4) series
+    of tests/fraction_reference.py, with poles of order up to 4 there."""
+    rng = make_rng(13)
+    m = parse_poly("1+z+z^2")
+    values = set()
+    for _ in range(1200):
+        k = rng.randint(0, 4)
+        a = RationalFunction(random_poly(rng, 6), clmul(clpow(m, k), random_nonzero_poly(rng, 3)))
+        b = RationalFunction(random_nonzero_poly(rng, 4), random_nonzero_poly(rng, 4))
+        rep = residue(a, b, PLACE_ZETA).representative
+        assert rep == reference_zeta_residue(a, b), (a, b)
+        values.add(rep)
+    assert values == {0, 1, 2, 3}
 
 
 def test_local_symbol_examples():

@@ -40,15 +40,14 @@ def identity_structure():
 
 def test_verify_v4_on_the_standard_sets():
     s = standard_structure()
-    verdict = verify_v4(s.a_names, s.b_names, s.elements, s.ops)
-    assert verdict.ok
+    assert verify_v4(s.a_names, s.b_names, s.elements, s.ops) == ()
 
 
 def test_verify_v4_rejects_non_inverse_closed():
     ne = named_elements()
-    verdict = verify_v4(("b1",), ("b2",), {"b1": ne.B1, "b2": ne.B2}, standard_structure().ops)
-    assert not verdict.ok
-    assert any("inverse" in f for f in verdict.failures)
+    failures = verify_v4(("b1",), ("b2",), {"b1": ne.B1, "b2": ne.B2}, standard_structure().ops)
+    assert failures
+    assert any("inverse" in f for f in failures)
 
 
 def test_degenerate_identity_structure():

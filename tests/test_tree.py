@@ -15,17 +15,20 @@ from quatlat.tree import (
     vertex_from_matrix,
 )
 
-from conftest import make_rng, random_integral_unit_matrix, random_invertible_matrix, random_unit
+from conftest import make_rng, make_tail, random_integral_unit_matrix, random_invertible_matrix, random_unit
 
 W = standard_vertex("y")
 
 
 def neighbors(v: TreeVertex) -> tuple[TreeVertex, TreeVertex, TreeVertex]:
     """The three adjacent vertices (valency q+1 = 3 over GF(2)), read off the
-    coordinates: two children one level up, the parent one level down."""
-    up_plain = TreeVertex(v.field, v.level + 1, v.tail)
-    up_bumped = TreeVertex(v.field, v.level + 1, v.tail ^ {v.level})
-    down = TreeVertex(v.field, v.level - 1, frozenset(e for e in v.tail if e < v.level - 1))
+    coordinates: two children one level up, the parent one level down.  Bit
+    k of a tail is the coefficient of pi^(level-1-k): one level up, the same
+    exponents sit one bit higher and bit 0 is the new pi^level term; one level
+    down, the pi^(level-1) term in bit 0 is cut off."""
+    up_plain = TreeVertex(v.field, v.level + 1, v.tail << 1)
+    up_bumped = TreeVertex(v.field, v.level + 1, v.tail << 1 | 1)
+    down = TreeVertex(v.field, v.level - 1, v.tail >> 1)
     return (up_plain, up_bumped, down)
 
 
@@ -47,7 +50,7 @@ def ball_in_tree(center: TreeVertex, radius: int) -> list[set[TreeVertex]]:
 def test_vertex_from_matrix_examples():
     assert vertex_from_matrix(Matrix2.identity("y")) == W
     m = Matrix2("y", rf(0b100), rf(0), rf(0), rf(1))  # [[pi^2, 0], [0, 1]]
-    assert vertex_from_matrix(m) == TreeVertex("y", 2, frozenset())
+    assert vertex_from_matrix(m) == TreeVertex("y", 2, 0)
     v = vertex_from_matrix(RHO_Y(named_elements().B2))
     assert distance(W, v) == 1
     with pytest.raises(ValueError):
@@ -69,7 +72,7 @@ def test_canonical_form_invariance_random():
 def test_action_examples():
     ne = named_elements()
     assert act(RHO_Y(ne.B1), W) == W
-    v = TreeVertex("y", -2, frozenset({-4}))
+    v = TreeVertex("y", -2, make_tail(-2, {-4}))
     assert act(Matrix2.identity("y"), v) == v
     wt = standard_vertex("t")
     u_inv = RHO_T.embed_scalar(parse_rational("z"))
@@ -91,7 +94,7 @@ def test_action_is_a_group_action():
 
 def test_distance_examples():
     assert distance(W, W) == 0
-    v = TreeVertex("y", 3, frozenset({1, 2}))
+    v = TreeVertex("y", 3, make_tail(3, {1, 2}))
     assert distance(W, v) == 3  # elementary divisors of [[y^3, y+y^2], [0, 1]]
     w2 = act(RHO_Y(named_elements().B2), W)
     assert distance(W, w2) == 1
@@ -102,7 +105,7 @@ def test_distance_metric_axioms_random():
     verts = []
     for _ in range(60):
         level = rng.randint(-3, 4)
-        tail = frozenset(e for e in range(level - 4, level) if rng.random() < 0.4)
+        tail = make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.4])
         verts.append(TreeVertex("y", level, tail))
     for _ in range(1000):
         u, v, w = rng.choice(verts), rng.choice(verts), rng.choice(verts)
@@ -124,7 +127,7 @@ def test_isometry_and_parity():
     base = standard_vertex("y")
     for _ in range(200):
         m = random_invertible_matrix(rng, "y", 2)
-        v1 = TreeVertex("y", rng.randint(-2, 3), frozenset())
+        v1 = TreeVertex("y", rng.randint(-2, 3), 0)
         v2 = act(random_integral_unit_matrix(rng, "y"), base)
         assert distance(act(m, v1), act(m, v2)) == distance(v1, v2)
         from quatlat.places import PLACE_ZERO, valuation
@@ -134,14 +137,14 @@ def test_isometry_and_parity():
 
 def test_neighbors():
     assert set(neighbors(W)) == {
-        TreeVertex("y", 1, frozenset()),
-        TreeVertex("y", 1, frozenset({0})),
-        TreeVertex("y", -1, frozenset()),
+        TreeVertex("y", 1, 0),
+        TreeVertex("y", 1, make_tail(1, {0})),
+        TreeVertex("y", -1, 0),
     }
     rng = make_rng(44)
     for _ in range(200):
         level = rng.randint(-3, 3)
-        tail = frozenset(e for e in range(level - 3, level) if rng.random() < 0.5)
+        tail = make_tail(level, [e for e in range(level - 3, level) if rng.random() < 0.5])
         v = TreeVertex("y", level, tail)
         ns = neighbors(v)
         assert len(set(ns)) == 3
@@ -169,10 +172,11 @@ def test_product_action():
 
 def test_vertex_serialization():
     assert W.key() == "y:0:0"
-    assert TreeVertex("t", 3, frozenset({1, 2})).key() == "t:3:3"
+    assert TreeVertex("t", 3, make_tail(3, {1, 2})).key() == "t:3:3"
+    assert TreeVertex("y", -2, make_tail(-2, {-3, -6})).key() == "y:-2:9"
     assert standard_product_vertex().key() == "y:0:0|t:0:0"
     with pytest.raises(ValueError):
-        TreeVertex("y", 0, frozenset({1}))
+        TreeVertex("y", 0, -1)
     with pytest.raises(ValueError):
         ProductVertex(standard_vertex("t"), standard_vertex("y"))
 
