@@ -11,7 +11,7 @@ the two trees.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from itertools import permutations
 
 from .embeddings import RHO_T, RHO_Y, Matrix2
@@ -32,15 +32,17 @@ from .squares import V4Structure
 from .tree import ProductVertex, act, ball_vertex_count, bt_act, distance, standard_product_vertex
 
 
-@dataclass
 class CertificateResult:
     """One certificate's verdict.  `suite.run_all` sets elapsed_ms; as_json
     leaves it out, so `verify --json` is byte-stable."""
 
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    __slots__ = ("name", "passed", "details", "elapsed_ms")
+
+    def __init__(self, name: str, passed: bool, details: dict | None = None, elapsed_ms: float = 0.0) -> None:
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.elapsed_ms = elapsed_ms
 
     def as_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -172,17 +174,13 @@ def neighbors_certificate(structure: V4Structure) -> CertificateResult:
 # -- the ball check ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallCheckReport:
-    radius: int
-    word_count: int
-    distinct_elements: int
-    distinct_vertices: int
-    expected_vertices: int
-    injective: bool
+class BallCheckReport(
+    namedtuple("BallCheckReport", "radius word_count distinct_elements distinct_vertices expected_vertices injective")
+):
+    __slots__ = ()
 
     def as_json(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self))
 
 
 def ball_check(radius: int) -> BallCheckReport:
@@ -212,14 +210,12 @@ def ball_check(radius: int) -> BallCheckReport:
     layer = [(one, w, None)]
     for _ in range(radius):
         nxt = []
-        for elem, vert, first in layer:
+        for elem, (horizontal, vertical), first in layer:
             for name in letters:
                 if first is not None and inverse_of[name] == first:
                     continue
                 my, mt = gen_mats[name]
-                new_vert_h = act(my, vert.horizontal)
-                new_vert_t = act(mt, vert.vertical)
-                new_vert = ProductVertex(new_vert_h, new_vert_t)
+                new_vert = ProductVertex(act(my, horizontal), act(mt, vertical))
                 new_elem = gen_elems[name] * elem
                 word_count += 1
                 key = canon(new_elem)

@@ -23,7 +23,8 @@ cancels and the reversed ints are the same element's numerators over a
 denominator in u; then it substitutes t^2 + t.  Both maps keep the five
 ints coprime.  The images are then summed against the four basis images,
 precomputed as int matrices over one denominator, and reduced once.
-`embed_scalar` is the same map on the two ints of a fraction.
+`embed_scalar` is the same map on the two ints of a fraction, which stay
+coprime, so its image is built without a gcd.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class EmbeddingMap:
         return [compose(x, 0b110) for x in ints]
 
     def embed_scalar(self, f: RationalFunction) -> RationalFunction:
-        return RationalFunction(*self._substitute((f.num, f.den)))
+        return RationalFunction._coprime(*self._substitute((f.num, f.den)))
 
     def __call__(self, q: Quaternion) -> Matrix2:
         """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J)."""

@@ -2,7 +2,10 @@
 
 Supported places: the finite places cut out by the irreducible polynomials
 x, x+1 and x^2+x+1, and the place at infinity.  Uniformizers are x, x+1,
-x^2+x+1 and 1/x respectively.  Everything here is exact.
+x^2+x+1 and 1/x respectively.  Everything here is exact.  A `Place` is
+stored as its kind and its minimal polynomial as a GF(2)[x] int (None at
+infinity), in an immutable slotted object compared and hashed by both; a
+`ResidueFieldElement` as its place and a representative int.
 
 Every expansion runs through `_series`, the one series division: it
 returns a truncated Laurent series over GF(2) as a binpoly int, with the
@@ -24,7 +27,6 @@ x^2+x+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .binpoly import cldivmod, clmul, compose, is_irreducible, multiplicity, reverse, to_string
 from .rational import RationalFunction
@@ -36,22 +38,39 @@ class UnsupportedPlaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Place:
-    """A closed point of P^1 over GF(2): finite with a minimal polynomial, or infinity."""
+    """A closed point of P^1 over GF(2): finite with a minimal polynomial, or infinity.
 
-    kind: str  # "finite" | "infinity"
-    minpoly: int | None = None  # a GF(2)[x] int (see binpoly)
+    `kind` is "finite" or "infinity"; `minpoly` is the minimal polynomial as
+    a GF(2)[x] int (see binpoly), None at infinity."""
 
-    def __post_init__(self) -> None:
-        if self.kind == "finite":
-            if self.minpoly is None or not is_irreducible(self.minpoly):
+    __slots__ = ("kind", "minpoly")
+
+    def __init__(self, kind: str, minpoly: int | None = None) -> None:
+        if kind == "finite":
+            if minpoly is None or not is_irreducible(minpoly):
                 raise ValueError("finite place needs an irreducible minimal polynomial")
-        elif self.kind == "infinity":
-            if self.minpoly is not None:
+        elif kind == "infinity":
+            if minpoly is not None:
                 raise ValueError("the infinite place carries no minimal polynomial")
         else:
-            raise ValueError(f"unknown place kind {self.kind!r}")
+            raise ValueError(f"unknown place kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "minpoly", minpoly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Place is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return (Place, (self.kind, self.minpoly))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Place):
+            return NotImplemented
+        return self.kind == other.kind and self.minpoly == other.minpoly
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.minpoly))
 
     @property
     def degree(self) -> int:
@@ -151,17 +170,23 @@ def _at_zeta(p: int) -> tuple[int, int]:
     return p0, p1
 
 
-@dataclass(frozen=True)
 class ResidueFieldElement:
     """An element of the residue field at a place, as a representative modulo
     its minimal polynomial (a GF(2)[x] int of degree below the place's)."""
 
-    place: Place
-    representative: int
+    __slots__ = ("place", "representative")
 
-    def __post_init__(self) -> None:
-        if self.representative.bit_length() > self.place.degree:
+    def __init__(self, place: Place, representative: int) -> None:
+        if representative.bit_length() > place.degree:
             raise ValueError("representative not reduced modulo the place")
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "representative", representative)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ResidueFieldElement is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return (ResidueFieldElement, (self.place, self.representative))
 
     def is_zero(self) -> bool:
         return self.representative == 0

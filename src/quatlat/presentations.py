@@ -14,7 +14,6 @@ map is just the tuple of generator images, and its cosets are their span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .quaternion import Quaternion
@@ -41,16 +40,24 @@ def exponent_vector(word: Word, n_gens: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    """Named generators and relators, words in their signed indices."""
 
-    def __post_init__(self) -> None:
-        n = len(self.generators)
-        for rel in self.relators:
+    __slots__ = ("generators", "relators")
+
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
+        n = len(generators)
+        for rel in relators:
             if any(letter == 0 or abs(letter) > n for letter in rel):
                 raise ValueError("relator letter out of range")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Presentation is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return (Presentation, (self.generators, self.relators))
 
     def gen_index(self, name: str) -> int:
         return self.generators.index(name) + 1

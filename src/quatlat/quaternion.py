@@ -24,7 +24,7 @@ divided by its gcd (the denominator is a scalar).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .binpoly import cldivmod, clmul
 from .rational import (
@@ -47,20 +47,34 @@ class NotInvertibleError(ZeroDivisionError):
     pass
 
 
-@dataclass(frozen=True)
 class QuaternionAlgebra:
     """The algebra [a,b) over GF(2)(var): I^2 = I + a, J^2 = b, JI = IJ + J."""
 
-    a: RationalFunction
-    b: RationalFunction
-    var: str = "z"
+    __slots__ = ("a", "b", "var", "_ints")
 
-    def __post_init__(self) -> None:
-        if self.b.is_zero():
+    def __init__(self, a: RationalFunction, b: RationalFunction, var: str = "z") -> None:
+        if b.is_zero():
             raise ValueError("the parameter b must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "var", var)
         # the structure constants 1, a, b, ab over the common denominator of a and b
-        na, da, nb, db = self.a.num, self.a.den, self.b.num, self.b.den
+        na, da, nb, db = a.num, a.den, b.num, b.den
         object.__setattr__(self, "_ints", (clmul(da, db), clmul(na, db), clmul(da, nb), clmul(na, nb)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuaternionAlgebra is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return (QuaternionAlgebra, (self.a, self.b, self.var))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuaternionAlgebra):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.var == other.var
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.var))
 
     def element(self, x0: RationalFunction, x1: RationalFunction, x2: RationalFunction, x3: RationalFunction) -> Quaternion:
         return Quaternion(self, (x0, x1, x2, x3))
@@ -273,13 +287,7 @@ def standard_algebra() -> QuaternionAlgebra:
     return QuaternionAlgebra(rf(0b10), rf(0b1001), "z")
 
 
-@dataclass(frozen=True)
-class NamedElements:
-    B1: Quaternion
-    B2: Quaternion
-    C1: Quaternion
-    C2: Quaternion
-    D: Quaternion
+NamedElements = namedtuple("NamedElements", "B1 B2 C1 C2 D")
 
 
 def named_elements() -> NamedElements:

@@ -32,6 +32,15 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _coprime(cls, num: int, den: int) -> RationalFunction:
+        """num/den for a pair already in lowest terms (den nonzero, and 1 when
+        num is 0), built without the gcd."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError(f"RationalFunction is immutable; cannot set {name}")
 

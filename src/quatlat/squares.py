@@ -19,29 +19,22 @@ label-inverting involution preserving the square set.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable
+from collections import Counter, namedtuple
 
 Square = tuple[str, str, str, str]  # (a, b', b, a') as label names
 
 VERTICES = ("s00", "s01", "s10", "s11")
 
 
-@dataclass(frozen=True)
-class GroupOps:
-    """Multiplication, inversion and interning for an element domain."""
-
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    canon: Callable[[Any], Any]
+# multiplication, inversion and interning for an element domain
+GroupOps = namedtuple("GroupOps", "mul inv canon")
 
 
 def _inverse_pairing(names: tuple[str, ...], elems: dict, ops: GroupOps) -> dict[str, str] | None:
     """name -> name of the inverse, or None if the set is not inverse-closed."""
     keys = {name: ops.canon(elems[name]) for name in names}
     inv_keys = {name: ops.canon(ops.inv(elems[name])) for name in names}
-    lookup: dict[Any, str] = {}
+    lookup: dict[object, str] = {}
     for name in names:
         if keys[name] in lookup:
             return None  # duplicate element
@@ -71,14 +64,14 @@ def _check_v4(
         failures.append("B not inverse-closed (or has duplicate elements)")
     if failures:
         return failures, {}, ()
-    prod_ab: dict[Any, tuple[str, str]] = {}
+    prod_ab: dict[object, tuple[str, str]] = {}
     for a in a_names:
         for b in b_names:
             key = ops.canon(ops.mul(elems[a], elems[b]))
             if key in prod_ab:
                 failures.append(f"products {a}{b} and {''.join(prod_ab[key])} coincide")
             prod_ab[key] = (a, b)
-    prod_ba: dict[Any, tuple[str, str]] = {}
+    prod_ba: dict[object, tuple[str, str]] = {}
     for b in b_names:
         for a in a_names:
             key = ops.canon(ops.mul(elems[b], elems[a]))
@@ -105,19 +98,12 @@ class InvalidStructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class V4Structure:
-    """A verified V4-structure with its squares resolved to label names."""
-
-    a_names: tuple[str, ...]
-    b_names: tuple[str, ...]
-    elements: dict[str, Any]
-    ops: GroupOps
-    inv: dict[str, str]
-    squares: tuple[Square, ...]
+# a verified V4-structure: the label names of A and B, label -> element,
+# its GroupOps, label -> label of the inverse, and its squares as label names
+V4Structure = namedtuple("V4Structure", "a_names b_names elements ops inv squares")
 
 
-def build_structure(a_labeled: list[tuple[str, Any]], b_labeled: list[tuple[str, Any]], ops: GroupOps) -> V4Structure:
+def build_structure(a_labeled: list[tuple[str, object]], b_labeled: list[tuple[str, object]], ops: GroupOps) -> V4Structure:
     """Verify the axioms and resolve the square set [a,b'; b,a'] with ab' = ba'."""
     a_names = tuple(n for n, _ in a_labeled)
     b_names = tuple(n for n, _ in b_labeled)

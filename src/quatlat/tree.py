@@ -9,8 +9,11 @@ right units and scalars, stored canonically as (level n, tail) where the
 tail is the Laurent polynomial c reduced modulo pi^n, written as the int
 whose bit k is the coefficient of pi^(n-1-k) -- the order in which
 `places._series` produces it.  Every nonnegative int is a tail, so
-canonical coordinates are two ints and make vertices hashable, which the
-ball enumerations rely on.
+canonical coordinates are two ints.  A `TreeVertex` is the tuple
+(field, level, tail) and a `ProductVertex` the pair (horizontal, vertical):
+tuple subclasses whose constructors validate, so equality and hashing are
+the tuple's, run in C, which the ball enumerations (dicts keyed by
+vertices) rely on.  A vertex equals the plain tuple of its coordinates.
 
 A vertex is a lattice class up to scalars, so a matrix acts through its
 polynomial numerators alone: `vertex_from_matrix` and `act` drop the
@@ -22,7 +25,7 @@ the entries (valuations at 0) and one truncated series division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .binpoly import clmul, reverse
 from .embeddings import RHO_T, RHO_Y, Matrix2
@@ -30,22 +33,28 @@ from .places import _series
 from .quaternion import Quaternion
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    """Canonical coordinates (level, tail) of a tree vertex; `field` is y or t."""
+class TreeVertex(tuple):
+    """Canonical coordinates (field, level, tail) of a tree vertex; `field` is y or t."""
 
-    field: str
-    level: int
-    tail: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tail < 0:
+    def __new__(cls, field: str, level: int, tail: int) -> TreeVertex:
+        if tail < 0:
             raise ValueError("a tail is a nonnegative int")
+        return tuple.__new__(cls, (field, level, tail))
+
+    field = property(itemgetter(0))
+    level = property(itemgetter(1))
+    tail = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[str, int, int]:  # copy and pickle through __new__
+        return tuple(self)
 
     def key(self) -> str:
         """Serialization "field:level:tail-hex"; tail bit k is the coefficient
         of pi^(level-1-k), so the encoding terminates and is canonical."""
-        return f"{self.field}:{self.level}:{self.tail:x}"
+        field, level, tail = self
+        return f"{field}:{level}:{tail:x}"
 
     def __str__(self) -> str:
         return self.key()
@@ -82,7 +91,8 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     """The vertex m.v: the canonical form of m times the matrix of v."""
-    if m.var != v.field:
+    field, n, tail = v
+    if m.var != field:
         raise ValueError("matrix and vertex live over different fields")
     # m is N/den for a polynomial matrix N, and the matrix of v is
     # [[pi^n, c], [0, 1]] with c = reverse(tail) * pi^(n - w), w the bit
@@ -90,11 +100,11 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     # m.v = N.V' for V' = pi^max(w - n, 0) times the matrix of v:
     # [[pi^max(n, w), reverse(tail) * pi^max(n - w, 0)], [0, pi^max(w - n, 0)]],
     # all polynomial.
-    n, w = v.level, v.tail.bit_length()
+    w = tail.bit_length()
     up, s = max(n, w), max(w - n, 0)
-    tail = reverse(v.tail) << max(n - w, 0)
+    tail = reverse(tail) << max(n - w, 0)
     a, b, c, d = m._nums
-    return _vertex(v.field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
+    return _vertex(field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
 
 
 def distance(v1: TreeVertex, v2: TreeVertex) -> int:
@@ -105,27 +115,36 @@ def distance(v1: TreeVertex, v2: TreeVertex) -> int:
     XOR of the two tails shifted to the common level max(n1, n2), where the
     highest set bit is the lowest exponent.
     """
-    if v1.field != v2.field:
+    field1, n1, tail1 = v1
+    field2, n2, tail2 = v2
+    if field1 != field2:
         raise ValueError("vertices of different trees")
-    top = max(v1.level, v2.level)
-    diff = (v1.tail << (top - v1.level)) ^ (v2.tail << (top - v2.level))
-    low = min(v1.level, v2.level, top - diff.bit_length())
-    return v1.level + v2.level - 2 * low
+    top = max(n1, n2)
+    diff = (tail1 << (top - n1)) ^ (tail2 << (top - n2))
+    low = min(n1, n2, top - diff.bit_length())
+    return n1 + n2 - 2 * low
 
 
-@dataclass(frozen=True)
-class ProductVertex:
-    """A vertex of the product of the two trees: horizontal over y, vertical over t."""
+class ProductVertex(tuple):
+    """A vertex (horizontal, vertical) of the product of the two trees:
+    horizontal over y, vertical over t."""
 
-    horizontal: TreeVertex
-    vertical: TreeVertex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.horizontal.field != "y" or self.vertical.field != "t":
+    def __new__(cls, horizontal: TreeVertex, vertical: TreeVertex) -> ProductVertex:
+        if horizontal[0] != "y" or vertical[0] != "t":
             raise ValueError("product vertices are horizontal-over-y, vertical-over-t")
+        return tuple.__new__(cls, (horizontal, vertical))
+
+    horizontal = property(itemgetter(0))
+    vertical = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[TreeVertex, TreeVertex]:  # copy and pickle through __new__
+        return tuple(self)
 
     def key(self) -> str:
-        return f"{self.horizontal.key()}|{self.vertical.key()}"
+        horizontal, vertical = self
+        return f"{horizontal.key()}|{vertical.key()}"
 
     def __str__(self) -> str:
         return self.key()
@@ -137,7 +156,8 @@ def standard_product_vertex() -> ProductVertex:
 
 def bt_act(g: Quaternion, v: ProductVertex) -> ProductVertex:
     """Act through rho_y on the horizontal factor and rho_t on the vertical one."""
-    return ProductVertex(act(RHO_Y(g), v.horizontal), act(RHO_T(g), v.vertical))
+    horizontal, vertical = v
+    return ProductVertex(act(RHO_Y(g), horizontal), act(RHO_T(g), vertical))
 
 
 def ball_vertex_count(radius: int) -> int:

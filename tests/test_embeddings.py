@@ -1,6 +1,7 @@
+from quatlat.binpoly import clgcd
 from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import named_elements, standard_algebra
-from quatlat.rational import ONE_RF, parse_rational, rf
+from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
 
 from conftest import make_rng, random_quaternion, random_rational
 from fraction_reference import reference_matrix_projective_eq
@@ -28,6 +29,29 @@ def test_embed_scalar_is_a_field_homomorphism():
             assert which.embed_scalar(f * g) == which.embed_scalar(f) * which.embed_scalar(g)
             if f != g:
                 assert which.embed_scalar(f) != which.embed_scalar(g)
+
+
+def _evaluate(poly: int, x: RationalFunction) -> RationalFunction:
+    """poly(x) by summing powers of x in fraction arithmetic."""
+    total = ZERO_RF
+    for k in range(poly.bit_length()):
+        if poly >> k & 1:
+            total = total + x**k
+    return total
+
+
+def test_embed_scalar_images_are_in_lowest_terms():
+    """embed_scalar builds its image without a gcd: the pair must already be
+    coprime, equal the reduced substituted pair, and equal f evaluated at
+    z = y^2 + y resp. z = 1/(t^2 + t) in fraction arithmetic."""
+    rng = make_rng(32)
+    for which, z_image in ((RHO_Y, Z_IN_Y), (RHO_T, U_IN_T.inverse())):
+        for _ in range(2000):
+            f = random_rational(rng, 8)
+            image = which.embed_scalar(f)
+            assert clgcd(image.num, image.den) == 1, (which, f)
+            assert image == RationalFunction(*which._substitute((f.num, f.den)))
+            assert image == _evaluate(f.num, z_image) / _evaluate(f.den, z_image)
 
 
 def test_generator_images():

@@ -113,3 +113,13 @@ def test_albanese_hom_checks_read_the_computed_abelianization(monkeypatch):
     result = albanese_certificate(standard_structure())
     assert result.details["hom_checks"] == {"7": 1, "11": 1, "13": 1}
     assert not result.passed
+
+
+def test_albanese_certificate_is_red_on_the_identity_structure():
+    """With |A| = |B| = 1 the cochain map has no columns, so both kernel
+    dimensions read 0 without saying anything; the certificate must not pass."""
+    result = albanese_certificate(identity_structure())
+    assert result.details["kernel_dims"] == {"5": 0, "7": 0}
+    assert not result.passed and result.details["passed"] is False
+    assert "vacuous" in result.details["failure"]
+    assert "failure" not in albanese_certificate(standard_structure()).details
