@@ -26,7 +26,7 @@ from .places import (
     local_symbol,
     valuation,
 )
-from .quaternion import is_ring_unit, named_elements, standard_algebra
+from .quaternion import Quaternion, is_ring_unit, named_elements, standard_algebra
 from .rational import RationalFunction, rf
 from .squares import V4Structure
 from .tree import ProductVertex, act, ball_vertex_count, bt_act, distance, standard_product_vertex
@@ -190,6 +190,13 @@ def ball_check(radius: int) -> BallCheckReport:
 
     c1 and c2 are treated as their own inverses (no c^-1 letters); only free
     reductions are pruned, so relator collisions are found by interning.
+
+    Every element is kept as its primitive representative: the projective
+    key (a primitive polynomial 4-tuple) over denominator 1.  A product of
+    two such elements has denominator 1, so its only gcd chain is the one
+    that finds its key.  Nothing observable changes: elements are interned
+    projectively, and the vertices come from the generators' matrices,
+    whose scalar factors do not move a vertex (a homothety class).
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -197,11 +204,13 @@ def ball_check(radius: int) -> BallCheckReport:
     canon = structure.ops.canon
     letters = list(structure.a_names) + list(structure.b_names)
     inverse_of = {name: structure.inv[name] for name in letters}
-    gen_elems = {name: structure.elements[name] for name in letters}
+    one = standard_algebra().one()
+    alg = one.algebra
+    primitive = Quaternion._from_ints
+    gen_elems = {name: primitive(alg, canon(structure.elements[name]), 1) for name in letters}
     gen_mats = {name: (RHO_Y(gen_elems[name]), RHO_T(gen_elems[name])) for name in letters}
 
     w = standard_product_vertex()
-    one = standard_algebra().one()
     element_to_vertex: dict = {canon(one): w}
     vertex_to_element: dict = {w: canon(one)}
     word_count = 1
@@ -216,9 +225,8 @@ def ball_check(radius: int) -> BallCheckReport:
                     continue
                 my, mt = gen_mats[name]
                 new_vert = ProductVertex(act(my, horizontal), act(mt, vertical))
-                new_elem = gen_elems[name] * elem
+                key = canon(gen_elems[name] * elem)
                 word_count += 1
-                key = canon(new_elem)
                 if key in element_to_vertex:
                     if element_to_vertex[key] != new_vert:
                         consistent = False
@@ -228,7 +236,7 @@ def ball_check(radius: int) -> BallCheckReport:
                         consistent = False
                     else:
                         vertex_to_element[new_vert] = key
-                nxt.append((new_elem, new_vert, name))
+                nxt.append((primitive(alg, key, 1), new_vert, name))
         layer = nxt
 
     distinct_elements = len(element_to_vertex)

@@ -20,7 +20,9 @@ n0..n3 over den) and never builds a fraction.  rho_y substitutes y^2 + y
 into each int.  rho_t first reverses all five to one degree D, the largest
 among them: n_k(1/u) / den(1/u) = u^D n_k(1/u) / u^D den(1/u), so the u^D
 cancels and the reversed ints are the same element's numerators over a
-denominator in u; then it substitutes t^2 + t.  Both maps keep the five
+denominator in u; then it substitutes t^2 + t.  Substituting x^2 + x is
+GF(2)-linear, so it XORs precomputed powers (x^2 + x)^k over the set bits
+of each int instead of running Horner's rule.  Both maps keep the five
 ints coprime.  The images are then summed against the four basis images,
 precomputed as int matrices over one denominator, and reduced once.
 `embed_scalar` is the same map on the two ints of a fraction, which stay
@@ -37,9 +39,13 @@ from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _reduce_o
 class Matrix2:
     """A 2x2 matrix over GF(2)(var), stored as four GF(2)[var] numerators
     (e11, e12, e21, e22) over one denominator, in lowest terms; the entries
-    as reduced fractions are built on first use."""
+    as reduced fractions are built on first use.
 
-    __slots__ = ("var", "_nums", "_den", "_entries")
+    `_acts` maps each tree vertex v that `tree.act` has moved by this matrix
+    to m.v.  It lives and dies with the matrix: equality, hashing, copy and
+    pickle ignore it, and a copy starts with an empty one."""
+
+    __slots__ = ("var", "_nums", "_den", "_entries", "_acts")
 
     def __init__(
         self, var: str, e11: RationalFunction, e12: RationalFunction, e21: RationalFunction, e22: RationalFunction
@@ -50,6 +56,7 @@ class Matrix2:
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_acts", {})
 
     @classmethod
     def _from_ints(cls, var: str, nums: tuple[int, int, int, int], den: int) -> Matrix2:
@@ -60,6 +67,7 @@ class Matrix2:
         object.__setattr__(m, "_nums", nums)
         object.__setattr__(m, "_den", den)
         object.__setattr__(m, "_entries", None)
+        object.__setattr__(m, "_acts", {})
         return m
 
     def __setattr__(self, name, value):
@@ -136,6 +144,25 @@ class Matrix2:
         return "[[" + ", ".join(rows[0]) + "], [" + ", ".join(rows[1]) + "]]"
 
 
+# (x^2 + x)^k at index k; grows on demand to the largest degree substituted
+_SQUARE_PLUS_POWERS = [1]
+
+
+def _substitute_square_plus(p: int) -> int:
+    """p(x^2 + x), the same int as binpoly.compose(p, 0b110).  The map is
+    GF(2)-linear, so the image is the XOR of (x^2 + x)^k over the set bits k
+    of p, read from a table of powers."""
+    powers = _SQUARE_PLUS_POWERS
+    while len(powers) < p.bit_length():
+        powers.append(clmul(powers[-1], 0b110))
+    out = 0
+    while p:
+        low = p & -p
+        out ^= powers[low.bit_length() - 1]
+        p ^= low
+    return out
+
+
 class EmbeddingMap:
     """One of the two splitting embeddings: z = y^2 + y, or with `inverted`
     z = 1/u and u = t^2 + t."""
@@ -159,7 +186,7 @@ class EmbeddingMap:
         if self.inverted:
             degree = max(x.bit_length() for x in ints) - 1
             ints = [reverse(x, degree) for x in ints]
-        return [compose(x, 0b110) for x in ints]
+        return [_substitute_square_plus(x) for x in ints]
 
     def embed_scalar(self, f: RationalFunction) -> RationalFunction:
         return RationalFunction._coprime(*self._substitute((f.num, f.den)))

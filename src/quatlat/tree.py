@@ -21,6 +21,11 @@ shared denominator of a Matrix2 and, in `act`, scale the vertex matrix by a
 power of pi so that every entry of the product is a polynomial.  The
 canonical form then needs only carry-less products, the lowest set bits of
 the entries (valuations at 0) and one truncated series division.
+
+`act` memoizes on the matrix: each Matrix2 keeps the vertices it has moved
+and their images, so a matrix that acts again on a vertex it has seen (the
+generator images in the ball check) costs a dict lookup.  The memo lives
+and dies with its matrix; there is no module-level vertex cache.
 """
 
 from __future__ import annotations
@@ -90,7 +95,11 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
 
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
-    """The vertex m.v: the canonical form of m times the matrix of v."""
+    """The vertex m.v: the canonical form of m times the matrix of v,
+    memoized in `m._acts`."""
+    image = m._acts.get(v)
+    if image is not None:
+        return image
     field, n, tail = v
     if m.var != field:
         raise ValueError("matrix and vertex live over different fields")
@@ -104,7 +113,9 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     up, s = max(n, w), max(w - n, 0)
     tail = reverse(tail) << max(n - w, 0)
     a, b, c, d = m._nums
-    return _vertex(field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
+    image = _vertex(field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
+    m._acts[v] = image
+    return image
 
 
 def distance(v1: TreeVertex, v2: TreeVertex) -> int:

@@ -1,6 +1,6 @@
 """Shared helpers: deterministic random generators for the property suites,
-a tree-vertex tail built from its exponents, and a decoder for the paper's
-cycle notation of wreath permutations."""
+a tree-vertex tail built from its exponents, a decoder for the paper's
+cycle notation of wreath permutations, and a bridge to sympy's GF(2)[x]."""
 
 from __future__ import annotations
 
@@ -86,6 +86,21 @@ def random_invertible_matrix(rng: random.Random, var: str, max_degree: int = 3) 
         m = Matrix2(var, *(random_rational(rng, max_degree) for _ in range(4)))
         if not m.det().is_zero():
             return m
+
+
+def sympy_bridge():
+    """(sympy, x, poly, bits): sympy's GF(2)[x] and the conversions between
+    its polynomials and coefficient-bit ints; skips the test without sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(bits: int):
+        return sympy.Poly([(bits >> k) & 1 for k in range(max(bits.bit_length(), 1) - 1, -1, -1)], x, modulus=2)
+
+    def bits(p) -> int:
+        return sum((int(c) % 2) << k for (k,), c in p.terms())
+
+    return sympy, x, poly, bits
 
 
 def make_tail(level: int, exponents) -> int:

@@ -59,9 +59,11 @@ def reference_matrix_projective_eq(m: Matrix2, n: Matrix2) -> bool:
     return m.var == n.var and _proportional(m.entries, n.entries)
 
 
-def reference_rho(which: EmbeddingMap, q: Quaternion) -> Matrix2:
-    """x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J) with Matrix2 arithmetic."""
-    x0, x1, x2, x3 = (which.embed_scalar(c) for c in q.coords)
+def reference_rho(which: EmbeddingMap, q: Quaternion, embed_scalar=None) -> Matrix2:
+    """x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J) with Matrix2 arithmetic;
+    the coordinates are embedded by `embed_scalar`, which.embed_scalar by default."""
+    embed_scalar = embed_scalar or which.embed_scalar
+    x0, x1, x2, x3 = (embed_scalar(c) for c in q.coords)
     return (
         which.identity.scale(x0)
         + which.image_i.scale(x1)

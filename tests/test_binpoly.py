@@ -15,7 +15,7 @@ from quatlat.binpoly import (
 )
 from quatlat.rational import RationalFunction, parse_rational, rf
 
-from conftest import make_rng, random_nonzero_poly, random_poly
+from conftest import make_rng, random_nonzero_poly, random_poly, sympy_bridge
 
 
 def test_parse_and_print_round_trip():
@@ -48,22 +48,9 @@ def test_mul_divmod_gcd():
             assert cldivmod(a, g)[1] == 0 and cldivmod(b, g)[1] == 0
 
 
-def _sympy_bridge():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-
-    def poly(bits: int):
-        return sympy.Poly([(bits >> k) & 1 for k in range(max(bits.bit_length(), 1) - 1, -1, -1)], x, modulus=2)
-
-    def bits(p) -> int:
-        return sum((int(c) % 2) << k for (k,), c in p.terms())
-
-    return sympy, x, poly, bits
-
-
 def test_int_primitives_against_sympy():
     """clmul, cldivmod and clgcd against sympy's GF(2)[x] on random ints up to degree 40."""
-    _, _, poly, bits = _sympy_bridge()
+    _, _, poly, bits = sympy_bridge()
     rng = make_rng(4)
     for _ in range(300):
         a = rng.getrandbits(rng.randint(1, 41))
@@ -77,14 +64,14 @@ def test_int_primitives_against_sympy():
 
 def test_is_irreducible_against_sympy():
     """Every polynomial of degree <= 10."""
-    _, _, poly, _ = _sympy_bridge()
+    _, _, poly, _ = sympy_bridge()
     for p in range(1 << 11):
         expected = p >= 2 and poly(p).is_irreducible
         assert is_irreducible(p) == expected, bin(p)
 
 
 def test_compose_reverse_derivative_multiplicity_against_sympy():
-    sympy, x, poly, bits = _sympy_bridge()
+    sympy, x, poly, bits = sympy_bridge()
     rng = make_rng(5)
     for _ in range(200):
         p = rng.getrandbits(rng.randint(1, 16))

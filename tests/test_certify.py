@@ -1,5 +1,6 @@
 import pytest
 
+from quatlat import certify
 from quatlat.certify import (
     ball_check,
     discriminant_certificate,
@@ -11,7 +12,7 @@ from quatlat.certify import (
 )
 from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
-from quatlat.quaternion import QuaternionAlgebra, standard_algebra
+from quatlat.quaternion import QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import parse_rational, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
@@ -79,6 +80,25 @@ def test_ball_check_radius_three():
     assert report.distinct_elements == ball_vertex_count(3) == 88
     # word counts: freely reduced words over 6 letters with two involutions
     assert report.word_count == 1 + 6 + 30 + 150
+
+
+def test_ball_check_counts_words_and_elements():
+    for radius in range(7):
+        report = ball_check(radius)
+        assert report.injective
+        assert report.word_count == 1 + 6 * (5**radius - 1) // 4
+        assert report.distinct_elements == report.distinct_vertices == ball_vertex_count(radius)
+
+
+def test_ball_check_fails_when_c1_is_swapped_for_d(monkeypatch):
+    """d fixes the base vertex and is projectively its own inverse, so the
+    structure's inverse pairing still holds, but the word c1 now lands on
+    the base vertex, which the identity already holds."""
+    structure = standard_structure()
+    swapped = structure._replace(elements={**structure.elements, "c1": named_elements().D})
+    monkeypatch.setattr(certify, "standard_structure", lambda: swapped)
+    for radius in (1, 3):
+        assert not ball_check(radius).injective
 
 
 def test_ball_check_guards():

@@ -1,10 +1,10 @@
-from quatlat.binpoly import clgcd
-from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
+from quatlat.binpoly import clgcd, compose
+from quatlat.embeddings import _SQUARE_PLUS_POWERS, RHO_T, RHO_Y, Matrix2, _substitute_square_plus
 from quatlat.quaternion import named_elements, standard_algebra
 from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
 
-from conftest import make_rng, random_quaternion, random_rational
-from fraction_reference import reference_matrix_projective_eq
+from conftest import make_rng, random_quaternion, random_rational, sympy_bridge
+from fraction_reference import reference_matrix_projective_eq, reference_rho
 
 Y = rf(0b10)
 T = rf(0b10)
@@ -52,6 +52,49 @@ def test_embed_scalar_images_are_in_lowest_terms():
             assert clgcd(image.num, image.den) == 1, (which, f)
             assert image == RationalFunction(*which._substitute((f.num, f.den)))
             assert image == _evaluate(f.num, z_image) / _evaluate(f.den, z_image)
+
+
+def test_substitution_kernel_matches_compose():
+    """The table of powers (x^2 + x)^k against Horner's rule, on zero, on
+    random ints of degree <= 40 and on ints longer than the table was when
+    the test started, so the table grows on the way."""
+    rng = make_rng(34)
+    top = max(len(_SQUARE_PLUS_POWERS), 41)  # longer than the table and the random ints
+    longer = [1 << (top + k - 1) | rng.getrandbits(top + k - 1) for k in (1, 2, 8, 31)]
+    samples = [0, 1, *(rng.getrandbits(rng.randint(1, 41)) for _ in range(2000)), *longer]
+    for p in samples:
+        assert _substitute_square_plus(p) == compose(p, 0b110), bin(p)
+    assert len(_SQUARE_PLUS_POWERS) == top + 31
+
+
+def _sympy_embedding(which):
+    """which.embed_scalar recomputed with sympy's GF(2)[x]: substitute
+    x^2 + x into both ints of the fraction, after x^D p(1/x) (D the larger
+    degree) for the inverted map z = 1/u."""
+    sympy, x, poly, bits = sympy_bridge()
+    square_plus = poly(0b110)
+
+    def embed(f: RationalFunction) -> RationalFunction:
+        polys = [poly(f.num), poly(f.den)]
+        if which.inverted:
+            degree = max(f.num.bit_length(), f.den.bit_length()) - 1
+            polys = [sympy.Poly(sympy.expand(x**degree * p.as_expr().subs(x, 1 / x)), x, modulus=2) for p in polys]
+        return RationalFunction(*(bits(p.compose(square_plus)) for p in polys))
+
+    return embed
+
+
+def test_embeddings_match_the_sympy_substitution():
+    rng = make_rng(35)
+    alg = standard_algebra()
+    for which in (RHO_Y, RHO_T):
+        embed = _sympy_embedding(which)
+        for _ in range(150):
+            f = random_rational(rng, 8)
+            assert which.embed_scalar(f) == embed(f), (which, f)
+        for _ in range(40):
+            q = random_quaternion(rng, alg, 3)
+            assert which(q) == reference_rho(which, q, embed), (which, q)
 
 
 def test_generator_images():

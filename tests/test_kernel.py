@@ -226,3 +226,45 @@ def test_act_ignores_a_scalar_factor_of_the_matrix():
         assert act(m.scale(_random_nonzero_scalar(rng)), v) == moved, (m, v)
         assert moved == vertex_from_matrix(m * vertex_matrix(v)), (m, v)
     assert non_polynomial >= SAMPLES // 2
+
+
+def test_act_memo_agrees_with_a_fresh_matrix_and_the_fraction_oracle():
+    """act stores m.v in the matrix it acted by: a second call (a memo hit)
+    and a fresh equal matrix (an empty memo) must give the vertex that the
+    fraction arithmetic gives."""
+    rng = make_rng(72)
+    alg = standard_algebra()
+    pairs = 0
+    for _ in range(SAMPLES):
+        q = random_invertible_quaternion(rng, alg, DEGREE)
+        for which in (RHO_Y, RHO_T):
+            m = which(q)
+            for _ in range(2):
+                level = rng.randint(-3, 3)
+                v = TreeVertex(m.var, level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
+                first = act(m, v)
+                assert m._acts[v] == first
+                assert act(m, v) == first
+                fresh = Matrix2(m.var, *m.entries)
+                assert fresh == m and not fresh._acts
+                assert act(fresh, v) == first == vertex_from_matrix(m * vertex_matrix(v)), (q, v)
+                pairs += 1
+    assert pairs >= 2000
+
+
+def test_act_memo_is_invisible_to_equality_hash_copy_and_pickle():
+    rng = make_rng(73)
+    m = RHO_T(random_invertible_quaternion(rng, standard_algebra(), DEGREE))
+    twin = Matrix2(m.var, *m.entries)
+    hash_before = hash(m)
+    v = TreeVertex("t", 2, 0b1)
+    act(m, v)
+    assert m._acts and not twin._acts  # equal matrices do not share a memo
+    assert m == twin and hash(m) == hash(twin) == hash_before
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied == m and hash(copied) == hash(m)
+        assert copied._acts == {} and copied._acts is not m._acts
+        assert act(copied, v) == m._acts[v]  # copying reads the entries, which keeps the memo
+    for name in ("var", "_nums", "_den", "_entries", "_acts", "unknown_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
