@@ -117,6 +117,12 @@ def test_json_output_matches_fixture_byte_for_byte(argv, fixture, capsys):
     assert capsys.readouterr().out.encode() == (fixture_dir() / fixture).read_bytes()
 
 
+def test_invariants_text_matches_fixture_byte_for_byte(capsys):
+    """The text path keeps --ell's order and prints a repeated prime once."""
+    assert main(["invariants", "--ell", "3", "2", "5", "5"]) == 0
+    assert capsys.readouterr().out.encode() == (fixture_dir() / "invariants-ell-3-2-5-5.txt").read_bytes()
+
+
 def test_export_to_file(tmp_path, capsys):
     out_file = tmp_path / "links.dot"
     assert main(["export", "--what", "links", "--format", "dot", "--out", str(out_file)]) == 0

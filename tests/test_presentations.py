@@ -78,6 +78,31 @@ def test_orbifold_presentation_of_the_identity_structure():
     assert same_presentation(p, klein)
 
 
+def _edited_lambda(relators=None, generators=None):
+    lam = lambda_presentation()
+    return Presentation(generators or lam.generators, lam.relators if relators is None else relators)
+
+
+@pytest.mark.parametrize(
+    "other",
+    (
+        # b1 b2 c1 b2 -> b1 b2 c2 b2
+        pytest.param(
+            _edited_lambda(tuple((1, 2, 4, 2) if r == (1, 2, 3, 2) else r for r in lambda_presentation().relators)),
+            id="changed-letter",
+        ),
+        pytest.param(_edited_lambda(lambda_presentation().relators + ((1, 1, 1),)), id="extra-relator"),
+        pytest.param(_edited_lambda(generators=("b1", "b2", "c1", "e2")), id="renamed-generator"),
+        pytest.param(_edited_lambda(tuple(r for r in lambda_presentation().relators if r != (3, 3))), id="no-c1-square"),
+    ),
+)
+def test_same_presentation_rejects_a_different_presentation(other):
+    """Each edit changes the group presented; a comparison that always
+    answered True would make the relators certificate's orbifold check vacuous."""
+    assert not same_presentation(lambda_presentation(), other)
+    assert not same_presentation(other, lambda_presentation())
+
+
 def test_canonical_relator_identifies_rotations_and_inverses():
     p = lambda_presentation()
     inv_names = frozenset({"c1", "c2"})
