@@ -88,7 +88,11 @@ def cmd_invariants(args) -> int:
     except ValueError as exc:
         return _usage_error(f"--N {args.N} --q {args.q}: {exc}")
     for ell in args.ell:
-        if not is_prime(ell):
+        try:
+            prime = is_prime(ell)
+        except ValueError as exc:
+            return _usage_error(f"--ell {exc}")
+        if not prime:
             return _usage_error(f"--ell {ell} is not prime")
     c1_sq, c2 = chern_numbers(args.N, args.q)
     payload = {
@@ -103,7 +107,7 @@ def cmd_invariants(args) -> int:
     }
     if (args.N, args.q) == (4, 2):
         structure = standard_structure()
-        payload["kernel_dims"] = {str(ell): albanese_kernel_dim(structure, ell) for ell in args.ell}
+        payload["kernel_dims"] = {str(ell): dim for ell, dim in albanese_kernel_dim(structure, args.ell).items()}
         factors, rank = abelianizations()[0]
         payload["gamma_ab"] = {"factors": list(factors), "free_rank": rank}  # text output prints [15]
     if args.json:

@@ -4,16 +4,19 @@ Counting formulas for an N-vertex quotient of the product of two (q+1)-regular
 trees, the Chern numbers of the algebraized surface, and the mod-l kernel of
 the cochain map assembled from the edge bijections, whose vanishing (together
 with the abelianization being Z/15) certifies a trivial Albanese variety.
+
+Every Z/l dimension here, the kernel dimensions and the Hom checks alike, is
+read from Smith invariant factors by one rule, smith.hom_dim.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
 
 from .certify import CertificateResult
 from .localperm import t_map
 from .presentations import abelianizations
+from .smith import hom_dim, invariant_factors
 from .squares import V4Structure
 
 ComplexCounts = namedtuple("ComplexCounts", "vertices q edges squares chi")
@@ -47,34 +50,20 @@ def chern_numbers(n_vertices: int, q: int) -> tuple[int, int]:
 # -- the Albanese kernel -----------------------------------------------------
 
 
+# 2..37 alone would stop at 318665857834031151167461, a strong pseudoprime to each of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to all of _MR_BASES
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
-def _rank_mod(matrix: list[list[int]], ell: int) -> int:
-    m = [[x % ell for x in row] for row in matrix]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, ell)
-        m[rank] = [(x * inv) % ell for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % ell for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    """Deterministic Miller-Rabin on _MR_BASES, exact below MR_BOUND; ValueError from there on."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is at or above {MR_BOUND}, where primality is not decided exactly")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _MR_BASES)
 
 
 def boundary_matrix(structure: V4Structure) -> list[list[int]]:
@@ -121,27 +110,23 @@ def boundary_matrix(structure: V4Structure) -> list[list[int]]:
     return rows
 
 
-def albanese_kernel_dim(structure: V4Structure, ell: int) -> int:
-    """Dimension over Z/l of the kernel of the cochain map on zero-sum functions."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    matrix = boundary_matrix(structure)
-    n_cols = len(matrix[0])
-    return n_cols - _rank_mod(matrix, ell)
-
-
-def hom_cyclic_dim(order: int, ell: int) -> int:
-    """Dimension of Hom(Z/order, Z/l) as a Z/l vector space."""
-    return 1 if gcd(order, ell) == ell else 0
+def albanese_kernel_dim(structure: V4Structure, ells: tuple[int, ...] | list[int]) -> dict[int, int]:
+    """Dimension over Z/l of the kernel of the cochain map on zero-sum
+    functions, for each prime l in ells, from one Smith form."""
+    for ell in ells:
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+    factors, free_rank = invariant_factors(boundary_matrix(structure))
+    return {ell: hom_dim(factors, free_rank, ell) for ell in ells}
 
 
 def albanese_certificate(structure: V4Structure) -> CertificateResult:
     """Kernel dims vanish for l in {5, 7} on a nonempty domain; both routes to
     the abelianization give Z/15; Hom(Gamma^ab, Z/l), read from the computed
     factors and free rank, vanishes for l in {7, 11, 13}."""
-    kernel_dims = {ell: albanese_kernel_dim(structure, ell) for ell in (5, 7)}
+    kernel_dims = albanese_kernel_dim(structure, (5, 7))
     (factors, rank), (rs_factors, rs_rank) = abelianizations()
-    hom_checks = {ell: rank + sum(hom_cyclic_dim(f, ell) for f in factors) for ell in (7, 11, 13)}
+    hom_checks = {ell: hom_dim(factors, rank, ell) for ell in (7, 11, 13)}
     # the columns of boundary_matrix: with |A| = |B| = 1 there are none, and
     # a kernel dimension of 0 says nothing
     domain = len(structure.a_names) + len(structure.b_names) - 2

@@ -15,6 +15,7 @@ map is just the tuple of generator images, and its cosets are their span.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .quaternion import Quaternion
 from .smith import invariant_factors
@@ -84,15 +85,9 @@ class Presentation:
     def word_str(self, word: Word) -> str:
         if not word:
             return "1"
-        parts: list[tuple[int, int]] = []  # (letter, count)
-        for letter in word:
-            if parts and parts[-1][0] == letter:
-                parts[-1] = (letter, parts[-1][1] + 1)
-            else:
-                parts.append((letter, 1))
         chunks = []
-        for letter, count in parts:
-            name = self.generators[abs(letter) - 1]
+        for letter, run in groupby(word):
+            name, count = self.generators[abs(letter) - 1], len(list(run))
             exp = count if letter > 0 else -count
             chunks.append(name if exp == 1 else f"{name}^{exp}")
         return "".join(chunks)
@@ -115,50 +110,25 @@ def _involution_normalize(word: Word, involutions: frozenset[int]) -> Word:
     return free_reduce(tuple(abs(x) if abs(x) in involutions else x for x in word))
 
 
-NameWord = tuple[tuple[str, int], ...]
-
-
-def _name_word(presentation: Presentation, word: Word) -> NameWord:
-    return tuple(
-        (presentation.generators[abs(letter) - 1], 1 if letter > 0 else -1) for letter in word
-    )
-
-
-def canonical_relator(presentation: Presentation, word: Word, involution_names: frozenset[str]) -> NameWord:
+def canonical_relator(word: Word, involutions: frozenset[int]) -> Word:
     """Canonical form up to free reduction, cyclic rotation, inversion and
-    rewriting g^-1 as g for involutive generators; as a name-signed word so
-    presentations with differently ordered generator lists compare equal."""
-
-    def normalize(w: NameWord) -> NameWord:
-        flipped = tuple((n, 1) if n in involution_names else (n, s) for n, s in w)
-        out: list[tuple[str, int]] = []
-        for n, s in flipped:
-            if out and out[-1][0] == n and out[-1][1] == -s:
-                out.pop()
-            else:
-                out.append((n, s))
-        return tuple(out)
-
-    w = normalize(_name_word(presentation, word))
-    w_inv = normalize(tuple((n, -s) for n, s in reversed(w)))
-    candidates = []
-    for base in (w, w_inv):
-        for k in range(len(base) or 1):
-            candidates.append(base[k:] + base[:k])
-    return min(candidates)
+    rewriting g^-1 as g for the involutive generator indices."""
+    w = _involution_normalize(word, involutions)
+    w_inv = _involution_normalize(tuple(-x for x in reversed(word)), involutions)
+    return min(base[k:] + base[:k] for base in (w, w_inv) for k in range(len(base) or 1))
 
 
 def same_presentation(p: Presentation, q: Presentation) -> bool:
     """Same generator names and the same relator set up to rotation,
-    inversion and involution rewriting (the ambiguity of orbit choices)."""
+    inversion and involution rewriting (the ambiguity of orbit choices);
+    q's words are renumbered into p's generator order by name."""
     if set(p.generators) != set(q.generators):
         return False
-    inv_names = {p.generators[i - 1] for i in p.involutions()} | {
-        q.generators[i - 1] for i in q.involutions()
-    }
-    canon_p = sorted(canonical_relator(p, r, frozenset(inv_names)) for r in p.relators)
-    canon_q = sorted(canonical_relator(q, r, frozenset(inv_names)) for r in q.relators)
-    return canon_p == canon_q
+    to_p = [p.gen_index(name) for name in q.generators]
+    q_relators = [tuple(to_p[x - 1] if x > 0 else -to_p[-x - 1] for x in r) for r in q.relators]
+    involutions = p.involutions() | {to_p[i - 1] for i in q.involutions()}
+    canon_p = sorted(canonical_relator(r, involutions) for r in p.relators)
+    return canon_p == sorted(canonical_relator(r, involutions) for r in q_relators)
 
 
 # -- presentation of the orbifold fundamental group ------------------------

@@ -141,3 +141,11 @@ def invariant_factors(matrix: Matrix, cols: int | None = None) -> tuple[list[int
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     nonzero = [x for x in diag if x != 0]
     return [x for x in nonzero if x != 1], len(matrix[0]) - len(nonzero)
+
+
+def hom_dim(factors: list[int], free_rank: int, ell: int) -> int:
+    """Dimension over Z/l of Hom(Z^free_rank + sum of Z/f, Z/l): the free rank
+    plus the number of factors l divides.  For the cokernel of a matrix whose
+    rows are relations, this is dim ker(M mod l)."""
+    return free_rank + sum(1 for f in factors if f % ell == 0)
+

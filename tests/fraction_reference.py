@@ -9,6 +9,9 @@ as the oracles of the differential tests in test_kernel.py.
 `reference_zeta_residue` is the residue at the degree-2 place computed over
 GF(4) with coefficient lists and lookup tables, the oracle for the
 conjugate-and-norm route of quatlat.places.
+
+`reference_rank_mod` is Gaussian elimination over Z/l, the oracle for the
+Z/l dimensions quatlat reads from Smith invariant factors.
 """
 
 from __future__ import annotations
@@ -185,3 +188,23 @@ def reference_distance(v1: TreeVertex, v2: TreeVertex) -> int:
     g = adjugate * vertex_matrix(v2)
     min_val = min(valuation(e, PLACE_ZERO) for e in g.entries if not e.is_zero())
     return int(valuation(reference_det(g), PLACE_ZERO) - 2 * min_val)
+
+
+def reference_rank_mod(matrix: list[list[int]], ell: int) -> int:
+    m = [[x % ell for x in row] for row in matrix]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, ell)
+        m[rank] = [(x * inv) % ell for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(x - f * y) % ell for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+

@@ -224,8 +224,7 @@ def test_criterion_12_invariants():
 def test_criterion_13_albanese():
     with criterion(13, "albanese"):
         s = standard_structure()
-        assert albanese_kernel_dim(s, 5) == 0
-        assert albanese_kernel_dim(s, 7) == 0
+        assert albanese_kernel_dim(s, (5, 7)) == {5: 0, 7: 0}
         assert albanese_certificate(s).passed
 
 

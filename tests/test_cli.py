@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,13 @@ def test_invariants_text_matches_fixture_byte_for_byte(capsys):
     assert capsys.readouterr().out.encode() == (fixture_dir() / "invariants-ell-3-2-5-5.txt").read_bytes()
 
 
+def test_invariants_decides_a_large_prime_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["invariants", "--ell", "1000000000000000003", "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["kernel_dims"] == {"1000000000000000003": 0}
+
+
 def test_export_to_file(tmp_path, capsys):
     out_file = tmp_path / "links.dot"
     assert main(["export", "--what", "links", "--format", "dot", "--out", str(out_file)]) == 0
@@ -154,6 +162,7 @@ def test_usage_error_exits_2():
         ["invariants", "--ell", "4"],
         ["invariants", "--N", "5", "--q", "2"],
         ["export", "--what", "complex", "--format", "json", "--out", "/nonexistent/dir/x.json"],
+        ["invariants", "--ell", "3317044064679887385961981"],  # where Miller-Rabin stops being exact
     ),
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys):

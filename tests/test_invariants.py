@@ -1,18 +1,23 @@
+import random
+
 import pytest
 
+from quatlat import invariants
 from quatlat.invariants import (
+    MR_BOUND,
     albanese_certificate,
     albanese_kernel_dim,
     boundary_matrix,
     chern_numbers,
     complex_counts,
-    hom_cyclic_dim,
+    is_prime,
 )
 from quatlat.lattice import standard_structure
-from quatlat.smith import smith_normal_form
+from quatlat.smith import hom_dim, invariant_factors
 from quatlat.squares import cell_counts, euler_characteristic
 from quatlat.suite import invariants_certificate
 
+from fraction_reference import reference_rank_mod
 from test_squares import identity_structure, nonstable_structure
 
 
@@ -66,29 +71,58 @@ def test_boundary_matrix_shape():
 
 def test_albanese_kernel_dims():
     s = standard_structure()
-    assert albanese_kernel_dim(s, 5) == 0
-    assert albanese_kernel_dim(s, 7) == 0
+    assert albanese_kernel_dim(s, (5, 7)) == {5: 0, 7: 0}
+    assert albanese_kernel_dim(s, [7, 5, 7]) == {7: 0, 5: 0}
     with pytest.raises(ValueError):
-        albanese_kernel_dim(s, 6)
+        albanese_kernel_dim(s, (5, 6))
+    with pytest.raises(ValueError):
+        albanese_kernel_dim(s, (MR_BOUND,))
 
 
 def test_albanese_kernel_mod_two_report_only():
-    """No vanishing assertion is available mod 2; the value is pinned against
-    an independent route through the integer Smith normal form."""
+    """No vanishing assertion is available mod 2 (or mod 3, where the kernel
+    is 4-dimensional); every value is pinned against Gaussian elimination
+    over Z/l on the 16-column matrix."""
     s = standard_structure()
     matrix = boundary_matrix(s)
-    _, d, _ = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    rank_mod_2 = sum(1 for x in diag if x % 2 != 0)
-    oracle_dim = len(matrix[0]) - rank_mod_2
-    assert albanese_kernel_dim(s, 2) == oracle_dim == 0
+    ells = (2, 3, 5, 7, 11, 13)
+    oracle = {ell: 16 - reference_rank_mod(matrix, ell) for ell in ells}
+    assert albanese_kernel_dim(s, ells) == oracle == {2: 0, 3: 4, 5: 0, 7: 0, 11: 0, 13: 0}
+
+
+def test_hom_dim_is_the_kernel_dimension_mod_ell():
+    """dim Hom(coker M, Z/l) = cols - rank(M mod l), on seeded random
+    matrices with entries in -3..3, some with no rows or no columns."""
+    rng = random.Random(1100)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(200)]
+    for rows, cols in shapes:
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        factors, free_rank = invariant_factors(m, cols)
+        for ell in (2, 3, 5, 7):
+            assert hom_dim(factors, free_rank, ell) == cols - reference_rank_mod(m, ell), (m, ell)
 
 
 def test_hom_dimensions():
-    assert hom_cyclic_dim(15, 7) == 0
-    assert hom_cyclic_dim(15, 5) == 1
-    assert hom_cyclic_dim(15, 3) == 1
-    assert hom_cyclic_dim(15, 11) == 0
+    assert hom_dim([15], 0, 7) == 0
+    assert hom_dim([15], 0, 5) == 1
+    assert hom_dim([15], 0, 3) == 1
+    assert hom_dim([15], 0, 11) == 0
+    assert hom_dim([3, 15], 2, 3) == 4
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 10_000))
+    # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5, 7, and one to every base up to 37
+    for n in (561, 41041, 3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(1_000_000_000_000_000_003)
+    assert is_prime(2**61 - 1) and not is_prime(MR_BOUND - 2)  # the largest odd input still answered
+    with pytest.raises(ValueError):
+        is_prime(MR_BOUND)
 
 
 def test_albanese_certificate():
@@ -123,3 +157,15 @@ def test_albanese_certificate_is_red_on_the_identity_structure():
     assert not result.passed and result.details["passed"] is False
     assert "vacuous" in result.details["failure"]
     assert "failure" not in albanese_certificate(standard_structure()).details
+
+
+def test_albanese_certificate_is_red_through_its_kernel_dims(monkeypatch):
+    """With the cochain matrix scaled by 5, every cochain is a cocycle mod 5:
+    the kernel is all 16 columns at l = 5, still 0 at l = 7, and the
+    certificate turns red through its kernel dimensions alone."""
+    matrix = boundary_matrix(standard_structure())
+    monkeypatch.setattr(invariants, "boundary_matrix", lambda structure: [[5 * x for x in row] for row in matrix])
+    result = albanese_certificate(standard_structure())
+    assert result.details["kernel_dims"] == {"5": 16, "7": 0}
+    assert result.details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
+    assert not result.passed and result.details["passed"] is False

@@ -105,11 +105,12 @@ def test_same_presentation_rejects_a_different_presentation(other):
 
 def test_canonical_relator_identifies_rotations_and_inverses():
     p = lambda_presentation()
-    inv_names = frozenset({"c1", "c2"})
+    involutions = p.involutions()
+    assert involutions == {p.gen_index("c1"), p.gen_index("c2")}
     w1 = p.word("b1 b2 c1 b2")
     w2 = p.word("b2 b1 b2 c1^-1")  # rotation with an inverted involution
-    assert canonical_relator(p, w1, inv_names) == canonical_relator(p, w2, inv_names)
-    assert canonical_relator(p, word_inverse(w1), inv_names) == canonical_relator(p, w1, inv_names)
+    assert canonical_relator(w1, involutions) == canonical_relator(w2, involutions)
+    assert canonical_relator(word_inverse(w1), involutions) == canonical_relator(w1, involutions)
 
 
 def test_fixed_presentation_shapes():
