@@ -13,7 +13,7 @@ relations, and det(rho(q)) equals the embedded reduced norm.
 
 A Matrix2 is stored like a quaternion: four polynomial numerators over one
 denominator, in lowest terms, with the entries as RationalFunction values
-built only on demand; products, det and trace run on the stored ints.
+built each time they are read; products and det run on the stored ints.
 
 An embedding works on the five ints a quaternion stores (numerators
 n0..n3 over den) and never builds a fraction.  rho_y substitutes y^2 + y
@@ -39,23 +39,21 @@ from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _reduce_o
 class Matrix2:
     """A 2x2 matrix over GF(2)(var), stored as four GF(2)[var] numerators
     (e11, e12, e21, e22) over one denominator, in lowest terms; the entries
-    as reduced fractions are built on first use.
+    as reduced fractions are built when read.
 
     `_acts` maps each tree vertex v that `tree.act` has moved by this matrix
     to m.v.  It lives and dies with the matrix: equality, hashing, copy and
     pickle ignore it, and a copy starts with an empty one."""
 
-    __slots__ = ("var", "_nums", "_den", "_entries", "_acts")
+    __slots__ = ("var", "_nums", "_den", "_acts")
 
     def __init__(
         self, var: str, e11: RationalFunction, e12: RationalFunction, e21: RationalFunction, e22: RationalFunction
     ) -> None:
-        entries = (e11, e12, e21, e22)
-        *nums, den = _common_form(entries)  # the lcm of reduced denominators: already in lowest terms
+        *nums, den = _common_form((e11, e12, e21, e22))  # the lcm of reduced denominators: already in lowest terms
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_acts", {})
 
     @classmethod
@@ -66,7 +64,6 @@ class Matrix2:
         object.__setattr__(m, "var", var)
         object.__setattr__(m, "_nums", nums)
         object.__setattr__(m, "_den", den)
-        object.__setattr__(m, "_entries", None)
         object.__setattr__(m, "_acts", {})
         return m
 
@@ -82,16 +79,12 @@ class Matrix2:
 
     @property
     def entries(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
-        entries = self._entries
-        if entries is None:
-            entries = tuple(RationalFunction(x, self._den) for x in self._nums)
-            object.__setattr__(self, "_entries", entries)
-        return entries
+        return tuple(RationalFunction(x, self._den) for x in self._nums)
 
-    e11 = property(lambda self: self.entries[0])
-    e12 = property(lambda self: self.entries[1])
-    e21 = property(lambda self: self.entries[2])
-    e22 = property(lambda self: self.entries[3])
+    e11 = property(lambda self: RationalFunction(self._nums[0], self._den))
+    e12 = property(lambda self: RationalFunction(self._nums[1], self._den))
+    e21 = property(lambda self: RationalFunction(self._nums[2], self._den))
+    e22 = property(lambda self: RationalFunction(self._nums[3], self._den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix2):
@@ -130,18 +123,13 @@ class Matrix2:
         a, b, c, d = self._nums
         return RationalFunction(clmul(a, d) ^ clmul(b, c), clmul(self._den, self._den))
 
-    def trace(self) -> RationalFunction:
-        a, _, _, d = self._nums
-        return RationalFunction(a ^ d, self._den)
-
     def _same_var(self, other: Matrix2) -> None:
         if self.var != other.var:
             raise ValueError(f"matrices over different fields: {self.var} vs {other.var}")
 
     def __str__(self) -> str:
-        rows = [[e.to_string(self.var) for e in (self.e11, self.e12)],
-                [e.to_string(self.var) for e in (self.e21, self.e22)]]
-        return "[[" + ", ".join(rows[0]) + "], [" + ", ".join(rows[1]) + "]]"
+        e11, e12, e21, e22 = (e.to_string(self.var) for e in self.entries)
+        return f"[[{e11}, {e12}], [{e21}, {e22}]]"
 
 
 # (x^2 + x)^k at index k; grows on demand to the largest degree substituted

@@ -3,7 +3,8 @@ inside the projectivized unit group of [z, 1+z^3), which is also its square
 complex (see `squares`), and the generator assignments used for relator
 checks.
 
-Everything is cached; the objects are immutable and shared freely.
+The structure is cached, immutable and shared freely; `generator_images`
+builds a fresh dict on each call, so a caller may change its copy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ def standard_structure() -> V4Structure:
     return build_structure(a_side, b_side, ops)
 
 
-@lru_cache(maxsize=1)
 def generator_images() -> dict[str, Quaternion]:
     """Quaternion images of all named presentation generators."""
     ne = named_elements()

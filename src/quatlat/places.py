@@ -2,10 +2,11 @@
 
 Supported places: the finite places cut out by the irreducible polynomials
 x, x+1 and x^2+x+1, and the place at infinity.  Uniformizers are x, x+1,
-x^2+x+1 and 1/x respectively.  Everything here is exact.  A `Place` is
-stored as its kind and its minimal polynomial as a GF(2)[x] int (None at
-infinity), in an immutable slotted object compared and hashed by both; a
-`ResidueFieldElement` as its place and a representative int.
+x^2+x+1 and 1/x respectively.  Everything here is exact.  A `Place` is the
+tuple (kind, minimal polynomial as a GF(2)[x] int, None at infinity), a
+tuple subclass whose constructor validates, compared and hashed as the
+tuple.  A residue is an int: 0 or 1 at a degree-1 place, and at x^2+x+1
+the representative c0 + c1*x of its class, as c0 | c1 << 1.
 
 Every expansion runs through `_series`, the one series division: it
 returns a truncated Laurent series over GF(2) as a binpoly int, with the
@@ -21,14 +22,17 @@ Substituting x = w + s writes each polynomial as p0(s) + w*p1(s) with p0, p1
 in GF(2)[s]; multiplying numerator and denominator by the conjugate of the
 denominator leaves the norm, in GF(2)[s], below, so the GF(4) residue is two
 GF(2) series coefficients.  The result is carried back through w -> x mod
-x^2+x+1.
+x^2+x+1.  The local symbol is the trace of the residue down to GF(2): the
+residue itself at a degree-1 place, and c1 at x^2+x+1, since Tr(1) = 0 and
+Tr(x) = x + x^2 = 1 in GF(4) = GF(2)[x]/(x^2+x+1).
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
-from .binpoly import cldivmod, clmul, compose, is_irreducible, multiplicity, reverse, to_string
+from .binpoly import clmul, compose, is_irreducible, multiplicity, reverse, to_string
 from .rational import RationalFunction
 
 INFINITE_VALUATION = math.inf
@@ -38,15 +42,16 @@ class UnsupportedPlaceError(ValueError):
     pass
 
 
-class Place:
+class Place(tuple):
     """A closed point of P^1 over GF(2): finite with a minimal polynomial, or infinity.
 
-    `kind` is "finite" or "infinity"; `minpoly` is the minimal polynomial as
-    a GF(2)[x] int (see binpoly), None at infinity."""
+    The tuple (kind, minpoly): `kind` is "finite" or "infinity"; `minpoly`
+    is the minimal polynomial as a GF(2)[x] int (see binpoly), None at
+    infinity."""
 
-    __slots__ = ("kind", "minpoly")
+    __slots__ = ()
 
-    def __init__(self, kind: str, minpoly: int | None = None) -> None:
+    def __new__(cls, kind: str, minpoly: int | None = None) -> Place:
         if kind == "finite":
             if minpoly is None or not is_irreducible(minpoly):
                 raise ValueError("finite place needs an irreducible minimal polynomial")
@@ -55,22 +60,13 @@ class Place:
                 raise ValueError("the infinite place carries no minimal polynomial")
         else:
             raise ValueError(f"unknown place kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "minpoly", minpoly)
+        return tuple.__new__(cls, (kind, minpoly))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Place is immutable; cannot set {name}")
+    kind = property(itemgetter(0))
+    minpoly = property(itemgetter(1))
 
-    def __reduce__(self):  # copy and pickle through the public constructor
-        return (Place, (self.kind, self.minpoly))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Place):
-            return NotImplemented
-        return self.kind == other.kind and self.minpoly == other.minpoly
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.minpoly))
+    def __getnewargs__(self) -> tuple[str, int | None]:  # copy and pickle through __new__
+        return tuple(self)
 
     @property
     def degree(self) -> int:
@@ -170,57 +166,19 @@ def _at_zeta(p: int) -> tuple[int, int]:
     return p0, p1
 
 
-class ResidueFieldElement:
-    """An element of the residue field at a place, as a representative modulo
-    its minimal polynomial (a GF(2)[x] int of degree below the place's)."""
-
-    __slots__ = ("place", "representative")
-
-    def __init__(self, place: Place, representative: int) -> None:
-        if representative.bit_length() > place.degree:
-            raise ValueError("representative not reduced modulo the place")
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "representative", representative)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ResidueFieldElement is immutable; cannot set {name}")
-
-    def __reduce__(self):  # copy and pickle through the public constructor
-        return (ResidueFieldElement, (self.place, self.representative))
-
-    def is_zero(self) -> bool:
-        return self.representative == 0
-
-    def trace(self) -> int:
-        """Trace down to GF(2): sum of Frobenius iterates modulo the minimal polynomial."""
-        if self.place.degree == 1:
-            return self.representative & 1
-        m = self.place.minpoly
-        total = 0
-        power = self.representative
-        for _ in range(self.place.degree):
-            total ^= power
-            power = cldivmod(clmul(power, power), m)[1]
-        if total > 1:
-            raise AssertionError("trace escaped GF(2)")
-        return total
-
-    def __str__(self) -> str:
-        return to_string(self.representative, "x")
-
-
-def residue(a: RationalFunction, b: RationalFunction, place: Place) -> ResidueFieldElement:
-    """Residue of the differential a*db/b at the place, valued in the residue field."""
+def residue(a: RationalFunction, b: RationalFunction, place: Place) -> int:
+    """Residue of the differential a*db/b at the place: 0 or 1 at a degree-1
+    place, and c0 | c1 << 1 for the class c0 + c1*x at x^2+x+1."""
     if b.is_zero():
         raise ZeroDivisionError("b must be nonzero")
     if a.is_zero():
-        return ResidueFieldElement(place, 0)
+        return 0
     g = a * b.derivative() / b
     if place.degree == 1:
         if place.kind == "infinity":
             # d(x)/d(1/x) = x^2 in characteristic 2
             g = g * RationalFunction(0b100)
-        return ResidueFieldElement(place, _series(*_localize(g, place), 0) & 1)
+        return _series(*_localize(g, place), 0) & 1
     if place != PLACE_ZETA:
         raise UnsupportedPlaceError(f"residues not implemented at place {place.name}")
     # g = (n0 + w*n1)/(d0 + w*d1) at s = 0; times the conjugate d0+d1 + w*d1
@@ -231,9 +189,11 @@ def residue(a: RationalFunction, b: RationalFunction, place: Place) -> ResidueFi
     c0 = _series(clmul(n0, d0 ^ d1) ^ clmul(n1, d1), norm, 0) & 1
     c1 = _series(clmul(n0, d1) ^ clmul(n1, d0), norm, 0) & 1
     # carry GF(4) back to GF(2)[x]/(x^2+x+1) via w -> class of x
-    return ResidueFieldElement(place, c0 | c1 << 1)
+    return c0 | c1 << 1
 
 
 def local_symbol(a: RationalFunction, b: RationalFunction, place: Place) -> int:
-    """0 if the quaternion algebra [a,b) splits at the place, 1 if it ramifies."""
-    return residue(a, b, place).trace()
+    """0 if the quaternion algebra [a,b) splits at the place, 1 if it ramifies:
+    the trace of the residue, which is c1 at x^2+x+1 (Tr(1) = 0, Tr(x) = 1)."""
+    r = residue(a, b, place)
+    return r if place.degree == 1 else r >> 1

@@ -15,7 +15,7 @@ An element is stored the way the arithmetic uses it: four GF(2)[z]
 numerators over one denominator, with gcd(n0, n1, n2, n3, den) = 1.  Since
 1 is the only unit of GF(2)[z], that form is canonical, so == and hash read
 it directly; the coordinates as RationalFunction values are only a view,
-built on demand.  A product combines the numerators with carry-less
+built each time it is read.  A product combines the numerators with carry-less
 products and XOR against the structure constants of the algebra and divides
 the five output ints by their gcd once.  The norm, inverse and conjugate
 read the stored ints, and the projective key is the numerator 4-tuple
@@ -25,6 +25,7 @@ divided by its gcd (the denominator is a scalar).
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .binpoly import cldivmod, clmul
 from .rational import (
@@ -47,34 +48,27 @@ class NotInvertibleError(ZeroDivisionError):
     pass
 
 
-class QuaternionAlgebra:
-    """The algebra [a,b) over GF(2)(var): I^2 = I + a, J^2 = b, JI = IJ + J."""
+class QuaternionAlgebra(tuple):
+    """The algebra [a,b) over GF(2)(var): I^2 = I + a, J^2 = b, JI = IJ + J.
 
-    __slots__ = ("a", "b", "var", "_ints")
+    The tuple (a, b, var, _ints), where `_ints` holds the structure constants
+    1, a, b, ab as GF(2)[var] ints over the common denominator of a and b."""
 
-    def __init__(self, a: RationalFunction, b: RationalFunction, var: str = "z") -> None:
+    __slots__ = ()
+
+    def __new__(cls, a: RationalFunction, b: RationalFunction, var: str = "z") -> QuaternionAlgebra:
         if b.is_zero():
             raise ValueError("the parameter b must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "var", var)
-        # the structure constants 1, a, b, ab over the common denominator of a and b
         na, da, nb, db = a.num, a.den, b.num, b.den
-        object.__setattr__(self, "_ints", (clmul(da, db), clmul(na, db), clmul(da, nb), clmul(na, nb)))
+        return tuple.__new__(cls, (a, b, var, (clmul(da, db), clmul(na, db), clmul(da, nb), clmul(na, nb))))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QuaternionAlgebra is immutable; cannot set {name}")
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    var = property(itemgetter(2))
+    _ints = property(itemgetter(3))
 
-    def __reduce__(self):  # copy and pickle through the public constructor
-        return (QuaternionAlgebra, (self.a, self.b, self.var))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuaternionAlgebra):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.var == other.var
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.var))
+    def __getnewargs__(self) -> tuple[RationalFunction, RationalFunction, str]:  # copy and pickle through __new__
+        return self[:3]
 
     def element(self, x0: RationalFunction, x1: RationalFunction, x2: RationalFunction, x3: RationalFunction) -> Quaternion:
         return Quaternion(self, (x0, x1, x2, x3))
@@ -101,11 +95,11 @@ class Quaternion:
     Stored as four GF(2)[z] numerators over one denominator, with
     gcd(n0, n1, n2, n3, den) = 1.  The only unit of GF(2)[z] is 1, so this
     form is unique: equality and hashing compare it directly.  The
-    coordinates x_k = n_k / den as reduced fractions (`coords`) are built on
-    first use, or kept when the element was made from them.
+    coordinates x_k = n_k / den as reduced fractions (`coords`) are built
+    anew each time they are read.
     """
 
-    __slots__ = ("algebra", "_nums", "_den", "_coords")
+    __slots__ = ("algebra", "_nums", "_den")
 
     def __init__(self, algebra: QuaternionAlgebra, coords) -> None:
         coords = tuple(coords)
@@ -115,7 +109,6 @@ class Quaternion:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coords", coords)
 
     @classmethod
     def _from_ints(cls, algebra: QuaternionAlgebra, nums: tuple[int, int, int, int], den: int) -> Quaternion:
@@ -125,7 +118,6 @@ class Quaternion:
         object.__setattr__(q, "algebra", algebra)
         object.__setattr__(q, "_nums", nums)
         object.__setattr__(q, "_den", den)
-        object.__setattr__(q, "_coords", None)
         return q
 
     def __setattr__(self, name, value):
@@ -136,11 +128,7 @@ class Quaternion:
 
     @property
     def coords(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
-        coords = self._coords
-        if coords is None:
-            coords = tuple(RationalFunction(x, self._den) for x in self._nums)
-            object.__setattr__(self, "_coords", coords)
-        return coords
+        return tuple(RationalFunction(x, self._den) for x in self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quaternion):

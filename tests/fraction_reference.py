@@ -8,7 +8,9 @@ as the oracles of the differential tests in test_kernel.py.
 
 `reference_zeta_residue` is the residue at the degree-2 place computed over
 GF(4) with coefficient lists and lookup tables, the oracle for the
-conjugate-and-norm route of quatlat.places.
+conjugate-and-norm route of quatlat.places.  `reference_trace` is the
+trace of a residue down to GF(2) as the sum of its Frobenius iterates, the
+oracle for `local_symbol`.
 
 `reference_rank_mod` is Gaussian elimination over Z/l, the oracle for the
 Z/l dimensions quatlat reads from Smith invariant factors.
@@ -16,8 +18,9 @@ Z/l dimensions quatlat reads from Smith invariant factors.
 
 from __future__ import annotations
 
+from quatlat.binpoly import cldivmod, clmul
 from quatlat.embeddings import EmbeddingMap, Matrix2
-from quatlat.places import PLACE_ZERO, valuation
+from quatlat.places import PLACE_ZERO, Place, valuation
 from quatlat.quaternion import Quaternion
 from quatlat.rational import RationalFunction, rf
 from quatlat.tree import TreeVertex
@@ -167,6 +170,19 @@ def reference_zeta_residue(a: RationalFunction, b: RationalFunction) -> int:
     c = _f4_series_coeff(num, den, -1)
     # carry GF(4) back to GF(2)[x]/(x^2+x+1) via w -> class of x
     return (c & 1) | ((c >> 1) & 1) << 1
+
+
+def reference_trace(place: Place, representative: int) -> int:
+    """Trace down to GF(2) of the residue class of `representative` modulo
+    the place's minimal polynomial: the sum of its Frobenius iterates."""
+    if place.degree == 1:
+        return representative & 1
+    total, power = 0, representative
+    for _ in range(place.degree):
+        total ^= power
+        power = cldivmod(clmul(power, power), place.minpoly)[1]
+    assert total in (0, 1), "trace escaped GF(2)"
+    return total
 
 
 def vertex_matrix(v: TreeVertex) -> Matrix2:

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from quatlat.places import PLACE_ONE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 METRICS = Path(__file__).resolve().parent.parent / "benchmarks" / "metrics.py"
+SELFTEST = METRICS.with_name("selftest.py")
 
 
 def fixture_dir() -> Path:
@@ -57,6 +60,19 @@ def test_run_all_keeps_the_contract_the_benchmark_reads():
     for r in results:
         assert r.elapsed_ms >= 0
         assert set(r.as_json()) == {"name", "passed", "details"}
+
+
+@pytest.mark.parametrize("workload", ["verify-cli", "ball-r5", "arith-mix"])
+def test_traced_benchmark_workload_passes_its_checks(workload):
+    """Each workload at toy size, traced, in a fresh interpreter: the traced
+    checks (ball products, tree.act calls, no stray references to the
+    tracer) must hold, not only the untraced outputs."""
+    out = subprocess.run(
+        [sys.executable, str(SELFTEST), "--toy", workload, "1"], stdout=subprocess.PIPE, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stdout[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, result
 
 
 def test_present_lambda(capsys):

@@ -265,6 +265,6 @@ def test_act_memo_is_invisible_to_equality_hash_copy_and_pickle():
         assert copied == m and hash(copied) == hash(m)
         assert copied._acts == {} and copied._acts is not m._acts
         assert act(copied, v) == m._acts[v]  # copying reads the entries, which keeps the memo
-    for name in ("var", "_nums", "_den", "_entries", "_acts", "unknown_attribute"):
+    for name in ("var", "_nums", "_den", "_acts", "unknown_attribute"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)

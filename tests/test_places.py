@@ -19,7 +19,7 @@ from quatlat.places import (
 from quatlat.rational import RationalFunction, parse_rational, rf
 
 from conftest import make_rng, random_nonzero_poly, random_poly
-from fraction_reference import reference_zeta_residue
+from fraction_reference import reference_trace, reference_zeta_residue
 
 Z = parse_rational("z")
 B = parse_rational("1+z^3")
@@ -109,26 +109,25 @@ def test_laurent_rejects_degree_two_place():
 
 
 def test_residue_examples():
-    assert residue(Z, B, PLACE_INF).is_zero()
-    assert residue(rf(0), B, PLACE_ONE).is_zero()
+    assert residue(Z, B, PLACE_INF) == 0
+    assert residue(rf(0), B, PLACE_ONE) == 0
     # at place 1 the pole is simple, so the residue is the leading coefficient;
     # oracle: v_1(z * d(1+z^3) / (1+z^3)) = -1 and the series starts with 1
     integrand = Z * B.derivative() / B
     assert valuation(integrand, PLACE_ONE) == -1
     assert laurent_expand(integrand, PLACE_ONE, 0) == {-1: 1}
-    assert residue(Z, B, PLACE_ONE).representative == 1
+    assert residue(Z, B, PLACE_ONE) == 1
 
 
 def test_residue_at_the_degree_two_place():
-    r = residue(Z, B, PLACE_ZETA)
     # the value is the residue class of x (a primitive cube root of unity)
-    assert r.representative == 0b10
-    assert r.trace() == 1
+    assert residue(Z, B, PLACE_ZETA) == 0b10
+    assert local_symbol(Z, B, PLACE_ZETA) == 1
 
 
-def _res_form(g, place):
-    # residue of the differential g dx: with b = z, a*db/b = a/z, so a = g*z
-    return residue(g * Z, Z, place)
+def _form(g):
+    # the differential g dx as a*db/b: with b = z, a*db/b = a/z, so a = g*z
+    return g * Z, Z
 
 
 def test_residue_theorem_with_higher_order_poles():
@@ -140,13 +139,12 @@ def test_residue_theorem_with_higher_order_poles():
         rf(1) / (m**3 * Z),
         parse_rational("1+z^4") / (m**2 * parse_rational("1+z") * Z),
     ):
-        traces = [_res_form(g, place).trace() for place in NAMED_PLACES]
+        traces = [local_symbol(*_form(g), place) for place in NAMED_PLACES]
         assert sum(traces) % 2 == 0
     # order-2 value, checked by hand via partial fractions over GF(4):
     # res of dx/((x^2+x+1)^2 x) at the degree-2 place is the class of x
-    r = _res_form(rf(1) / (m**2 * Z), PLACE_ZETA)
-    assert r.representative == 0b10
-    assert _res_form(rf(1) / (m**2 * Z), PLACE_ZERO).representative == 1
+    assert residue(*_form(rf(1) / (m**2 * Z)), PLACE_ZETA) == 0b10
+    assert residue(*_form(rf(1) / (m**2 * Z)), PLACE_ZERO) == 1
 
 
 def test_zeta_residue_matches_the_gf4_oracle():
@@ -159,10 +157,27 @@ def test_zeta_residue_matches_the_gf4_oracle():
         k = rng.randint(0, 4)
         a = RationalFunction(random_poly(rng, 6), clmul(clpow(m, k), random_nonzero_poly(rng, 3)))
         b = RationalFunction(random_nonzero_poly(rng, 4), random_nonzero_poly(rng, 4))
-        rep = residue(a, b, PLACE_ZETA).representative
+        rep = residue(a, b, PLACE_ZETA)
         assert rep == reference_zeta_residue(a, b), (a, b)
+        assert local_symbol(a, b, PLACE_ZETA) == reference_trace(PLACE_ZETA, rep), (a, b)
         values.add(rep)
     assert values == {0, 1, 2, 3}
+
+
+def test_local_symbol_is_the_trace_of_the_residue():
+    """local_symbol against the Frobenius-sum trace of the residue at every
+    named place, on random pairs with poles of order up to 3 at x^2+x+1."""
+    rng = make_rng(14)
+    m = parse_poly("1+z+z^2")
+    symbols = {place: set() for place in NAMED_PLACES}
+    for _ in range(300):
+        a = RationalFunction(random_poly(rng, 6), clmul(clpow(m, rng.randint(0, 3)), random_nonzero_poly(rng, 3)))
+        b = RationalFunction(random_nonzero_poly(rng, 4), random_nonzero_poly(rng, 4))
+        for place in NAMED_PLACES:
+            symbol = local_symbol(a, b, place)
+            assert symbol == reference_trace(place, residue(a, b, place)), (a, b, place)
+            symbols[place].add(symbol)
+    assert all(seen == {0, 1} for seen in symbols.values())
 
 
 def test_local_symbol_examples():

@@ -151,6 +151,16 @@ def test_gamma_generators_are_the_stated_quaternions():
     assert images["a2"] == images["c2"] * images["b2"].inverse()
 
 
+def test_generator_images_are_a_fresh_dict_per_call():
+    """A caller that changes its dict (a perturbation test swapping c1 for
+    d, say) leaves the images every later caller reads intact."""
+    expected = dict(generator_images())
+    images = generator_images()
+    images["c1"] = images["d"]
+    del images["b1"]
+    assert generator_images() == expected
+
+
 # -- Smith normal form -------------------------------------------------------
 
 

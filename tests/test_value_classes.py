@@ -11,7 +11,7 @@ import pytest
 from quatlat.certify import BallCheckReport, CertificateResult, ball_check
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.invariants import ComplexCounts, complex_counts
-from quatlat.places import PLACE_INF, PLACE_ONE, PLACE_ZERO, PLACE_ZETA, Place, ResidueFieldElement
+from quatlat.places import PLACE_INF, PLACE_ONE, PLACE_ZERO, PLACE_ZETA, Place
 from quatlat.presentations import Presentation, lambda_presentation
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import rf
@@ -40,7 +40,6 @@ def _instances():
         (standard_product_vertex(), ("horizontal", "vertical")),
         (PLACE_ZETA, ("kind", "minpoly")),
         (PLACE_INF, ("kind", "minpoly")),
-        (ResidueFieldElement(PLACE_ZETA, 0b10), ("place", "representative")),
         (lambda_presentation(), ("generators", "relators")),
         (alg, ("a", "b", "var")),
         (named_elements(), ("B1", "B2", "C1", "C2", "D")),
@@ -179,9 +178,6 @@ def test_constructors_reject_invalid_values():
         Place("finite")
     with pytest.raises(ValueError, match="no minimal polynomial"):
         Place("infinity", 0b10)
-    for place, representative in ((PLACE_ZERO, 0b10), (PLACE_INF, 0b10), (PLACE_ZETA, 0b100)):
-        with pytest.raises(ValueError, match="not reduced"):
-            ResidueFieldElement(place, representative)
     for relator in ((0,), (2,), (1, -2)):
         with pytest.raises(ValueError, match="out of range"):
             Presentation(("a",), (relator,))
