@@ -29,7 +29,7 @@ from .places import (
 from .quaternion import Quaternion, is_ring_unit, named_elements, standard_algebra
 from .rational import RationalFunction, rf
 from .squares import V4Structure
-from .tree import ProductVertex, act, ball_vertex_count, bt_act, distance, standard_product_vertex
+from .tree import act, ball_vertex_count, bt_act, distance, standard_product_vertex
 
 
 class CertificateResult:
@@ -191,56 +191,69 @@ def ball_check(radius: int) -> BallCheckReport:
     c1 and c2 are treated as their own inverses (no c^-1 letters); only free
     reductions are pruned, so relator collisions are found by interning.
 
+    Each word past the empty one costs exactly one quaternion product
+    (generator times the element of its suffix), two memoized `act` calls
+    (one per tree), one projective key and the dict work; nothing else is
+    paid per word.  So a check at radius L makes word_count - 1 products and
+    twice as many `act` calls.
+
     Every element is kept as its primitive representative: the projective
-    key (a primitive polynomial 4-tuple) over denominator 1.  A product of
-    two such elements has denominator 1, so its only gcd chain is the one
-    that finds its key.  Nothing observable changes: elements are interned
-    projectively, and the vertices come from the generators' matrices,
-    whose scalar factors do not move a vertex (a homothety class).
+    key (a primitive polynomial 4-tuple) over denominator 1, one Quaternion
+    per distinct key.  A product of two such elements has denominator 1, so
+    its only gcd chain is the one that finds its key.  Nothing observable
+    changes: elements are interned projectively, and the vertices come from
+    the generators' matrices, whose scalar factors do not move a vertex (a
+    homothety class).  Vertices are plain (horizontal, vertical) pairs,
+    equal to and hashing as the ProductVertex of the same factors.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     structure = standard_structure()
-    canon = structure.ops.canon
+    canon = Quaternion.projective_canon
     letters = list(structure.a_names) + list(structure.b_names)
-    inverse_of = {name: structure.inv[name] for name in letters}
     one = standard_algebra().one()
     alg = one.algebra
     primitive = Quaternion._from_ints
-    gen_elems = {name: primitive(alg, canon(structure.elements[name]), 1) for name in letters}
-    gen_mats = {name: (RHO_Y(gen_elems[name]), RHO_T(gen_elems[name])) for name in letters}
+    steps = {}  # letter -> (letter, element, rho_y matrix, rho_t matrix)
+    for name in letters:
+        gen = primitive(alg, canon(structure.elements[name]), 1)
+        steps[name] = (name, gen, RHO_Y(gen), RHO_T(gen))
+    # the letters allowed after each leftmost letter: all but its inverse
+    follow = {name: [steps[n] for n in letters if structure.inv[n] != name] for name in letters}
+    follow[None] = list(steps.values())
 
     w = standard_product_vertex()
-    element_to_vertex: dict = {canon(one): w}
+    # element key -> (vertex, the element's one Quaternion)
+    element_to_vertex: dict = {canon(one): (w, one)}
     vertex_to_element: dict = {w: canon(one)}
     word_count = 1
     consistent = True
-    # layer entries: (element, product vertex, leftmost letter)
-    layer = [(one, w, None)]
+    # layer entries: (element, horizontal vertex, vertical vertex, leftmost letter)
+    layer = [(one, w[0], w[1], None)]
     for _ in range(radius):
         nxt = []
-        for elem, (horizontal, vertical), first in layer:
-            for name in letters:
-                if first is not None and inverse_of[name] == first:
-                    continue
-                my, mt = gen_mats[name]
-                new_vert = ProductVertex(act(my, horizontal), act(mt, vertical))
-                key = canon(gen_elems[name] * elem)
-                word_count += 1
-                if key in element_to_vertex:
-                    if element_to_vertex[key] != new_vert:
-                        consistent = False
-                else:
-                    element_to_vertex[key] = new_vert
+        append = nxt.append
+        for elem, horizontal, vertical, first in layer:
+            for name, gen, my, mt in follow[first]:
+                new_h = act(my, horizontal)
+                new_v = act(mt, vertical)
+                key = canon(gen * elem)
+                entry = element_to_vertex.get(key)
+                if entry is None:
+                    new_vert = (new_h, new_v)
+                    entry = element_to_vertex[key] = (new_vert, primitive(alg, key, 1))
                     if new_vert in vertex_to_element:
                         consistent = False
                     else:
                         vertex_to_element[new_vert] = key
-                nxt.append((primitive(alg, key, 1), new_vert, name))
+                elif entry[0] != (new_h, new_v):
+                    consistent = False
+                append((entry[1], new_h, new_v, name))
+        word_count += len(nxt)
         layer = nxt
 
     distinct_elements = len(element_to_vertex)
-    distinct_vertices = len(set(element_to_vertex.values()))
+    distinct_vertices = len({vertex for vertex, _ in element_to_vertex.values()})
     expected = ball_vertex_count(radius)
     injective = (
         consistent

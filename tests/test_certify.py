@@ -12,7 +12,8 @@ from quatlat.certify import (
 )
 from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
-from quatlat.quaternion import QuaternionAlgebra, named_elements, standard_algebra
+from quatlat.embeddings import RHO_T
+from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import parse_rational, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
@@ -99,6 +100,44 @@ def test_ball_check_fails_when_c1_is_swapped_for_d(monkeypatch):
     monkeypatch.setattr(certify, "standard_structure", lambda: swapped)
     for radius in (1, 3):
         assert not ball_check(radius).injective
+
+
+def test_ball_check_pays_one_product_and_two_actions_per_word(monkeypatch):
+    """Every word past the empty one costs one product and one act per tree,
+    so the counts are fixed by the word count (4,686 products and 9,372 act
+    calls at radius 5)."""
+    standard_structure()  # built, with its own products, before counting
+    calls = {"mul": 0, "act": 0}
+    mul, act = Quaternion.__mul__, certify.act
+
+    def counted_mul(p, q):
+        calls["mul"] += 1
+        return mul(p, q)
+
+    def counted_act(m, v):
+        calls["act"] += 1
+        return act(m, v)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted_mul)
+    monkeypatch.setattr(certify, "act", counted_act)
+    for radius in (3, 4):
+        calls.update(mul=0, act=0)
+        report = ball_check(radius)
+        assert report.injective
+        assert calls == {"mul": report.word_count - 1, "act": 2 * (report.word_count - 1)}
+
+
+def test_ball_check_fails_when_rho_t_is_twisted_by_d(monkeypatch):
+    """q -> rho_t(d q) is no longer a homomorphism, so the vertical factors
+    of distinct elements collide; the elements themselves stay distinct, so
+    only the vertex side of the check can turn it red."""
+    d = named_elements().D
+    monkeypatch.setattr(certify, "RHO_T", lambda q: RHO_T(d * q))
+    for radius in (2, 3, 4):
+        report = ball_check(radius)
+        assert not report.injective
+        assert report.distinct_elements == ball_vertex_count(radius)
+        assert report.distinct_vertices < report.distinct_elements
 
 
 def test_ball_check_guards():
