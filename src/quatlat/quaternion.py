@@ -17,8 +17,7 @@ numerators over one denominator, with gcd(n0, n1, n2, n3, den) = 1.  Since
 it directly; the coordinates as RationalFunction values are only a view,
 built each time it is read.  A product combines the numerators with carry-less
 products and XOR against the structure constants of the algebra and divides
-the five output ints by their gcd once; over denominator 1 there is
-nothing to divide, and the ints are stored as they are.  The norm, inverse and conjugate
+the five output ints by their gcd once.  The norm, inverse and conjugate
 read the stored ints, and the projective key is the numerator 4-tuple
 divided by its gcd (the denominator is a scalar).
 """
@@ -161,10 +160,8 @@ class Quaternion:
     __sub__ = __add__
 
     def __mul__(self, other: Quaternion) -> Quaternion:
-        alg = self.algebra
-        if alg is not other.algebra and alg != other.algebra:
-            raise AlgebraMismatchError("elements of different quaternion algebras")
-        one, a, b, ab = alg._ints
+        self._same_algebra(other)
+        one, a, b, ab = self.algebra._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = other._nums
         p1q1, p2q1, p2q3 = clmul(p1, q1), clmul(p2, q1), clmul(p2, q3)
@@ -172,21 +169,13 @@ class Quaternion:
         z1 = clmul(p0, q1) ^ clmul(p1, q0) ^ p1q1
         z2 = clmul(p0, q2) ^ clmul(p2, q0) ^ p2q1
         z3 = clmul(p0, q3) ^ clmul(p3, q0) ^ clmul(p1, q2 ^ q3) ^ p2q1
-        dp, dq = self._den, other._den
-        den = dq if dp == 1 else dp if dq == 1 else clmul(dp, dq)
+        den = clmul(self._den, other._den)
         if one != 1:  # a or b is not a polynomial
             z0, z1, z2, z3, den = (clmul(one, x) for x in (z0, z1, z2, z3, den))
         z0 ^= clmul(a, p1q1) ^ clmul(b, clmul(p2, q2) ^ p2q3) ^ clmul(ab, clmul(p3, q3))
         z1 ^= clmul(b, p2q3 ^ clmul(p3, q2))
         z2 ^= clmul(a, clmul(p1, q3) ^ clmul(p3, q1))
-        if den != 1:
-            return Quaternion._from_ints(alg, (z0, z1, z2, z3), den)
-        # over denominator 1 the form is already in lowest terms
-        q = object.__new__(Quaternion)
-        object.__setattr__(q, "algebra", alg)
-        object.__setattr__(q, "_nums", (z0, z1, z2, z3))
-        object.__setattr__(q, "_den", 1)
-        return q
+        return Quaternion._from_ints(self.algebra, (z0, z1, z2, z3), den)
 
     def scale(self, f: RationalFunction) -> Quaternion:
         nums = tuple(clmul(f.num, x) for x in self._nums)

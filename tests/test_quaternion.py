@@ -4,17 +4,16 @@ from quatlat.embeddings import RHO_Y
 from quatlat.quaternion import (
     AlgebraMismatchError,
     NotInvertibleError,
-    Quaternion,
     QuaternionAlgebra,
     is_ring_unit,
     named_elements,
     parse_quaternion,
     standard_algebra,
 )
-from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, _primitive_part, parse_rational, rf
+from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
 
-from conftest import make_rng, random_nonzero_poly, random_nonzero_quaternion, random_poly, random_quaternion
-from fraction_reference import reference_conj, reference_mul, reference_projective_eq
+from conftest import make_rng, random_nonzero_poly, random_nonzero_quaternion, random_quaternion
+from fraction_reference import reference_conj, reference_projective_eq
 
 
 def test_defining_relations():
@@ -160,42 +159,6 @@ def test_projective_canon_agrees_with_projective_eq(algebra):
             expected = reference_projective_eq(p, other)
             assert (p.projective_canon() == other.projective_canon()) == expected, (p, other)
         assert reference_projective_eq(p, p.scale(scale))
-
-
-def random_primitive(rng, alg: QuaternionAlgebra) -> Quaternion:
-    """A primitive polynomial 4-tuple over denominator 1, as the ball check
-    keeps its elements; about a quarter of the coordinates are zero."""
-    while True:
-        nums = tuple(random_poly(rng, 3) if rng.random() < 0.75 else 0 for _ in range(4))
-        if any(nums):
-            return Quaternion._from_ints(alg, _primitive_part(nums), 1)
-
-
-@pytest.mark.parametrize(
-    "alg",
-    [standard_algebra(), QuaternionAlgebra(rf(0b10, 0b11), rf(0b1001, 0b10))],
-    ids=["polynomial", "one-not-1"],
-)
-def test_mul_fast_path_matches_the_from_ints_path(alg):
-    """A product over denominator 1 skips `_from_ints`; it must be the very
-    form `_from_ints` gives.  In an algebra whose a or b is not a polynomial
-    the denominator is never 1 before reduction, so the product always
-    reduces; the reference product catches a fast path that fires there."""
-    rng = make_rng(13)
-    with_content = 0
-    for _ in range(200):
-        p = random_primitive(rng, alg)
-        # q = conj(p) makes p*q the scalar nrd(p): a product with a content
-        q = reference_conj(p) if rng.random() < 0.25 else random_primitive(rng, alg)
-        product = p * q
-        slow = Quaternion._from_ints(alg, product._nums, product._den)
-        assert product == slow and hash(product) == hash(slow)
-        assert (product._nums, product._den) == (slow._nums, slow._den)
-        assert product == reference_mul(p, q)
-        if product._den == 1 and not product.is_zero():
-            with_content += _primitive_part(product._nums) != product._nums
-    if alg._ints[0] == 1:
-        assert with_content > 20
 
 
 def test_algebra_mismatch_is_rejected():
