@@ -225,7 +225,7 @@ def ball_check(radius: int) -> BallCheckReport:
     w = standard_product_vertex()
     # element key -> (vertex, the element's one Quaternion)
     element_to_vertex: dict = {canon(one): (w, one)}
-    vertex_to_element: dict = {w: canon(one)}
+    vertices = {w}
     word_count = 1
     consistent = True
     # layer entries: (element, horizontal vertex, vertical vertex, leftmost letter)
@@ -242,10 +242,10 @@ def ball_check(radius: int) -> BallCheckReport:
                 if entry is None:
                     new_vert = (new_h, new_v)
                     entry = element_to_vertex[key] = (new_vert, primitive(alg, key, 1))
-                    if new_vert in vertex_to_element:
+                    if new_vert in vertices:
                         consistent = False
                     else:
-                        vertex_to_element[new_vert] = key
+                        vertices.add(new_vert)
                 elif entry[0] != (new_h, new_v):
                     consistent = False
                 append((entry[1], new_h, new_v, name))
@@ -253,12 +253,9 @@ def ball_check(radius: int) -> BallCheckReport:
         layer = nxt
 
     distinct_elements = len(element_to_vertex)
-    distinct_vertices = len({vertex for vertex, _ in element_to_vertex.values()})
+    distinct_vertices = len(vertices)
     expected = ball_vertex_count(radius)
-    injective = (
-        consistent
-        and distinct_elements == distinct_vertices == expected
-    )
+    injective = consistent and distinct_elements == distinct_vertices == expected
     return BallCheckReport(radius, word_count, distinct_elements, distinct_vertices, expected, injective)
 
 

@@ -11,9 +11,9 @@ z = y^2 + y resp. z = 1/(t^2 + t); the generator images are
 with u = t^2 + t substituted throughout.  Both satisfy the defining
 relations, and det(rho(q)) equals the embedded reduced norm.
 
-A Matrix2 is stored like a quaternion: four polynomial numerators over one
-denominator, in lowest terms, with the entries as RationalFunction values
-built each time they are read; products and det run on the stored ints.
+A Matrix2 is stored like a quaternion, in the form that
+`rational.OverOneDenominator` states once; products and det run on the
+stored ints.
 
 An embedding works on the five ints a quaternion stores (numerators
 n0..n3 over den) and never builds a fraction.  rho_y substitutes y^2 + y
@@ -31,74 +31,52 @@ coprime, so its image is built without a gcd.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .binpoly import clmul, compose, reverse
 from .quaternion import Quaternion
-from .rational import ONE_RF, ZERO_RF, RationalFunction, _common_form, _reduce_over, rf
+from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _common_form, rf
 
 
-class Matrix2:
-    """A 2x2 matrix over GF(2)(var), stored as four GF(2)[var] numerators
-    (e11, e12, e21, e22) over one denominator, in lowest terms; the entries
-    as reduced fractions are built when read.
+class Matrix2(OverOneDenominator):
+    """A 2x2 matrix over GF(2)(var) whose `entries` e11, e12, e21, e22 are
+    stored in the form of `rational.OverOneDenominator`.
 
     `_acts` maps each tree vertex v that `tree.act` has moved by this matrix
-    to m.v.  It lives and dies with the matrix: equality, hashing, copy and
-    pickle ignore it, and a copy starts with an empty one."""
+    to m.v.  It lives and dies with the matrix: every way of building one
+    starts it empty, equality and hashing ignore it, and copy and pickle
+    leave it out."""
 
-    __slots__ = ("var", "_nums", "_den", "_acts")
+    __slots__ = ("_acts",)
 
     def __init__(
         self, var: str, e11: RationalFunction, e12: RationalFunction, e21: RationalFunction, e22: RationalFunction
     ) -> None:
-        *nums, den = _common_form((e11, e12, e21, e22))  # the lcm of reduced denominators: already in lowest terms
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "_nums", tuple(nums))
-        object.__setattr__(self, "_den", den)
+        super().__init__(var, (e11, e12, e21, e22))
         object.__setattr__(self, "_acts", {})
 
     @classmethod
     def _from_ints(cls, var: str, nums: tuple[int, int, int, int], den: int) -> Matrix2:
-        """The matrix with numerators `nums` over `den` (nonzero), reduced once."""
-        m = object.__new__(cls)
-        nums, den = _reduce_over(nums, den)
-        object.__setattr__(m, "var", var)
-        object.__setattr__(m, "_nums", nums)
-        object.__setattr__(m, "_den", den)
+        m = super()._from_ints(var, nums, den)
         object.__setattr__(m, "_acts", {})
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Matrix2 is immutable; cannot set {name}")
-
-    def __reduce__(self):  # copy and pickle through the public constructor
-        return (Matrix2, (self.var, *self.entries))
 
     @classmethod
     def identity(cls, var: str) -> Matrix2:
         return cls._from_ints(var, (1, 0, 0, 1), 1)
 
-    @property
-    def entries(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
-        return tuple(RationalFunction(x, self._den) for x in self._nums)
-
+    var = property(attrgetter("_tag"))
+    entries = OverOneDenominator._fractions
     e11 = property(lambda self: RationalFunction(self._nums[0], self._den))
     e12 = property(lambda self: RationalFunction(self._nums[1], self._den))
     e21 = property(lambda self: RationalFunction(self._nums[2], self._den))
     e22 = property(lambda self: RationalFunction(self._nums[3], self._den))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return self.var == other.var and self._nums == other._nums and self._den == other._den
-
-    def __hash__(self) -> int:
-        return hash((self.var, self._nums, self._den))
-
     def __repr__(self) -> str:
         return f"Matrix2({self.var!r}, {self})"
 
     def __mul__(self, other: Matrix2) -> Matrix2:
-        self._same_var(other)
+        self._same_tag(other)
         a, b, c, d = self._nums
         e, f, g, h = other._nums
         nums = (
@@ -107,25 +85,11 @@ class Matrix2:
             clmul(c, e) ^ clmul(d, g),
             clmul(c, f) ^ clmul(d, h),
         )
-        return Matrix2._from_ints(self.var, nums, clmul(self._den, other._den))
-
-    def __add__(self, other: Matrix2) -> Matrix2:
-        self._same_var(other)
-        dp, dq = self._den, other._den
-        nums = tuple(clmul(x, dq) ^ clmul(y, dp) for x, y in zip(self._nums, other._nums))
-        return Matrix2._from_ints(self.var, nums, clmul(dp, dq))
-
-    def scale(self, f: RationalFunction) -> Matrix2:
-        nums = tuple(clmul(f.num, x) for x in self._nums)
-        return Matrix2._from_ints(self.var, nums, clmul(f.den, self._den))
+        return Matrix2._from_ints(self._tag, nums, clmul(self._den, other._den))
 
     def det(self) -> RationalFunction:
         a, b, c, d = self._nums
         return RationalFunction(clmul(a, d) ^ clmul(b, c), clmul(self._den, self._den))
-
-    def _same_var(self, other: Matrix2) -> None:
-        if self.var != other.var:
-            raise ValueError(f"matrices over different fields: {self.var} vs {other.var}")
 
     def __str__(self) -> str:
         e11, e12, e21, e22 = (e.to_string(self.var) for e in self.entries)

@@ -4,7 +4,7 @@ complex (see `squares`), and the generator assignments used for relator
 checks.
 
 The structure is cached, immutable and shared freely; `generator_images`
-builds a fresh dict on each call, so a caller may change its copy.
+reads one and builds a fresh dict on each call, so a caller may change it.
 """
 
 from __future__ import annotations
@@ -26,15 +26,11 @@ def standard_structure() -> V4Structure:
     return build_structure(a_side, b_side, ops)
 
 
-def generator_images() -> dict[str, Quaternion]:
-    """Quaternion images of all named presentation generators."""
-    ne = named_elements()
-    return {
-        "b1": ne.B1,
-        "b2": ne.B2,
-        "c1": ne.C1,
-        "c2": ne.C2,
-        "d": ne.D,
-        "a1": ne.C1 * ne.B1.inverse(),
-        "a2": ne.C2 * ne.B2.inverse(),
-    }
+def generator_images(structure: V4Structure) -> dict[str, Quaternion]:
+    """Quaternion images of all named presentation generators: b1, b2, c1
+    and c2 as the structure holds them, a1 = c1*b1^-1, a2 = c2*b2^-1, and d."""
+    images = {name: structure.elements[name] for name in ("b1", "b2", "c1", "c2")}
+    images["d"] = named_elements().D
+    images["a1"] = images["c1"] * images["b1"].inverse()
+    images["a2"] = images["c2"] * images["b2"].inverse()
+    return images

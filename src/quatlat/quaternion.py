@@ -11,37 +11,30 @@ in coordinates (x0, x1, x2, x3) it is (x0+x1, x1, x2, x3).  The reduced norm
 q*conj(q) is the scalar x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2), which
 is how it is computed, and the reduced trace q + conj(q) is x1.
 
-An element is stored the way the arithmetic uses it: four GF(2)[z]
-numerators over one denominator, with gcd(n0, n1, n2, n3, den) = 1.  Since
-1 is the only unit of GF(2)[z], that form is canonical, so == and hash read
-it directly; the coordinates as RationalFunction values are only a view,
-built each time it is read.  A product combines the numerators with carry-less
-products and XOR against the structure constants of the algebra and divides
-the five output ints by their gcd once.  The norm, inverse and conjugate
-read the stored ints, and the projective key is the numerator 4-tuple
-divided by its gcd (the denominator is a scalar).
+An element is stored in the form that `rational.OverOneDenominator` states
+once: four GF(2)[z] numerators over one denominator.  A product combines the
+numerators with carry-less products and XOR against the structure constants
+of the algebra and divides the five output ints by their gcd once.  The norm
+and the inverse read the stored ints, and the projective key is the
+numerator 4-tuple divided by its gcd (the denominator is a scalar).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .binpoly import cldivmod, clmul
 from .rational import (
     ONE_RF,
     ZERO_RF,
+    AlgebraMismatchError,  # re-exported: what mixing elements of two algebras raises
+    OverOneDenominator,
     RationalFunction,
-    _common_form,
     _primitive_part,
-    _reduce_over,
     parse_rational,
     rf,
 )
-
-
-class AlgebraMismatchError(ValueError):
-    pass
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -89,58 +82,14 @@ class QuaternionAlgebra(tuple):
         return self.element(ZERO_RF, ZERO_RF, ZERO_RF, ONE_RF)
 
 
-class Quaternion:
-    """An element x0 + x1*I + x2*J + x3*IJ.
+class Quaternion(OverOneDenominator):
+    """An element x0 + x1*I + x2*J + x3*IJ of `algebra`, built from the four
+    `coords` and stored in the form of `rational.OverOneDenominator`."""
 
-    Stored as four GF(2)[z] numerators over one denominator, with
-    gcd(n0, n1, n2, n3, den) = 1.  The only unit of GF(2)[z] is 1, so this
-    form is unique: equality and hashing compare it directly.  The
-    coordinates x_k = n_k / den as reduced fractions (`coords`) are built
-    anew each time they are read.
-    """
+    __slots__ = ()
 
-    __slots__ = ("algebra", "_nums", "_den")
-
-    def __init__(self, algebra: QuaternionAlgebra, coords) -> None:
-        coords = tuple(coords)
-        if len(coords) != 4:
-            raise ValueError("a quaternion has four coordinates")
-        *nums, den = _common_form(coords)  # the lcm of reduced denominators: already in lowest terms
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "_nums", tuple(nums))
-        object.__setattr__(self, "_den", den)
-
-    @classmethod
-    def _from_ints(cls, algebra: QuaternionAlgebra, nums: tuple[int, int, int, int], den: int) -> Quaternion:
-        """The element with numerators `nums` over `den` (nonzero), reduced once."""
-        q = object.__new__(cls)
-        nums, den = _reduce_over(nums, den)
-        object.__setattr__(q, "algebra", algebra)
-        object.__setattr__(q, "_nums", nums)
-        object.__setattr__(q, "_den", den)
-        return q
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Quaternion is immutable; cannot set {name}")
-
-    def __reduce__(self):  # copy and pickle through the public constructor
-        return (Quaternion, (self.algebra, self.coords))
-
-    @property
-    def coords(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
-        return tuple(RationalFunction(x, self._den) for x in self._nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return (
-            self._nums == other._nums
-            and self._den == other._den
-            and (self.algebra is other.algebra or self.algebra == other.algebra)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
+    algebra = property(attrgetter("_tag"))
+    coords = OverOneDenominator._fractions
 
     def __repr__(self) -> str:
         return f"Quaternion({self.to_string()!r})"
@@ -151,17 +100,9 @@ class Quaternion:
     def is_scalar(self) -> bool:
         return not any(self._nums[1:])
 
-    def __add__(self, other: Quaternion) -> Quaternion:
-        self._same_algebra(other)
-        dp, dq = self._den, other._den
-        nums = tuple(clmul(x, dq) ^ clmul(y, dp) for x, y in zip(self._nums, other._nums))
-        return Quaternion._from_ints(self.algebra, nums, clmul(dp, dq))
-
-    __sub__ = __add__
-
     def __mul__(self, other: Quaternion) -> Quaternion:
-        self._same_algebra(other)
-        one, a, b, ab = self.algebra._ints
+        self._same_tag(other)
+        one, a, b, ab = self._tag._ints  # the slot behind `algebra`, read without the property call
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = other._nums
         p1q1, p2q1, p2q3 = clmul(p1, q1), clmul(p2, q1), clmul(p2, q3)
@@ -175,11 +116,7 @@ class Quaternion:
         z0 ^= clmul(a, p1q1) ^ clmul(b, clmul(p2, q2) ^ p2q3) ^ clmul(ab, clmul(p3, q3))
         z1 ^= clmul(b, p2q3 ^ clmul(p3, q2))
         z2 ^= clmul(a, clmul(p1, q3) ^ clmul(p3, q1))
-        return Quaternion._from_ints(self.algebra, (z0, z1, z2, z3), den)
-
-    def scale(self, f: RationalFunction) -> Quaternion:
-        nums = tuple(clmul(f.num, x) for x in self._nums)
-        return Quaternion._from_ints(self.algebra, nums, clmul(f.den, self._den))
+        return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
@@ -214,10 +151,6 @@ class Quaternion:
         """Canonical representative: the primitive coordinate 4-tuple over
         GF(2)[z], the stored numerators divided by their gcd."""
         return _primitive_part(self._nums)
-
-    def _same_algebra(self, other: Quaternion) -> None:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AlgebraMismatchError("elements of different quaternion algebras")
 
     def to_string(self) -> str:
         var = self.algebra.var

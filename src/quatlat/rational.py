@@ -7,7 +7,8 @@ hashing compare (num, den) directly.  All operations are exact; the
 constructor reduces with one gcd, skipped when den is 1.  The hot paths of
 the layers above (quaternion products and norms, the splittings, the trees)
 compute on numerators over a shared denominator with the helpers at the end
-of this module and build a fraction only where one is asked for.
+of this module (`OverOneDenominator` for quaternions and 2x2 matrices) and
+build a fraction only where one is asked for.
 """
 
 from __future__ import annotations
@@ -179,3 +180,77 @@ def _primitive_part(nums: tuple[int, ...]) -> tuple[int, ...]:
     if content == 0:
         raise ValueError("the zero vector has no projective representative")
     return tuple(cldivmod(x, content)[0] for x in nums)
+
+
+class AlgebraMismatchError(ValueError):
+    """Arithmetic between values over different algebras or fields."""
+
+
+class OverOneDenominator:
+    """Four coordinates in GF(2)(x) stored as GF(2)[x] numerators n0..n3 over
+    one denominator den, with gcd(n0, n1, n2, n3, den) = 1: the form that
+    `quaternion.Quaternion` and `embeddings.Matrix2` share.
+
+    1 is the only unit of GF(2)[x], so the form is unique: == compares the
+    five ints and the tag (what the coordinates are over: a quaternion
+    algebra or a matrix's variable name), and hash reads the ints.  The
+    coordinates as reduced fractions are a view built when read.  Results of
+    arithmetic, copies and unpickled values are built by `_from_ints`, which
+    divides the five ints by their gcd once.  Values are immutable.
+    """
+
+    __slots__ = ("_tag", "_nums", "_den")
+
+    def __init__(self, tag, fracs) -> None:
+        fracs = tuple(fracs)
+        if len(fracs) != 4:
+            raise ValueError(f"a {type(self).__name__} has four coordinates")
+        *nums, den = _common_form(fracs)  # the lcm of reduced denominators: already in lowest terms
+        object.__setattr__(self, "_tag", tag)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _from_ints(cls, tag, nums: tuple[int, int, int, int], den: int):
+        """The value with numerators `nums` over `den` (nonzero), reduced once."""
+        x = object.__new__(cls)
+        nums, den = _reduce_over(nums, den)
+        object.__setattr__(x, "_tag", tag)
+        object.__setattr__(x, "_nums", nums)
+        object.__setattr__(x, "_den", den)
+        return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    def __reduce__(self):
+        return (self._from_ints, (self._tag, self._nums, self._den))
+
+    @property
+    def _fractions(self) -> tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]:
+        return tuple(RationalFunction(x, self._den) for x in self._nums)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        tags = self._tag is other._tag or self._tag == other._tag
+        return tags and self._nums == other._nums and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+    def __add__(self, other):
+        self._same_tag(other)
+        dp, dq = self._den, other._den
+        nums = tuple(clmul(x, dq) ^ clmul(y, dp) for x, y in zip(self._nums, other._nums))
+        return self._from_ints(self._tag, nums, clmul(dp, dq))
+
+    __sub__ = __add__  # characteristic 2
+
+    def scale(self, f: RationalFunction):
+        nums = tuple(clmul(f.num, x) for x in self._nums)
+        return self._from_ints(self._tag, nums, clmul(f.den, self._den))
+
+    def _same_tag(self, other) -> None:
+        if self._tag is not other._tag and self._tag != other._tag:
+            raise AlgebraMismatchError(f"values over different fields: {self._tag!r} vs {other._tag!r}")

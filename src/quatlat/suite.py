@@ -97,7 +97,7 @@ def local_groups_certificate(structure: V4Structure) -> CertificateResult:
 
 
 def relators_certificate(structure: V4Structure) -> CertificateResult:
-    images = generator_images()
+    images = generator_images(structure)
     failures = []
     for label, pres in fixed_presentations().items():
         for rel in pres.relators:

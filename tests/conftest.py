@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random generators for the property suites,
-a tree-vertex tail built from its exponents, a decoder for the paper's
-cycle notation of wreath permutations, and a bridge to sympy's GF(2)[x]."""
+the c1 -> d fault injection, a tree-vertex tail built from its exponents, a
+decoder for the paper's cycle notation of wreath permutations, and a bridge
+to sympy's GF(2)[x]."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import re
 import pytest
 
 from quatlat.embeddings import Matrix2
-from quatlat.quaternion import Quaternion, QuaternionAlgebra, standard_algebra
+from quatlat.lattice import standard_structure
+from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import ONE_RF, RationalFunction
 
 
@@ -101,6 +103,13 @@ def sympy_bridge():
         return sum((int(c) % 2) << k for (k,), c in p.terms())
 
     return sympy, x, poly, bits
+
+
+def c1_swapped_for_d():
+    """The standard structure with c1's element replaced by d: the fault
+    injection that every certificate reading the structure must catch."""
+    structure = standard_structure()
+    return structure._replace(elements={**structure.elements, "c1": named_elements().D})
 
 
 def make_tail(level: int, exponents) -> int:

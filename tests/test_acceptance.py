@@ -193,7 +193,7 @@ def test_criterion_09_simple_transitivity_ball():
 def test_criterion_10_presentations():
     with criterion(10, "presentations", budget_s=1.0):
         assert same_presentation(orbifold_presentation(standard_structure()), lambda_presentation())
-        images = generator_images()
+        images = generator_images(standard_structure())
         for name, pres in fixed_presentations().items():
             for rel in pres.relators:
                 assert is_projectively_trivial(evaluate_word(rel, images, pres)), (

@@ -17,6 +17,8 @@ from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, st
 from quatlat.rational import parse_rational, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
+from conftest import c1_swapped_for_d
+
 
 def test_ramified_places():
     assert ramified_places() == [PLACE_ONE, PLACE_ZETA]
@@ -95,8 +97,7 @@ def test_ball_check_fails_when_c1_is_swapped_for_d(monkeypatch):
     """d fixes the base vertex and is projectively its own inverse, so the
     structure's inverse pairing still holds, but the word c1 now lands on
     the base vertex, which the identity already holds."""
-    structure = standard_structure()
-    swapped = structure._replace(elements={**structure.elements, "c1": named_elements().D})
+    swapped = c1_swapped_for_d()
     monkeypatch.setattr(certify, "standard_structure", lambda: swapped)
     for radius in (1, 3):
         assert not ball_check(radius).injective

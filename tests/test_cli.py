@@ -118,7 +118,9 @@ def test_invariants_command(capsys):
 @pytest.mark.parametrize(
     "argv, fixture",
     (
+        (["verify", "--radius", "1", "--json"], "verify-r1.json"),
         (["verify", "--radius", "3", "--json"], "verify-r3.json"),
+        (["verify", "--radius", "5", "--json"], "verify-r5.json"),
         (["ball-check", "--radius", "5", "--json"], "ball-check-r5.json"),
         (["export", "--what", "complex", "--format", "json"], "complex.json"),
         (["export", "--what", "links", "--format", "dot"], "links.dot"),

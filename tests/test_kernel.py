@@ -10,6 +10,7 @@ terms and that ==, hash and the coordinate views agree with it.
 """
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -18,7 +19,7 @@ from quatlat.binpoly import clgcd, multiplicity
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.places import PLACE_ZERO, valuation
 from quatlat.embeddings import Matrix2
-from quatlat.quaternion import NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
+from quatlat.quaternion import AlgebraMismatchError, NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
 from quatlat.rational import RationalFunction, parse_rational
 from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
 
@@ -208,6 +209,25 @@ def test_stored_forms_survive_copy_and_pickle(alg):
         q.algebra = None
     with pytest.raises(AttributeError):
         m.var = "y"
+
+
+def test_quaternions_and_matrices_share_a_form_but_do_not_mix():
+    """With the same five ints, a Quaternion and a Matrix2 are still unequal
+    both ways, and + and * between them raise instead of returning a value.
+    Matrices over different variables raise a ValueError."""
+    nums, den = (0b1, 0b10, 0, 0b11), 0b111
+    q = Quaternion._from_ints(standard_algebra(), nums, den)
+    m = Matrix2._from_ints("z", nums, den)
+    assert (q._nums, q._den) == (m._nums, m._den) == (nums, den)
+    assert q != m and m != q and not q == m and not m == q
+    for x, y in ((q, m), (m, q)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(AlgebraMismatchError):
+                op(x, y)
+    y, t = Matrix2.identity("y"), Matrix2.identity("t")
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError):
+            op(y, t)
 
 
 def test_act_ignores_a_scalar_factor_of_the_matrix():

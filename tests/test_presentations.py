@@ -24,8 +24,12 @@ from quatlat.presentations import (
     reidemeister_schreier,
     same_presentation,
 )
+from quatlat.quaternion import named_elements
 from quatlat.smith import invariant_factors, smith_normal_form
 from quatlat.squares import GroupOps, build_structure
+from quatlat.suite import relators_certificate
+
+from conftest import c1_swapped_for_d
 
 # the Reidemeister-Schreier kernel of Lambda -> V4: Schreier generators
 # x{coset}_{gen} with cosets 1 = v, 2 = h, 3 = vh, and the 4 x 5 rewritten relators
@@ -123,14 +127,14 @@ def test_fixed_presentation_shapes():
 
 
 def test_relators_evaluate_projectively_trivially():
-    images = generator_images()
+    images = generator_images(standard_structure())
     for pres in fixed_presentations().values():
         for rel in pres.relators:
             assert is_projectively_trivial(evaluate_word(rel, images, pres))
 
 
 def test_evaluate_word_basics():
-    images = generator_images()
+    images = generator_images(standard_structure())
     lam = lambda_presentation()
     one = evaluate_word((), images, lam)
     assert one == images["b1"].algebra.one()
@@ -145,7 +149,7 @@ def test_evaluate_word_basics():
 
 
 def test_gamma_generators_are_the_stated_quaternions():
-    images = generator_images()
+    images = generator_images(standard_structure())
     ne_c1b1 = images["c1"] * images["b1"].inverse()
     assert images["a1"] == ne_c1b1
     assert images["a2"] == images["c2"] * images["b2"].inverse()
@@ -154,11 +158,39 @@ def test_gamma_generators_are_the_stated_quaternions():
 def test_generator_images_are_a_fresh_dict_per_call():
     """A caller that changes its dict (a perturbation test swapping c1 for
     d, say) leaves the images every later caller reads intact."""
-    expected = dict(generator_images())
-    images = generator_images()
+    structure = standard_structure()
+    expected = dict(generator_images(structure))
+    images = generator_images(structure)
     images["c1"] = images["d"]
     del images["b1"]
-    assert generator_images() == expected
+    assert generator_images(structure) == expected
+
+
+def test_generator_images_of_the_standard_structure_are_the_named_elements():
+    ne = named_elements()
+    assert generator_images(standard_structure()) == {
+        "b1": ne.B1,
+        "b2": ne.B2,
+        "c1": ne.C1,
+        "c2": ne.C2,
+        "d": ne.D,
+        "a1": ne.C1 * ne.B1.inverse(),
+        "a2": ne.C2 * ne.B2.inverse(),
+    }
+
+
+def test_relators_certificate_reads_its_structure():
+    """With c1 swapped for d, b1 b2 c1 b2 and both Gamma relators (a1 is
+    c1 b1^-1) no longer evaluate to scalars."""
+    assert relators_certificate(standard_structure()).passed
+    result = relators_certificate(c1_swapped_for_d())
+    assert not result.passed
+    assert result.details["failures"] == [
+        "lambda: b1b2c1b2",
+        "gr: b1b2c1b2",
+        "gamma: a2a1^-1a2^2a1a2a1a2^2a1^-1a2a1",
+        "gamma: a1a2^2a1^-1a2^2a1^-1a2^2a1a2a1^-1a2",
+    ]
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -18,6 +18,9 @@ from quatlat.squares import (
     v4_square_image,
     verify_v4,
 )
+from quatlat.suite import structure_certificate
+
+from conftest import c1_swapped_for_d
 
 
 def perm_ops() -> GroupOps:
@@ -48,6 +51,15 @@ def test_verify_v4_rejects_non_inverse_closed():
     failures = verify_v4(("b1",), ("b2",), {"b1": ne.B1, "b2": ne.B2}, standard_structure().ops)
     assert failures
     assert any("inverse" in f for f in failures)
+
+
+def test_structure_certificate_fails_when_c1_is_swapped_for_d():
+    """d is projectively its own inverse, so the inverse pairing still
+    holds, but the products AB and BA no longer agree as sets."""
+    assert structure_certificate(standard_structure()).passed
+    result = structure_certificate(c1_swapped_for_d())
+    assert not result.passed
+    assert result.details["verified"] is False
 
 
 def test_degenerate_identity_structure():
