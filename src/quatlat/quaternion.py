@@ -88,7 +88,7 @@ class Quaternion(OverOneDenominator):
 
     __slots__ = ()
 
-    algebra = property(attrgetter("_tag"))
+    algebra = property(attrgetter("_tag"))  # the methods read the slot, which saves a call per read
     coords = OverOneDenominator._fractions
 
     def __repr__(self) -> str:
@@ -102,7 +102,7 @@ class Quaternion(OverOneDenominator):
 
     def __mul__(self, other: Quaternion) -> Quaternion:
         self._same_tag(other)
-        one, a, b, ab = self._tag._ints  # the slot behind `algebra`, read without the property call
+        one, a, b, ab = self._tag._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = other._nums
         p1q1, p2q1, p2q3 = clmul(p1, q1), clmul(p2, q1), clmul(p2, q3)
@@ -121,12 +121,12 @@ class Quaternion(OverOneDenominator):
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
         den = self._den
-        return RationalFunction(self._norm_num(), clmul(self.algebra._ints[0], clmul(den, den)))
+        return RationalFunction(self._norm_num(), clmul(self._tag._ints[0], clmul(den, den)))
 
     def _norm_num(self) -> int:
         """The numerator of the reduced norm over one * den^2, where `one` is
         the common denominator of a and b."""
-        one, a, b, ab = self.algebra._ints
+        one, a, b, ab = self._tag._ints
         x0, x1, x2, x3 = self._nums
         return (
             clmul(one, clmul(x0, x0 ^ x1))
@@ -144,8 +144,8 @@ class Quaternion(OverOneDenominator):
         if norm == 0:
             raise NotInvertibleError("element has reduced norm zero")
         x0, x1, x2, x3 = self._nums
-        f = clmul(self.algebra._ints[0], self._den)
-        return Quaternion._from_ints(self.algebra, tuple(clmul(f, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
+        f = clmul(self._tag._ints[0], self._den)
+        return Quaternion._from_ints(self._tag, tuple(clmul(f, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
 
     def projective_canon(self) -> tuple[int, int, int, int]:
         """Canonical representative: the primitive coordinate 4-tuple over
@@ -153,7 +153,7 @@ class Quaternion(OverOneDenominator):
         return _primitive_part(self._nums)
 
     def to_string(self) -> str:
-        var = self.algebra.var
+        var = self._tag.var
         parts = []
         for coord, name in zip(self.coords, ("", "I", "J", "IJ")):
             if coord.is_zero():
