@@ -16,8 +16,9 @@ the tuple's, run in C, which the ball enumerations (dicts keyed by
 vertices) rely on.  A vertex equals the plain tuple of its coordinates.
 
 A vertex is a lattice class up to scalars, so a matrix acts through its
-polynomial numerators alone: `vertex_from_matrix` and `act` drop the
-shared denominator of a Matrix2 and, in `act`, scale the vertex matrix by a
+polynomial numerators alone: `vertex_from_matrix` and `act` read the
+stored form of a Matrix2 (its ints and its variable, the `_tag` slot behind
+`var`), drop the shared denominator and, in `act`, scale the vertex matrix by a
 power of pi so that every entry of the product is a polynomial.  The
 canonical form then needs only carry-less products, the lowest set bits of
 the entries (valuations at 0) and one truncated series division.
@@ -71,7 +72,7 @@ def standard_vertex(field: str) -> TreeVertex:
 
 def vertex_from_matrix(m: Matrix2) -> TreeVertex:
     """Canonical form of the lattice class spanned by the matrix columns."""
-    return _vertex(m.var, *m._nums)
+    return _vertex(m._tag, *m._nums)
 
 
 def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
@@ -101,7 +102,7 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     if image is not None:
         return image
     field, n, tail = v
-    if m.var != field:
+    if m._tag != field:
         raise ValueError("matrix and vertex live over different fields")
     # m is N/den for a polynomial matrix N, and the matrix of v is
     # [[pi^n, c], [0, 1]] with c = reverse(tail) * pi^(n - w), w the bit

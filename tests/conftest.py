@@ -106,8 +106,10 @@ def sympy_bridge():
 
 
 def c1_swapped_for_d():
-    """The standard structure with c1's element replaced by d: the fault
-    injection that every certificate reading the structure must catch."""
+    """The standard structure with c1's element replaced by d, a fault that
+    the ball check, `neighbors`, `relators` and `v4-structure` turn red on;
+    the certificates that read only the squares resolved when the structure
+    was built stay green."""
     structure = standard_structure()
     return structure._replace(elements={**structure.elements, "c1": named_elements().D})
 
