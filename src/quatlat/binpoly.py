@@ -19,9 +19,12 @@ import re
 
 
 def clmul(a: int, b: int) -> int:
-    """Carry-less product of two coefficient-bit ints."""
+    """Carry-less product of two coefficient-bit ints.  When the smaller
+    factor is 0 or 1 the product is returned at once, with no loop."""
     if a > b:
         a, b = b, a
+    if a < 2:
+        return a and b
     acc = 0
     while a:
         low = a & -a  # the lowest set bit x^k; b * x^k is a shift
@@ -45,14 +48,15 @@ def cldivmod(num: int, den: int) -> tuple[int, int]:
 
 
 def clgcd(a: int, b: int) -> int:
-    while b:
+    """The gcd by Euclid's algorithm, stopped at once at a unit remainder; clgcd(0, 0) is 0."""
+    while b > 1:
         dden = b.bit_length()
         shift = a.bit_length() - dden
         while shift >= 0:
             a ^= b << shift
             shift = a.bit_length() - dden
         a, b = b, a
-    return a
+    return b or a
 
 
 def clpow(p: int, n: int) -> int:

@@ -223,8 +223,8 @@ def ball_check(radius: int) -> BallCheckReport:
     follow[None] = list(steps.values())
 
     w = standard_product_vertex()
-    # element key -> (vertex, the element's one Quaternion)
-    element_to_vertex: dict = {canon(one): (w, one)}
+    # element key -> (horizontal vertex, vertical vertex, the element's one Quaternion)
+    element_to_vertex: dict = {canon(one): (w[0], w[1], one)}
     vertices = {w}
     word_count = 1
     consistent = True
@@ -241,14 +241,14 @@ def ball_check(radius: int) -> BallCheckReport:
                 entry = element_to_vertex.get(key)
                 if entry is None:
                     new_vert = (new_h, new_v)
-                    entry = element_to_vertex[key] = (new_vert, primitive(alg, key, 1))
+                    entry = element_to_vertex[key] = (new_h, new_v, primitive(alg, key, 1))
                     if new_vert in vertices:
                         consistent = False
                     else:
                         vertices.add(new_vert)
-                elif entry[0] != (new_h, new_v):
+                elif entry[0] != new_h or entry[1] != new_v:
                     consistent = False
-                append((entry[1], new_h, new_v, name))
+                append((entry[2], new_h, new_v, name))
         word_count += len(nxt)
         layer = nxt
 

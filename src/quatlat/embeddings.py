@@ -53,12 +53,12 @@ class Matrix2(OverOneDenominator):
         self, var: str, e11: RationalFunction, e12: RationalFunction, e21: RationalFunction, e22: RationalFunction
     ) -> None:
         super().__init__(var, (e11, e12, e21, e22))
-        object.__setattr__(self, "_acts", {})
+        _set__acts(self, {})
 
     @classmethod
     def _from_ints(cls, var: str, nums: tuple[int, int, int, int], den: int) -> Matrix2:
         m = super()._from_ints(var, nums, den)
-        object.__setattr__(m, "_acts", {})
+        _set__acts(m, {})
         return m
 
     @classmethod
@@ -94,6 +94,9 @@ class Matrix2(OverOneDenominator):
     def __str__(self) -> str:
         e11, e12, e21, e22 = (e.to_string(self.var) for e in self.entries)
         return f"[[{e11}, {e12}], [{e21}, {e22}]]"
+
+
+_set__acts = Matrix2._acts.__set__  # the slot's own setter, as in rational.OverOneDenominator
 
 
 # (x^2 + x)^k at index k; grows on demand to the largest degree substituted

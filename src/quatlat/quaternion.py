@@ -101,7 +101,8 @@ class Quaternion(OverOneDenominator):
         return not any(self._nums[1:])
 
     def __mul__(self, other: Quaternion) -> Quaternion:
-        self._same_tag(other)
+        if other._tag is not self._tag:
+            self._same_tag(other)
         one, a, b, ab = self._tag._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = other._nums

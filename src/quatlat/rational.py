@@ -30,16 +30,16 @@ class RationalFunction:
             g = clgcd(den, num)
             if g != 1:
                 num, den = cldivmod(num, g)[0], cldivmod(den, g)[0]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _coprime(cls, num: int, den: int) -> RationalFunction:
         """num/den for a pair already in lowest terms (den nonzero, and 1 when
         num is 0), built without the gcd."""
         f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
+        _set_num(f, num)
+        _set_den(f, den)
         return f
 
     def __setattr__(self, name, value):
@@ -112,6 +112,9 @@ class RationalFunction:
         return self.to_string()
 
 
+# _set_<slot>: the slots' own setters, through which the constructors write
+_set_num, _set_den = (getattr(RationalFunction, slot).__set__ for slot in RationalFunction.__slots__)
+
 rf = RationalFunction  # shorthand used all over the tests: rf(num_bits, den_bits=1)
 
 ZERO_RF = RationalFunction(0)
@@ -170,7 +173,9 @@ def _reduce_over(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]
 def _primitive_part(nums: tuple[int, ...]) -> tuple[int, ...]:
     """The polynomials divided by their gcd: the canonical representative of
     their projective class, since 1 is the only unit of GF(2)[z].  They must
-    not all be zero."""
+    not all be zero; a tuple holding a 1 is primitive and returned at once."""
+    if 1 in nums:
+        return nums
     content = 0
     for x in nums:
         if x:
@@ -196,7 +201,9 @@ class OverOneDenominator:
     algebra or a matrix's variable name), and hash reads the ints.  The
     coordinates as reduced fractions are a view built when read.  Results of
     arithmetic, copies and unpickled values are built by `_from_ints`, which
-    divides the five ints by their gcd once.  Values are immutable.
+    divides the five ints by their gcd once (not at all over denominator 1).
+    Construction writes through the slots' own setters, bound once below the
+    class; `__setattr__` refuses every other write, so values are immutable.
     """
 
     __slots__ = ("_tag", "_nums", "_den")
@@ -206,18 +213,19 @@ class OverOneDenominator:
         if len(fracs) != 4:
             raise ValueError(f"a {type(self).__name__} has four coordinates")
         *nums, den = _common_form(fracs)  # the lcm of reduced denominators: already in lowest terms
-        object.__setattr__(self, "_tag", tag)
-        object.__setattr__(self, "_nums", tuple(nums))
-        object.__setattr__(self, "_den", den)
+        _set__tag(self, tag)
+        _set__nums(self, tuple(nums))
+        _set__den(self, den)
 
     @classmethod
     def _from_ints(cls, tag, nums: tuple[int, int, int, int], den: int):
-        """The value with numerators `nums` over `den` (nonzero), reduced once."""
+        """The value with numerators `nums` (a tuple) over `den` (nonzero), reduced once unless den is 1."""
         x = object.__new__(cls)
-        nums, den = _reduce_over(nums, den)
-        object.__setattr__(x, "_tag", tag)
-        object.__setattr__(x, "_nums", nums)
-        object.__setattr__(x, "_den", den)
+        if den != 1:
+            nums, den = _reduce_over(nums, den)
+        _set__tag(x, tag)
+        _set__nums(x, nums)
+        _set__den(x, den)
         return x
 
     def __setattr__(self, name, value):
@@ -254,3 +262,7 @@ class OverOneDenominator:
     def _same_tag(self, other) -> None:
         if self._tag is not other._tag and self._tag != other._tag:
             raise AlgebraMismatchError(f"values over different fields: {self._tag!r} vs {other._tag!r}")
+
+
+# as for RationalFunction above
+_set__tag, _set__nums, _set__den = (getattr(OverOneDenominator, slot).__set__ for slot in OverOneDenominator.__slots__)

@@ -48,6 +48,53 @@ def test_mul_divmod_gcd():
             assert cldivmod(a, g)[1] == 0 and cldivmod(b, g)[1] == 0
 
 
+def _shift_and_add(a: int, b: int) -> int:
+    """Carry-less product the schoolbook way: b shifted by every set bit of a."""
+    acc = 0
+    for k in range(a.bit_length()):
+        if (a >> k) & 1:
+            acc ^= b << k
+    return acc
+
+
+def _euclid(a: int, b: int) -> int:
+    """gcd by Euclid's algorithm with no early exit."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def test_clmul_against_shift_and_add():
+    """The 0 and 1 short-cuts in either argument order, then random pairs."""
+    rng = make_rng(6)
+    for p in (0, 1, 0b10, 0b11, 0b1001, random_nonzero_poly(rng, 40)):
+        assert clmul(0, p) == clmul(p, 0) == _shift_and_add(0, p) == 0
+        assert clmul(1, p) == clmul(p, 1) == _shift_and_add(1, p) == p
+    for _ in range(500):
+        a, b = random_poly(rng, rng.randint(0, 30)), random_poly(rng, rng.randint(0, 30))
+        assert clmul(a, b) == clmul(b, a) == _shift_and_add(a, b)
+
+
+def test_clgcd_against_euclid():
+    """Coprime, equal, unit and zero operands, then random pairs with and
+    without a common factor."""
+    rng = make_rng(7)
+    z, one_z, zeta = 0b10, 0b11, 0b111
+    assert clgcd(z, one_z) == clgcd(clmul(z, z), zeta) == clgcd(0b1001, 0b1011) == 1  # coprime
+    assert clgcd(0, 0) == _euclid(0, 0) == 0
+    for p in (1, z, one_z, 0b1001, random_nonzero_poly(rng, 30)):
+        assert clgcd(p, p) == clgcd(p, 0) == clgcd(0, p) == p  # equal and zero
+        assert clgcd(1, p) == clgcd(p, 1) == 1  # unit
+        assert clgcd(clmul(p, z), clmul(p, one_z)) == p
+    for _ in range(500):
+        g = random_nonzero_poly(rng, 4) if rng.random() < 0.5 else 1
+        a = clmul(g, random_poly(rng, rng.randint(0, 20)))
+        b = clmul(g, random_poly(rng, rng.randint(0, 20)))
+        assert clgcd(a, b) == clgcd(b, a) == _euclid(a, b)
+
+
 def test_int_primitives_against_sympy():
     """clmul, cldivmod and clgcd against sympy's GF(2)[x] on random ints up to degree 40."""
     _, _, poly, bits = sympy_bridge()

@@ -115,20 +115,29 @@ def test_invariants_command(capsys):
     assert "kernel_dims" not in data
 
 
+def _fixture_case(argv, fixture, positional=None):
+    """A CLI call and the fixture its output must equal, with the fixture's
+    name as id, so adding a case renames no other.  The cases that had
+    positional ids before keep them as a prefix ("argv<k>-<fixture>"), so
+    recorded test names stay valid."""
+    return pytest.param(argv, fixture, id=fixture if positional is None else f"argv{positional}-{fixture}")
+
+
 @pytest.mark.parametrize(
     "argv, fixture",
     (
-        (["verify", "--radius", "3", "--json"], "verify-r3.json"),
-        (["ball-check", "--radius", "5", "--json"], "ball-check-r5.json"),
-        (["export", "--what", "complex", "--format", "json"], "complex.json"),
-        (["export", "--what", "links", "--format", "dot"], "links.dot"),
-        (["invariants", "--ell", "2", "3", "5", "7", "11", "13", "--json"], "invariants-ell.json"),
-        (["present", "lambda", "--json"], "present-lambda.json"),
-        (["present", "gr", "--json"], "present-gr.json"),
-        (["present", "gamma", "--json"], "present-gamma.json"),
-        (["present", "orbifold", "--json"], "present-orbifold.json"),
-        (["verify", "--radius", "1", "--json"], "verify-r1.json"),
-        (["verify", "--radius", "5", "--json"], "verify-r5.json"),
+        _fixture_case(["verify", "--radius", "3", "--json"], "verify-r3.json", 0),
+        _fixture_case(["ball-check", "--radius", "5", "--json"], "ball-check-r5.json", 1),
+        _fixture_case(["export", "--what", "complex", "--format", "json"], "complex.json", 2),
+        _fixture_case(["export", "--what", "links", "--format", "dot"], "links.dot", 3),
+        _fixture_case(["invariants", "--ell", "2", "3", "5", "7", "11", "13", "--json"], "invariants-ell.json", 4),
+        _fixture_case(["present", "lambda", "--json"], "present-lambda.json", 5),
+        _fixture_case(["present", "gr", "--json"], "present-gr.json", 6),
+        _fixture_case(["present", "gamma", "--json"], "present-gamma.json", 7),
+        _fixture_case(["present", "orbifold", "--json"], "present-orbifold.json", 8),
+        _fixture_case(["verify", "--radius", "1", "--json"], "verify-r1.json", 9),
+        _fixture_case(["verify", "--radius", "5", "--json"], "verify-r5.json", 10),
+        _fixture_case(["ball-check", "--radius", "6", "--json"], "ball-check-r6.json"),
     ),
 )
 def test_json_output_matches_fixture_byte_for_byte(argv, fixture, capsys):

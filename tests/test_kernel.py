@@ -15,12 +15,12 @@ import pickle
 
 import pytest
 
-from quatlat.binpoly import clgcd, multiplicity
+from quatlat.binpoly import cldivmod, clgcd, clmul, multiplicity
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.places import PLACE_ZERO, valuation
 from quatlat.embeddings import Matrix2
 from quatlat.quaternion import AlgebraMismatchError, NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
-from quatlat.rational import RationalFunction, parse_rational
+from quatlat.rational import RationalFunction, _primitive_part, _reduce_over, parse_rational
 from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
 
 from conftest import (
@@ -29,6 +29,7 @@ from conftest import (
     random_invertible_matrix,
     random_invertible_quaternion,
     random_nonzero_poly,
+    random_poly,
     random_quaternion,
     random_rational,
 )
@@ -159,6 +160,46 @@ def _quaternions_made_every_way(rng, alg):
     if not p.rnorm().is_zero():
         made.append(p.inverse())
     return made
+
+
+def _reference_primitive_part(nums) -> tuple[int, ...]:
+    content = _gcd_all(nums)
+    return tuple(cldivmod(x, content)[0] for x in nums)
+
+
+def test_primitive_part_against_the_gcd_of_all_coordinates():
+    """A 1 in any position is already primitive; contents z, 1+z and z(1+z)
+    are divided out; random tuples match dividing by the gcd of all four."""
+    rng = make_rng(72)
+    for k in range(4):
+        nums = [random_poly(rng, DEGREE) for _ in range(4)]
+        nums[k] = 1
+        assert _primitive_part(tuple(nums)) == tuple(nums)
+    primitive = (0b10, 0b11, 0b100, 0)  # gcd 1, no coordinate equal to 1
+    for content in (0b10, 0b11, 0b110):
+        scaled = tuple(clmul(content, x) for x in primitive)
+        assert _primitive_part(scaled) == primitive
+        assert _primitive_part(tuple(reversed(scaled))) == tuple(reversed(primitive))
+    for _ in range(SAMPLES):
+        nums = tuple(random_poly(rng, DEGREE) for _ in range(4))
+        if any(nums):
+            assert _primitive_part(nums) == _reference_primitive_part(nums)
+    with pytest.raises(ValueError):
+        _primitive_part((0, 0, 0, 0))
+
+
+def test_from_ints_over_one_equals_the_reduced_general_path(alg):
+    """Over denominator 1 `_from_ints` stores the numerators as given; that is
+    what the general path makes of the same value over any denominator."""
+    rng = make_rng(73)
+    for _ in range(SAMPLES):
+        nums = tuple(random_poly(rng, DEGREE) for _ in range(4))
+        c = random_nonzero_poly(rng, DEGREE)
+        over_one = Quaternion._from_ints(alg, nums, 1)
+        general = Quaternion._from_ints(alg, tuple(clmul(c, x) for x in nums), c)
+        assert (over_one._nums, over_one._den) == (general._nums, general._den) == _reduce_over(nums, 1)
+        assert over_one == general == Quaternion(alg, [RationalFunction(x) for x in nums])
+        assert Matrix2._from_ints("y", nums, 1) == Matrix2._from_ints("y", general._nums, general._den)
 
 
 def test_stored_forms_are_in_lowest_terms(alg):

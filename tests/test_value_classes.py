@@ -9,12 +9,12 @@ import pickle
 import pytest
 
 from quatlat.certify import BallCheckReport, CertificateResult, ball_check
-from quatlat.embeddings import RHO_T, RHO_Y
+from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.invariants import ComplexCounts, complex_counts
 from quatlat.places import PLACE_INF, PLACE_ONE, PLACE_ZERO, PLACE_ZETA, Place
 from quatlat.presentations import Presentation, lambda_presentation
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
-from quatlat.rational import rf
+from quatlat.rational import RationalFunction, rf
 from quatlat.squares import GroupOps, V4Structure, build_structure
 from quatlat.tree import ProductVertex, TreeVertex, act, standard_product_vertex, standard_vertex
 
@@ -66,6 +66,44 @@ def test_assignment_raises(obj, names):
     for name in (*names, "unknown_attribute"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+
+
+def _slotted_values_built_every_way() -> dict:
+    """Quaternions, matrices and fractions from each constructor that writes
+    the slots directly, by how they were built."""
+    alg = standard_algebra()
+    q = named_elements().B2
+    m = RHO_Y(q)
+    return {
+        "quaternion-init": q,
+        "quaternion-mul": q * q,
+        "quaternion-inverse": q.inverse(),
+        "quaternion-from-ints": Quaternion._from_ints(alg, (1, 0b10, 0, 0b11), 0b10),
+        "matrix-rho": m,
+        "matrix-mul": m * RHO_Y(q.inverse()),
+        "matrix-init": Matrix2("y", rf(0b10), rf(0), rf(1, 0b11), rf(1)),
+        "matrix-identity": Matrix2.identity("t"),
+        "fraction-init": rf(0b110, 0b10),
+        "fraction-coprime": RationalFunction._coprime(0b11, 0b10),
+        "fraction-rnorm": q.rnorm(),
+        "fraction-embed-scalar": RHO_T.embed_scalar(rf(0b111, 0b10)),
+    }
+
+
+SLOTTED = _slotted_values_built_every_way()
+
+
+@pytest.mark.parametrize("obj", SLOTTED.values(), ids=SLOTTED.keys())
+def test_every_slot_refuses_assignment_after_construction(obj):
+    if isinstance(obj, Matrix2):
+        act(obj, standard_vertex(obj.var))  # fills the act memo, which must stay the same dict
+    slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert slots and ("_acts" in slots) == isinstance(obj, Matrix2)
+    before = {name: getattr(obj, name) for name in slots}
+    for name in slots:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert all(getattr(obj, name) is value for name, value in before.items())
 
 
 def test_certificate_results_stay_mutable_and_own_their_details():
