@@ -183,6 +183,32 @@ class BallCheckReport(
         return dict(zip(self._fields, self))
 
 
+def _over_one_plus_z(x: int) -> int:
+    """x/(1+z) for x divisible by 1+z: bit k of the quotient is the XOR of
+    the bits above k of x, a suffix XOR taken in doubling strides."""
+    s, n = 1, x.bit_length()
+    while s < n:
+        x ^= x >> s
+        s += s
+    return x >> 1
+
+
+def _word_key(nums: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The numerators, not all zero, divided by the highest power of z and
+    then of 1+z that divides all four: common trailing zeros are shifted
+    out, and while every coordinate has even weight (f(1) = 0) all four are
+    divided by 1+z.  That is their primitive part whenever their content is
+    z^i (1+z)^j, which `ball_check` guarantees; see there."""
+    n0, n1, n2, n3 = nums
+    low = n0 | n1 | n2 | n3
+    shift = (low & -low).bit_length() - 1
+    if shift:
+        n0, n1, n2, n3 = n0 >> shift, n1 >> shift, n2 >> shift, n3 >> shift
+    while not (n0.bit_count() & 1 or n1.bit_count() & 1 or n2.bit_count() & 1 or n3.bit_count() & 1):
+        n0, n1, n2, n3 = _over_one_plus_z(n0), _over_one_plus_z(n1), _over_one_plus_z(n2), _over_one_plus_z(n3)
+    return n0, n1, n2, n3
+
+
 def ball_check(radius: int) -> BallCheckReport:
     """Enumerate freely reduced words in the generators up to the radius,
     intern their values projectively, act on the base vertex, and compare
@@ -199,17 +225,29 @@ def ball_check(radius: int) -> BallCheckReport:
 
     Every element is kept as its primitive representative: the projective
     key (a primitive polynomial 4-tuple) over denominator 1, one Quaternion
-    per distinct key.  A product of two such elements has denominator 1, so
-    its only gcd chain is the one that finds its key.  Nothing observable
-    changes: elements are interned projectively, and the vertices come from
-    the generators' matrices, whose scalar factors do not move a vertex (a
-    homothety class).  Vertices are plain (horizontal, vertical) pairs,
-    equal to and hashing as the ProductVertex of the same factors.
+    per distinct key.  Nothing observable changes: elements are interned
+    projectively, and the vertices come from the generators' matrices,
+    whose scalar factors do not move a vertex (a homothety class).
+    Vertices are plain (horizontal, vertical) pairs, equal to and hashing
+    as the ProductVertex of the same factors.
+
+    The key of a word is `_word_key` of the product, which divides out
+    powers of z and 1+z only and runs no gcd chain.  It is exact: every
+    generator key has reduced norm 1+z or z+z^2, a unit of R1, and nrd is
+    multiplicative, so by induction every interned element has norm
+    z^i (1+z)^j; for polynomial x with content c, c^2 divides nrd(x), so
+    the content of a product g*e is itself z^i (1+z)^j.  It is also sound
+    without that lemma: a key that is not fully reduced can only split a
+    projective class into several keys, never merge two classes, and both
+    halves of a split class act on the base vertex alike, so the second
+    half finds its vertex taken and the check turns red.  A wrong key can
+    never give a false pass.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     structure = standard_structure()
     canon = Quaternion.projective_canon
+    word_key = _word_key
     letters = list(structure.a_names) + list(structure.b_names)
     one = standard_algebra().one()
     alg = one.algebra
@@ -237,7 +275,7 @@ def ball_check(radius: int) -> BallCheckReport:
             for name, gen, my, mt in follow[first]:
                 new_h = act(my, horizontal)
                 new_v = act(mt, vertical)
-                key = canon(gen * elem)
+                key = word_key((gen * elem)._nums)
                 entry = element_to_vertex.get(key)
                 if entry is None:
                     new_vert = (new_h, new_v)

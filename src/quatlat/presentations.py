@@ -57,6 +57,9 @@ class Presentation:
     def __setattr__(self, name, value):
         raise AttributeError(f"Presentation is immutable; cannot set {name}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"Presentation is immutable; cannot delete {name}")
+
     def __reduce__(self):  # copy and pickle through the public constructor
         return (Presentation, (self.generators, self.relators))
 

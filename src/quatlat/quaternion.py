@@ -12,11 +12,14 @@ q*conj(q) is the scalar x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2), which
 is how it is computed, and the reduced trace q + conj(q) is x1.
 
 An element is stored in the form that `rational.OverOneDenominator` states
-once: four GF(2)[z] numerators over one denominator.  A product combines the
-numerators with carry-less products and XOR against the structure constants
-of the algebra and divides the five output ints by their gcd once.  The norm
-and the inverse read the stored ints, and the projective key is the
-numerator 4-tuple divided by its gcd (the denominator is a scalar).
+once: four GF(2)[z] numerators over one denominator.  A product is
+distributed over the left factor: each nonzero left coordinate scales the
+right factor times its basis element (q, I q, J q or IJ q, rows of
+carry-less products of the right numerators by the structure constants of
+the algebra), so a left coordinate 0 costs nothing and 1 costs only XOR.
+The sum is reduced once, by dividing the five output ints by their gcd.
+The norm and the inverse read the stored ints, and the projective key is
+the numerator 4-tuple divided by its gcd (the denominator is a scalar).
 """
 
 from __future__ import annotations
@@ -101,22 +104,80 @@ class Quaternion(OverOneDenominator):
         return not any(self._nums[1:])
 
     def __mul__(self, other: Quaternion) -> Quaternion:
+        """p*q = p0*q + p1*(I q) + p2*(J q) + p3*(IJ q), one left coordinate
+        at a time, with
+
+            I q  = (a q1, q0+q1, a q3, q2+q3),
+            J q  = (b (q2+q3), b q3, q0+q1, q1),
+            IJ q = (ab q3, b q2, a q1, q0),
+
+        where a q1 and b q2 are made once for the rows that share them.  A
+        zero left coordinate costs nothing and a coordinate 1 adds its row by
+        XOR alone.  So a product by a primitive generator key of the ball
+        check (its coordinates are 0, 1, 1+z, 1+z^2 or z+z^2), over the
+        standard algebra and denominator 1, makes 9 `clmul` calls for b1, 13
+        for b1^-1, 8 for c1 and c2 and 14 for b2 and b2^-1: one for the
+        denominator, four per coordinate other than 0 and 1, and one per
+        structure-constant product the nonzero rows need.  When a or b is
+        not a polynomial, the terms without a structure constant are
+        multiplied by `one`, the common denominator of a and b, which the
+        product's denominator also takes."""
         if other._tag is not self._tag:
             self._same_tag(other)
         one, a, b, ab = self._tag._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = other._nums
-        p1q1, p2q1, p2q3 = clmul(p1, q1), clmul(p2, q1), clmul(p2, q3)
-        z0 = clmul(p0, q0)
-        z1 = clmul(p0, q1) ^ clmul(p1, q0) ^ p1q1
-        z2 = clmul(p0, q2) ^ clmul(p2, q0) ^ p2q1
-        z3 = clmul(p0, q3) ^ clmul(p3, q0) ^ clmul(p1, q2 ^ q3) ^ p2q1
         den = clmul(self._den, other._den)
-        if one != 1:  # a or b is not a polynomial
-            z0, z1, z2, z3, den = (clmul(one, x) for x in (z0, z1, z2, z3, den))
-        z0 ^= clmul(a, p1q1) ^ clmul(b, clmul(p2, q2) ^ p2q3) ^ clmul(ab, clmul(p3, q3))
-        z1 ^= clmul(b, p2q3 ^ clmul(p3, q2))
-        z2 ^= clmul(a, clmul(p1, q3) ^ clmul(p3, q1))
+        if one == 1:
+            u0, u1, u2, u3 = q0, q1, q2, q3
+        else:  # a or b is not a polynomial
+            u0, u1, u2, u3, den = clmul(one, q0), clmul(one, q1), clmul(one, q2), clmul(one, q3), clmul(one, den)
+        if p0 == 1:
+            z0, z1, z2, z3 = u0, u1, u2, u3
+        elif p0:
+            z0, z1, z2, z3 = clmul(p0, u0), clmul(p0, u1), clmul(p0, u2), clmul(p0, u3)
+        else:
+            z0 = z1 = z2 = z3 = 0
+        if p1 or p3:
+            aq1 = clmul(a, q1)
+        if p2 or p3:
+            bq2 = clmul(b, q2)
+        if p1:  # I q
+            r2 = clmul(a, q3)
+            if p1 == 1:
+                z0 ^= aq1
+                z1 ^= u0 ^ u1
+                z2 ^= r2
+                z3 ^= u2 ^ u3
+            else:
+                z0 ^= clmul(p1, aq1)
+                z1 ^= clmul(p1, u0 ^ u1)
+                z2 ^= clmul(p1, r2)
+                z3 ^= clmul(p1, u2 ^ u3)
+        if p2:  # J q
+            r1 = clmul(b, q3)
+            if p2 == 1:
+                z0 ^= bq2 ^ r1
+                z1 ^= r1
+                z2 ^= u0 ^ u1
+                z3 ^= u1
+            else:
+                z0 ^= clmul(p2, bq2 ^ r1)
+                z1 ^= clmul(p2, r1)
+                z2 ^= clmul(p2, u0 ^ u1)
+                z3 ^= clmul(p2, u1)
+        if p3:  # IJ q
+            r0 = clmul(ab, q3)
+            if p3 == 1:
+                z0 ^= r0
+                z1 ^= bq2
+                z2 ^= aq1
+                z3 ^= u0
+            else:
+                z0 ^= clmul(p3, r0)
+                z1 ^= clmul(p3, bq2)
+                z2 ^= clmul(p3, aq1)
+                z3 ^= clmul(p3, u0)
         return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
 
     def rnorm(self) -> RationalFunction:

@@ -45,6 +45,9 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError(f"RationalFunction is immutable; cannot set {name}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"RationalFunction is immutable; cannot delete {name}")
+
     def __reduce__(self):
         return (RationalFunction, (self.num, self.den))
 
@@ -203,7 +206,8 @@ class OverOneDenominator:
     arithmetic, copies and unpickled values are built by `_from_ints`, which
     divides the five ints by their gcd once (not at all over denominator 1).
     Construction writes through the slots' own setters, bound once below the
-    class; `__setattr__` refuses every other write, so values are immutable.
+    class; `__setattr__` and `__delattr__` refuse every other write, so values
+    are immutable.
     """
 
     __slots__ = ("_tag", "_nums", "_den")
@@ -230,6 +234,9 @@ class OverOneDenominator:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name}")
 
     def __reduce__(self):
         return (self._from_ints, (self._tag, self._nums, self._den))

@@ -10,11 +10,12 @@ from quatlat.certify import (
     ramified_places,
     stabilizer_certificate,
 )
+from quatlat.binpoly import cldivmod
 from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
 from quatlat.embeddings import RHO_T
-from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
-from quatlat.rational import parse_rational, rf
+from quatlat.quaternion import Quaternion, QuaternionAlgebra, is_ring_unit, named_elements, standard_algebra
+from quatlat.rational import _primitive_part, parse_rational, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
 from conftest import c1_swapped_for_d
@@ -139,6 +140,54 @@ def test_ball_check_fails_when_rho_t_is_twisted_by_d(monkeypatch):
         assert not report.injective
         assert report.distinct_elements == ball_vertex_count(radius)
         assert report.distinct_vertices < report.distinct_elements
+
+
+def test_word_key_is_the_primitive_part_of_every_ball_product(monkeypatch):
+    """The gcd-free key divides out z and 1+z only; on every product of the
+    check at radius 6 that is the whole content, and the contents met
+    include both factors and their product."""
+    word_key = certify._word_key
+    contents = set()
+    mismatches = []
+
+    def checked(nums):
+        key = word_key(nums)
+        if key != _primitive_part(nums):
+            mismatches.append(nums)
+        contents.add(next(cldivmod(x, y)[0] for x, y in zip(nums, key) if y))
+        return key
+
+    monkeypatch.setattr(certify, "_word_key", checked)
+    report = ball_check(6)
+    assert report.injective and not mismatches
+    assert {1, 0b10, 0b11, 0b110} <= contents
+
+
+def test_generator_keys_have_norms_that_are_units_of_r1():
+    """The precondition of the word key's exactness: each primitive
+    generator key has reduced norm 1+z or z+z^2."""
+    structure = standard_structure()
+    alg = standard_algebra()
+    for name in (*structure.a_names, *structure.b_names):
+        key = Quaternion._from_ints(alg, structure.elements[name].projective_canon(), 1)
+        norm = key.rnorm()
+        assert is_ring_unit(norm, "R1"), name
+        assert norm in (rf(0b11), rf(0b110)), name
+
+
+def test_ball_check_fails_when_the_word_key_divides_out_z_only(monkeypatch):
+    """A key that leaves a factor 1+z in some products splits their
+    projective classes: the second half of a class finds its vertex taken."""
+
+    def z_only(nums):
+        low = nums[0] | nums[1] | nums[2] | nums[3]
+        shift = (low & -low).bit_length() - 1
+        return tuple(x >> shift for x in nums)
+
+    monkeypatch.setattr(certify, "_word_key", z_only)
+    report = ball_check(3)
+    assert not report.injective
+    assert (report.distinct_elements, report.distinct_vertices) == (94, 88)
 
 
 def test_ball_check_guards():

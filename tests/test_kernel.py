@@ -19,8 +19,10 @@ from quatlat.binpoly import cldivmod, clgcd, clmul, multiplicity
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.places import PLACE_ZERO, valuation
 from quatlat.embeddings import Matrix2
+from quatlat import quaternion
+from quatlat.lattice import standard_structure
 from quatlat.quaternion import AlgebraMismatchError, NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
-from quatlat.rational import RationalFunction, _primitive_part, _reduce_over, parse_rational
+from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, _primitive_part, _reduce_over, parse_rational
 from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
 
 from conftest import (
@@ -74,6 +76,60 @@ def test_product_matches_the_fraction_formula(alg):
         got = p * q
         assert got == Quaternion(alg, want), (p, q)
         assert got.coords == want, (p, q)  # the view built from the stored ints
+
+
+def _sparse_left_factor(rng, alg) -> Quaternion:
+    """Coordinates each 0, 1 or a random polynomial, or, one time in four,
+    all of them over a shared random denominator."""
+    coords = [rng.choice((ZERO_RF, ONE_RF, RationalFunction(random_nonzero_poly(rng, DEGREE)))) for _ in range(4)]
+    if rng.random() < 0.25:
+        den = RationalFunction(1, random_nonzero_poly(rng, DEGREE))
+        coords = [c * den for c in coords]
+    return Quaternion(alg, coords)
+
+
+def test_product_by_sparse_left_factors_matches_the_fraction_formula(alg):
+    """The product skips a left numerator 0 and adds the row of a left
+    numerator 1 by XOR; each of the four positions takes the zero, the unit
+    and the general branch, in the polynomial and the non-polynomial
+    algebra alike."""
+    rng = make_rng(74)
+    branches = set()
+    for _ in range(SAMPLES):
+        p = _sparse_left_factor(rng, alg)
+        q = random_quaternion(rng, alg, DEGREE)
+        branches.update((k, min(x, 2)) for k, x in enumerate(p._nums))
+        want = reference_mul(p, q).coords
+        got = p * q
+        assert got == Quaternion(alg, want), (p, q)
+        assert got.coords == want, (p, q)
+    assert branches == {(k, kind) for k in range(4) for kind in range(3)}
+
+
+def test_generator_keys_pay_the_documented_clmul_calls(monkeypatch):
+    """The ball check multiplies by the six primitive generator keys, whose
+    coordinates are 0, 1, 1+z, 1+z^2 or z+z^2; `Quaternion.__mul__` states
+    what each costs over denominator 1, whatever the right factor."""
+    structure = standard_structure()
+    alg = standard_algebra()
+    keys = {name: Quaternion._from_ints(alg, structure.elements[name].projective_canon(), 1) for name in structure.elements}
+    assert {x for key in keys.values() for x in key._nums} == {0, 1, 0b11, 0b101, 0b110}
+    rng = make_rng(75)
+    rights = [Quaternion._from_ints(alg, tuple(random_nonzero_poly(rng, 6) for _ in range(4)), 1) for _ in range(20)]
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return clmul(x, y)
+
+    monkeypatch.setattr(quaternion, "clmul", counted)
+    expected = {"b1": 9, "b1^-1": 13, "c1": 8, "b2": 14, "b2^-1": 14, "c2": 8}
+    for name, g in keys.items():
+        for e in rights:
+            calls = 0
+            g * e
+            assert calls == expected[name], (name, e)
 
 
 def test_inverse_is_conj_over_norm(alg):

@@ -68,6 +68,15 @@ def test_assignment_raises(obj, names):
             setattr(obj, name, None)
 
 
+@pytest.mark.parametrize("obj, names", FROZEN, ids=FROZEN_IDS)
+def test_deletion_raises(obj, names):
+    before = _fields(obj, names)
+    for name in (*names, "unknown_attribute"):
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert _fields(obj, names) == before
+
+
 def _slotted_values_built_every_way() -> dict:
     """Quaternions, matrices and fractions from each constructor that writes
     the slots directly, by how they were built."""
@@ -103,7 +112,10 @@ def test_every_slot_refuses_assignment_after_construction(obj):
     for name in slots:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
     assert all(getattr(obj, name) is value for name, value in before.items())
+    repr(obj)  # every slot is still there to print
 
 
 def test_certificate_results_stay_mutable_and_own_their_details():
