@@ -198,12 +198,15 @@ def _word_key(nums: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     then of 1+z that divides all four: common trailing zeros are shifted
     out, and while every coordinate has even weight (f(1) = 0) all four are
     divided by 1+z.  That is their primitive part whenever their content is
-    z^i (1+z)^j, which `ball_check` guarantees; see there."""
+    z^i (1+z)^j, which `ball_check` guarantees; see there.  When there is
+    nothing to divide, the common case, `nums` itself is returned."""
     n0, n1, n2, n3 = nums
     low = n0 | n1 | n2 | n3
     shift = (low & -low).bit_length() - 1
     if shift:
         n0, n1, n2, n3 = n0 >> shift, n1 >> shift, n2 >> shift, n3 >> shift
+    elif n0.bit_count() & 1 or n1.bit_count() & 1 or n2.bit_count() & 1 or n3.bit_count() & 1:
+        return nums  # nothing to divide
     while not (n0.bit_count() & 1 or n1.bit_count() & 1 or n2.bit_count() & 1 or n3.bit_count() & 1):
         n0, n1, n2, n3 = _over_one_plus_z(n0), _over_one_plus_z(n1), _over_one_plus_z(n2), _over_one_plus_z(n3)
     return n0, n1, n2, n3

@@ -13,11 +13,14 @@ is how it is computed, and the reduced trace q + conj(q) is x1.
 
 An element is stored in the form that `rational.OverOneDenominator` states
 once: four GF(2)[z] numerators over one denominator.  A product is
-distributed over the left factor: each nonzero left coordinate scales the
-right factor times its basis element (q, I q, J q or IJ q, rows of
-carry-less products of the right numerators by the structure constants of
-the algebra), so a left coordinate 0 costs nothing and 1 costs only XOR.
-The sum is reduced once, by dividing the five output ints by their gcd.
+distributed over the left factor: each nonzero left coordinate scales a row
+of four, the right factor times its basis element (q, I q, J q or IJ q), in
+one loop over the coordinate's set bits, where the bit x^k adds the row
+times 2^k.  The structure constants enter the rows the same way, so the
+loops run over the short left coordinates and a, b, ab, never over the right
+numerators; when a and b are polynomials, no `clmul` is called unless both
+denominators differ from 1.  The sum is reduced once, by dividing the five
+output ints by their gcd.
 The norm and the inverse read the stored ints, and the projective key is
 the numerator 4-tuple divided by its gcd (the denominator is a scalar).
 """
@@ -109,75 +112,93 @@ class Quaternion(OverOneDenominator):
 
             I q  = (a q1, q0+q1, a q3, q2+q3),
             J q  = (b (q2+q3), b q3, q0+q1, q1),
-            IJ q = (ab q3, b q2, a q1, q0),
+            IJ q = (ab q3, b q2, a q1, q0).
 
-        where a q1 and b q2 are made once for the rows that share them.  A
-        zero left coordinate costs nothing and a coordinate 1 adds its row by
-        XOR alone.  So a product by a primitive generator key of the ball
-        check (its coordinates are 0, 1, 1+z, 1+z^2 or z+z^2), over the
-        standard algebra and denominator 1, makes 9 `clmul` calls for b1, 13
-        for b1^-1, 8 for c1 and c2 and 14 for b2 and b2^-1: one for the
-        denominator, four per coordinate other than 0 and 1, and one per
-        structure-constant product the nonzero rows need.  When a or b is
-        not a polynomial, the terms without a structure constant are
-        multiplied by `one`, the common denominator of a and b, which the
-        product's denominator also takes."""
+        Each row of four is scaled by its left coordinate in one loop over
+        that coordinate's set bits, the bit x^k adding the row times 2^k to
+        the four outputs, so a zero left coordinate costs nothing.  The
+        structure constants are applied the same way, each only when a
+        nonzero row needs it: one loop over the bits of a makes a q1 and
+        a q3, one over b makes b q2 and b q3, and one over ab makes ab q3.
+        The denominator is the other factor's when one of the two is 1.  So
+        a right coordinate 0 or 1 costs one multiply like any other, and a
+        product in the standard algebra makes no `clmul` call when either
+        denominator is 1, and one call, for the denominator, when neither
+        is.  When a or b is not a polynomial, the terms without a structure
+        constant and the denominator are multiplied by `one`, the common
+        denominator of a and b, in five more calls."""
         if other._tag is not self._tag:
             self._same_tag(other)
         one, a, b, ab = self._tag._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = other._nums
-        den = clmul(self._den, other._den)
+        den = self._den
+        if den == 1:
+            den = other._den
+        elif other._den != 1:
+            den = clmul(den, other._den)
         if one == 1:
             u0, u1, u2, u3 = q0, q1, q2, q3
         else:  # a or b is not a polynomial
             u0, u1, u2, u3, den = clmul(one, q0), clmul(one, q1), clmul(one, q2), clmul(one, q3), clmul(one, den)
-        if p0 == 1:
-            z0, z1, z2, z3 = u0, u1, u2, u3
-        elif p0:
-            z0, z1, z2, z3 = clmul(p0, u0), clmul(p0, u1), clmul(p0, u2), clmul(p0, u3)
-        else:
-            z0 = z1 = z2 = z3 = 0
+        z0 = z1 = z2 = z3 = 0
+        while p0:  # q
+            low = p0 & -p0
+            z0 ^= u0 * low
+            z1 ^= u1 * low
+            z2 ^= u2 * low
+            z3 ^= u3 * low
+            p0 ^= low
         if p1 or p3:
-            aq1 = clmul(a, q1)
+            aq1 = aq3 = 0
+            x = a
+            while x:
+                low = x & -x
+                aq1 ^= q1 * low
+                aq3 ^= q3 * low
+                x ^= low
         if p2 or p3:
-            bq2 = clmul(b, q2)
+            bq2 = bq3 = 0
+            x = b
+            while x:
+                low = x & -x
+                bq2 ^= q2 * low
+                bq3 ^= q3 * low
+                x ^= low
         if p1:  # I q
-            r2 = clmul(a, q3)
-            if p1 == 1:
-                z0 ^= aq1
-                z1 ^= u0 ^ u1
-                z2 ^= r2
-                z3 ^= u2 ^ u3
-            else:
-                z0 ^= clmul(p1, aq1)
-                z1 ^= clmul(p1, u0 ^ u1)
-                z2 ^= clmul(p1, r2)
-                z3 ^= clmul(p1, u2 ^ u3)
+            r1 = u0 ^ u1
+            r3 = u2 ^ u3
+            while p1:
+                low = p1 & -p1
+                z0 ^= aq1 * low
+                z1 ^= r1 * low
+                z2 ^= aq3 * low
+                z3 ^= r3 * low
+                p1 ^= low
         if p2:  # J q
-            r1 = clmul(b, q3)
-            if p2 == 1:
-                z0 ^= bq2 ^ r1
-                z1 ^= r1
-                z2 ^= u0 ^ u1
-                z3 ^= u1
-            else:
-                z0 ^= clmul(p2, bq2 ^ r1)
-                z1 ^= clmul(p2, r1)
-                z2 ^= clmul(p2, u0 ^ u1)
-                z3 ^= clmul(p2, u1)
+            r0 = bq2 ^ bq3
+            r2 = u0 ^ u1
+            while p2:
+                low = p2 & -p2
+                z0 ^= r0 * low
+                z1 ^= bq3 * low
+                z2 ^= r2 * low
+                z3 ^= u1 * low
+                p2 ^= low
         if p3:  # IJ q
-            r0 = clmul(ab, q3)
-            if p3 == 1:
-                z0 ^= r0
-                z1 ^= bq2
-                z2 ^= aq1
-                z3 ^= u0
-            else:
-                z0 ^= clmul(p3, r0)
-                z1 ^= clmul(p3, bq2)
-                z2 ^= clmul(p3, aq1)
-                z3 ^= clmul(p3, u0)
+            abq3 = 0
+            x = ab
+            while x:
+                low = x & -x
+                abq3 ^= q3 * low
+                x ^= low
+            while p3:
+                low = p3 & -p3
+                z0 ^= abq3 * low
+                z1 ^= bq2 * low
+                z2 ^= aq1 * low
+                z3 ^= u0 * low
+                p3 ^= low
         return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
 
     def rnorm(self) -> RationalFunction:

@@ -10,7 +10,7 @@ from quatlat.certify import (
     ramified_places,
     stabilizer_certificate,
 )
-from quatlat.binpoly import cldivmod
+from quatlat.binpoly import cldivmod, clmul
 from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
 from quatlat.embeddings import RHO_T
@@ -161,6 +161,18 @@ def test_word_key_is_the_primitive_part_of_every_ball_product(monkeypatch):
     report = ball_check(6)
     assert report.injective and not mismatches
     assert {1, 0b10, 0b11, 0b110} <= contents
+
+
+def test_word_key_divides_out_z_and_one_plus_z_on_hand_made_tuples():
+    """A primitive tuple comes back as itself, with no copy; times z^3,
+    times (1+z)^2 and times both, it comes back divided by exactly that."""
+    base = (0b1011, 0b110, 0, 0b11)  # primitive, with weights 3, 2, 0, 2
+    assert certify._word_key(base) is base and _primitive_part(base) == base
+    for content in (0b1000, 0b101, 0b101000):  # z^3, (1+z)^2 = 1+z^2, z^3 (1+z)^2
+        nums = tuple(clmul(content, x) for x in base)
+        key = certify._word_key(nums)
+        assert key == base == _primitive_part(nums), content
+        assert key is not nums
 
 
 def test_generator_keys_have_norms_that_are_units_of_r1():

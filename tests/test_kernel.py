@@ -106,16 +106,45 @@ def test_product_by_sparse_left_factors_matches_the_fraction_formula(alg):
     assert branches == {(k, kind) for k in range(4) for kind in range(3)}
 
 
+def _over(rng, alg, nums, den_one: bool) -> Quaternion:
+    """The numerators over 1, or over a random denominator of degree 1 to 3."""
+    den = 1 if den_one else random_nonzero_poly(rng, DEGREE - 1) << 1 | 1
+    return Quaternion(alg, [RationalFunction(x, den) for x in nums])
+
+
+def test_product_of_dense_left_and_sparse_right_factors_matches_the_fraction_formula(alg):
+    """The product loops over the set bits of each left coordinate; here the
+    left coordinates have many more bits than the right ones, which are
+    often 0 or 1, and the denominator 1 is on the left only, on the right
+    only, on both sides or on neither."""
+    rng = make_rng(76)
+    cases = set()
+    for k in range(SAMPLES):
+        left = [random_nonzero_poly(rng, 16) | 1 << 16 for _ in range(4)]
+        right = [rng.choice((0, 1, random_nonzero_poly(rng, 2))) for _ in range(4)]
+        p = _over(rng, alg, left, k & 1)
+        q = _over(rng, alg, right, k & 2)
+        cases.add((p._den == 1, q._den == 1))
+        want = reference_mul(p, q).coords
+        got = p * q
+        assert got == Quaternion(alg, want), (p, q)
+        assert got.coords == want, (p, q)
+    assert cases == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_generator_keys_pay_the_documented_clmul_calls(monkeypatch):
     """The ball check multiplies by the six primitive generator keys, whose
-    coordinates are 0, 1, 1+z, 1+z^2 or z+z^2; `Quaternion.__mul__` states
-    what each costs over denominator 1, whatever the right factor."""
+    coordinates are 0, 1, 1+z, 1+z^2 or z+z^2.  As `Quaternion.__mul__`
+    states, a product in the standard algebra makes no `clmul` call when
+    either denominator is 1, whatever the right factor, and one call, for
+    the denominator, when neither is."""
     structure = standard_structure()
     alg = standard_algebra()
     keys = {name: Quaternion._from_ints(alg, structure.elements[name].projective_canon(), 1) for name in structure.elements}
     assert {x for key in keys.values() for x in key._nums} == {0, 1, 0b11, 0b101, 0b110}
     rng = make_rng(75)
-    rights = [Quaternion._from_ints(alg, tuple(random_nonzero_poly(rng, 6) for _ in range(4)), 1) for _ in range(20)]
+    rights = [_over(rng, alg, [random_poly(rng, 6) for _ in range(4)], k < 10) for k in range(20)]
+    assert sum(e._den == 1 for e in rights) == 10
     calls = 0
 
     def counted(x, y):
@@ -124,12 +153,13 @@ def test_generator_keys_pay_the_documented_clmul_calls(monkeypatch):
         return clmul(x, y)
 
     monkeypatch.setattr(quaternion, "clmul", counted)
-    expected = {"b1": 9, "b1^-1": 13, "c1": 8, "b2": 14, "b2^-1": 14, "c2": 8}
     for name, g in keys.items():
+        g_over_z = Quaternion._from_ints(alg, g._nums, 0b10)
         for e in rights:
-            calls = 0
-            g * e
-            assert calls == expected[name], (name, e)
+            for left, right, expected in ((g, e, 0), (e, g, 0), (g_over_z, e, e._den != 1)):
+                calls = 0
+                left * right
+                assert calls == expected, (name, left, right)
 
 
 def test_inverse_is_conj_over_norm(alg):
