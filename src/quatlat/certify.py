@@ -93,8 +93,9 @@ def discriminant_certificate() -> CertificateResult:
 
 def _mod_pi_matrix(m: Matrix2) -> list[list[int]] | None:
     """Reduce an integral matrix modulo the uniformizer; None if not integral."""
+    e11, e12, e21, e22 = m.entries
     out = []
-    for row in ((m.e11, m.e12), (m.e21, m.e22)):
+    for row in ((e11, e12), (e21, e22)):
         line = []
         for e in row:
             v = valuation(e, PLACE_ZERO)

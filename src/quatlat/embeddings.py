@@ -67,10 +67,6 @@ class Matrix2(OverOneDenominator):
 
     var = property(attrgetter("_tag"))
     entries = OverOneDenominator._fractions
-    e11 = property(lambda self: RationalFunction(self._nums[0], self._den))
-    e12 = property(lambda self: RationalFunction(self._nums[1], self._den))
-    e21 = property(lambda self: RationalFunction(self._nums[2], self._den))
-    e22 = property(lambda self: RationalFunction(self._nums[3], self._den))
 
     def __repr__(self) -> str:
         return f"Matrix2({self.var!r}, {self})"

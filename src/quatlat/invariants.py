@@ -112,7 +112,8 @@ def boundary_matrix(structure: V4Structure) -> list[list[int]]:
 
 def albanese_kernel_dim(structure: V4Structure, ells: tuple[int, ...] | list[int]) -> dict[int, int]:
     """Dimension over Z/l of the kernel of the cochain map on zero-sum
-    functions, for each prime l in ells, from one Smith form."""
+    functions, for each prime l in ells, from one call to invariant_factors
+    on the cochain matrix."""
     for ell in ells:
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")

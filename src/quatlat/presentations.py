@@ -318,7 +318,7 @@ def reidemeister_schreier(presentation: Presentation, images: tuple[int, ...]) -
 
 def abelianization(presentation: Presentation) -> tuple[list[int], int]:
     """Invariant factors (> 1) and free rank of the abelianized group,
-    via the Smith normal form of the relator exponent matrix."""
+    read from the relator exponent matrix by smith.invariant_factors."""
     n = len(presentation.generators)
     matrix = [exponent_vector(rel, n) for rel in presentation.relators]
     return invariant_factors(matrix, cols=n)

@@ -1,131 +1,16 @@
-"""Smith normal form over the integers, with tracked unimodular transforms.
+"""Invariant factors of an integer matrix, by elimination on the matrix alone.
 
-smith_normal_form(M) returns (U, D, V) with U*M*V = D diagonal, the diagonal
-entries forming a divisibility chain d1 | d2 | ...  U and V are products of
-elementary row/column operations (swaps, negations and adding an integer
-multiple of one line to another), so they are unimodular by construction;
-the identity U*M*V = D is re-checked by explicit multiplication on every
-call.
-
-Entries are arbitrary-precision ints; pivoting is by minimal absolute value,
-which keeps intermediate growth tame at the sizes used here (<= ~50 rows).
+invariant_factors(M) diagonalizes a copy of M by elementary row and column
+operations (swaps and adding an integer multiple of one line to another)
+until the diagonal is a divisibility chain d1 | d2 | ...  Only the diagonal
+is read, so no transforms are kept: invariant factors are unique, whatever
+the operations.  Pivoting on the nonzero entry of least absolute value keeps
+the growth of the (arbitrary-precision) entries tame at the sizes used here.
 """
 
 from __future__ import annotations
 
 Matrix = list[list[int]]
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += f * bk[j]
-    return out
-
-
-def smith_normal_form(matrix: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U*M*V = D in Smith normal form."""
-    if not matrix:
-        return [], [], []
-    m = [row[:] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        # row dst += factor * row src
-        for j in range(cols):
-            m[dst][j] += factor * m[src][j]
-        for j in range(rows):
-            u[dst][j] += factor * u[src][j]
-
-    def add_col(src, dst, factor):
-        for row in m:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        # find the nonzero pivot of least absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = m[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        # clear the pivot row and column; restart if a remainder shrinks the pivot
-        dirty = False
-        for i in range(k + 1, rows):
-            if m[i][k]:
-                q = m[i][k] // m[k][k]
-                add_row(k, i, -q)
-                if m[i][k]:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if m[k][j]:
-                q = m[k][j] // m[k][k]
-                add_col(k, j, -q)
-                if m[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # force divisibility: pivot must divide the whole trailing block
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if m[i][j] % m[k][k]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, k, 1)
-            continue
-        if m[k][k] < 0:
-            negate_row(k)
-        k += 1
-
-    d = m
-    product = _mat_mul(_mat_mul(u, [row[:] for row in matrix]), v)
-    if product != d:
-        raise AssertionError("U*M*V != D: elementary operation bookkeeping broken")
-    return u, d, v
 
 
 def invariant_factors(matrix: Matrix, cols: int | None = None) -> tuple[list[int], int]:
@@ -137,10 +22,52 @@ def invariant_factors(matrix: Matrix, cols: int | None = None) -> tuple[list[int
     if not matrix or not matrix[0]:
         width = cols if cols is not None else (len(matrix[0]) if matrix else 0)
         return [], width
-    _, d, _ = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    nonzero = [x for x in diag if x != 0]
-    return [x for x in nonzero if x != 1], len(matrix[0]) - len(nonzero)
+    m = [row[:] for row in matrix]
+    rows, width = len(m), len(m[0])
+    diagonal = []
+    k = 0
+    # Rows and columns before k are zero off the diagonal, so every operation
+    # below touches only rows k.. and columns k..
+    while k < min(rows, width):
+        best = pivot = None
+        for i in range(k, rows):
+            for j, x in enumerate(m[i][k:], k):
+                if x and (best is None or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        m[k], m[i] = m[i], m[k]
+        block = m[k:]
+        for row in block:
+            row[k], row[j] = row[j], row[k]
+        top = m[k]
+        p = top[k]
+        # clear the pivot column and row; start over if a remainder is left
+        dirty = False
+        for row in block[1:]:
+            if row[k]:
+                q = row[k] // p
+                row[k:] = [x - q * y for x, y in zip(row[k:], top[k:])]
+                dirty = dirty or row[k] != 0
+        for j in range(k + 1, width):
+            if top[j]:
+                q = top[j] // p
+                for row in block:
+                    row[j] -= q * row[k]
+                dirty = dirty or top[j] != 0
+        if dirty:
+            continue
+        # the pivot must divide the rest of the block; else add an offending row
+        offender = next((row for row in block[1:] if any(x % p for x in row[k + 1 :])), None)
+        if offender is not None:
+            top[k:] = [x + y for x, y in zip(top[k:], offender[k:])]
+            continue
+        diagonal.append(abs(p))
+        k += 1
+    return [d for d in diagonal if d != 1], width - len(diagonal)
 
 
 def hom_dim(factors: list[int], free_rank: int, ell: int) -> int:
@@ -148,4 +75,3 @@ def hom_dim(factors: list[int], free_rank: int, ell: int) -> int:
     plus the number of factors l divides.  For the cokernel of a matrix whose
     rows are relations, this is dim ker(M mod l)."""
     return free_rank + sum(1 for f in factors if f % ell == 0)
-

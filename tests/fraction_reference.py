@@ -79,7 +79,8 @@ def reference_rho(which: EmbeddingMap, q: Quaternion, embed_scalar=None) -> Matr
 
 
 def reference_det(m: Matrix2):
-    return m.e11 * m.e22 + m.e12 * m.e21
+    e11, e12, e21, e22 = m.entries
+    return e11 * e22 + e12 * e21
 
 
 # -- GF(4) machinery for the degree-2 place ------------------------------
@@ -200,7 +201,8 @@ def reference_distance(v1: TreeVertex, v2: TreeVertex) -> int:
     """Tree distance from the elementary divisors of adj(M1) * M2, computed
     with Matrix2 arithmetic and valuations."""
     m1 = vertex_matrix(v1)
-    adjugate = Matrix2(m1.var, m1.e22, m1.e12, m1.e21, m1.e11)  # char 2: no signs
+    e11, e12, e21, e22 = m1.entries
+    adjugate = Matrix2(m1.var, e22, e12, e21, e11)  # char 2: no signs
     g = adjugate * vertex_matrix(v2)
     min_val = min(valuation(e, PLACE_ZERO) for e in g.entries if not e.is_zero())
     return int(valuation(reference_det(g), PLACE_ZERO) - 2 * min_val)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from quatlat.invariants import boundary_matrix
 from quatlat.lattice import generator_images, standard_structure
 from quatlat.presentations import (
     V4_QUOTIENT_OF_LAMBDA,
@@ -25,7 +26,7 @@ from quatlat.presentations import (
     same_presentation,
 )
 from quatlat.quaternion import named_elements
-from quatlat.smith import invariant_factors, smith_normal_form
+from quatlat.smith import invariant_factors
 from quatlat.squares import GroupOps, build_structure
 from quatlat.suite import relators_certificate
 
@@ -193,7 +194,7 @@ def test_relators_certificate_reads_its_structure():
     ]
 
 
-# -- Smith normal form -------------------------------------------------------
+# -- invariant factors -------------------------------------------------------
 
 
 def _det(matrix):
@@ -226,19 +227,18 @@ def _minor_gcd_invariant_factors(matrix, cols):
     return factors
 
 
-def test_smith_normal_form_random_against_minor_oracle():
+def test_invariant_factors_random_against_minor_oracle():
     rng = random.Random(50)
+    matrices = [([], 3), ([], 0), ([[], []], 0)]  # no rows; no columns
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        u, d, v = smith_normal_form(m)
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
+        matrices.append(([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)], cols))
+    for m, cols in matrices:
+        factors, free_rank = invariant_factors(m, cols)
         oracle = _minor_gcd_invariant_factors(m, cols)
-        assert [x for x in diag if x != 0] == oracle
+        assert factors == [x for x in oracle if x != 1], m
+        assert free_rank == cols - len(oracle), m
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:])), m
 
 
 def _sympy_invariant_factors(matrix, cols):
@@ -252,12 +252,16 @@ def _sympy_invariant_factors(matrix, cols):
 
 
 def test_invariant_factors_against_sympy():
-    """The Reidemeister-Schreier relator matrix (20 x 13, cokernel Z/15) and
-    random small integer matrices, against sympy's Smith normal form."""
+    """The Reidemeister-Schreier relator matrix (20 x 13, cokernel Z/15), the
+    cochain matrix of the standard structure (36 x 16, factors [3, 3, 3, 3])
+    and random small integer matrices, against sympy's Smith normal form."""
     kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
     n = len(kernel.generators)
     matrix = [exponent_vector(r, n) for r in kernel.relators]
     assert invariant_factors(matrix) == _sympy_invariant_factors(matrix, n) == ([15], 0)
+    cochains = boundary_matrix(standard_structure())
+    assert (len(cochains), len(cochains[0])) == (36, 16)
+    assert invariant_factors(cochains) == _sympy_invariant_factors(cochains, 16) == ([3, 3, 3, 3], 0)
     rng = random.Random(51)
     for _ in range(100):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
