@@ -53,6 +53,46 @@ def test_verify_v4_rejects_non_inverse_closed():
     assert any("inverse" in f for f in failures)
 
 
+T = (1, 0, 2)  # a transposition, its own inverse
+X, X_INV = (1, 2, 0), (2, 0, 1)  # a 3-cycle and its inverse
+
+
+def perm_sides(a_side, b_side):
+    return tuple(n for n, _ in a_side), tuple(n for n, _ in b_side), dict(a_side) | dict(b_side), perm_ops()
+
+
+def b1_b2_sides():
+    ne = named_elements()
+    return ("b1",), ("b2",), {"b1": ne.B1, "b2": ne.B2}, standard_structure().ops
+
+
+def c1_swapped_sides():
+    s = c1_swapped_for_d()
+    return s.a_names, s.b_names, s.elements, s.ops
+
+
+NOT_CLOSED_A = "A not inverse-closed (or has duplicate elements)"
+NOT_CLOSED_B = "B not inverse-closed (or has duplicate elements)"
+
+
+@pytest.mark.parametrize(
+    "sides, expected",
+    [
+        pytest.param(lambda: perm_sides([], [("y", T)]), ("empty side",), id="empty-side"),
+        pytest.param(lambda: perm_sides([("s", T), ("t", T)], [("y", T)]), (NOT_CLOSED_A,), id="duplicate-element"),
+        pytest.param(b1_b2_sides, (NOT_CLOSED_A, NOT_CLOSED_B), id="not-inverse-closed"),
+        pytest.param(
+            lambda: perm_sides([("x", X), ("x^-1", X_INV)], [("y", X), ("y^-1", X_INV)]),
+            ("products x^-1y and xy^-1 coincide", "products y^-1x and yx^-1 coincide"),
+            id="coinciding-products",
+        ),
+        pytest.param(c1_swapped_sides, ("AB and BA differ as sets",), id="ab-not-ba"),
+    ],
+)
+def test_verify_v4_failures_are_exact(sides, expected):
+    assert verify_v4(*sides()) == expected
+
+
 def test_structure_certificate_fails_when_c1_is_swapped_for_d():
     """d is projectively its own inverse, so the inverse pairing still
     holds, but the products AB and BA no longer agree as sets."""
