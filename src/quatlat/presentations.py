@@ -8,8 +8,9 @@ generators with a square relator (involutions), which is exactly the
 ambiguity left by choosing different orbit representatives.
 
 The finite quotient behind the second route to Gamma^ab = Z/15 is
-Lambda -> V4, with V4 = (Z/2)^2 written as 2-bit ints under XOR; a quotient
-map is just the tuple of generator images, and its cosets are their span.
+Lambda -> V4, with V4 = (Z/2)^2 written as 2-bit ints under XOR in the
+encoding stated once in the `squares` docstring; a quotient map is just the
+tuple of generator images, and its cosets are their span.
 """
 
 from __future__ import annotations
@@ -168,42 +169,35 @@ def orbifold_presentation(structure: V4Structure) -> Presentation:
 # -- the fixed presentations ------------------------------------------------
 
 
+def _fixed(generators: tuple[str, ...], *relator_texts: str) -> Presentation:
+    """The presentation with relators written as Presentation.word text."""
+    parser = Presentation(generators, ())
+    return Presentation(generators, tuple(map(parser.word, relator_texts)))
+
+
 def lambda_presentation() -> Presentation:
-    p = Presentation(("b1", "b2", "c1", "c2"), ())
-    rels = (
-        p.word("c1 c1"),
-        p.word("c2 c2"),
-        p.word("c1 c2 c1^-1 c2^-1"),
-        p.word("b1 b2 c1 b2"),
-        p.word("b1 c2 b1 b2^-1"),
+    return _fixed(
+        ("b1", "b2", "c1", "c2"),
+        "c1 c1", "c2 c2", "c1 c2 c1^-1 c2^-1",
+        "b1 b2 c1 b2", "b1 c2 b1 b2^-1",
     )
-    return Presentation(p.generators, rels)
 
 
 def gr_presentation() -> Presentation:
-    p = Presentation(("b1", "b2", "c1", "c2", "d"), ())
-    rels = (
-        p.word("c1 c1"),
-        p.word("c2 c2"),
-        p.word("d d"),
-        p.word("c1 c2 c1^-1 c2^-1"),
-        p.word("c1 d c1^-1 d^-1"),
-        p.word("c2 d c2^-1 d^-1"),
-        p.word("b1 b2 c1 b2"),
-        p.word("b1 c2 b1 b2^-1"),
-        p.word("d b1 d b1"),
-        p.word("d b2 d b2"),
+    return _fixed(
+        ("b1", "b2", "c1", "c2", "d"),
+        "c1 c1", "c2 c2", "d d",
+        "c1 c2 c1^-1 c2^-1", "c1 d c1^-1 d^-1", "c2 d c2^-1 d^-1",
+        "b1 b2 c1 b2", "b1 c2 b1 b2^-1", "d b1 d b1", "d b2 d b2",
     )
-    return Presentation(p.generators, rels)
 
 
 def gamma_presentation() -> Presentation:
-    p = Presentation(("a1", "a2"), ())
-    rels = (
-        p.word("a2 a1^-1 a2 a2 a1 a2 a1 a2 a2 a1^-1 a2 a1"),
-        p.word("a1 a2 a2 a1^-1 a2 a2 a1^-1 a2 a2 a1 a2 a1^-1 a2"),
+    return _fixed(
+        ("a1", "a2"),
+        "a2 a1^-1 a2 a2 a1 a2 a1 a2 a2 a1^-1 a2 a1",
+        "a1 a2 a2 a1^-1 a2 a2 a1^-1 a2 a2 a1 a2 a1^-1 a2",
     )
-    return Presentation(p.generators, rels)
 
 
 def fixed_presentations() -> dict[str, Presentation]:
@@ -219,18 +213,10 @@ def fixed_presentations() -> dict[str, Presentation]:
 
 def evaluate_word(word: Word, images: dict[str, Quaternion], presentation: Presentation) -> Quaternion:
     """Multiply out the images; inverse letters use quaternion inversion."""
-    sample = next(iter(images.values()))
-    result = sample.algebra.one()
-    inverses: dict[int, Quaternion] = {}
+    result = next(iter(images.values())).algebra.one()
     for letter in word:
-        name = presentation.generators[abs(letter) - 1]
-        img = images[name]
-        if letter > 0:
-            result = result * img
-        else:
-            if letter not in inverses:
-                inverses[letter] = img.inverse()
-            result = result * inverses[letter]
+        img = images[presentation.generators[abs(letter) - 1]]
+        result = result * (img if letter > 0 else img.inverse())
     return result
 
 
@@ -245,8 +231,8 @@ class InvalidQuotientError(ValueError):
     pass
 
 
-# V4 = (Z/2)^2 as 2-bit ints under XOR (1 = v, 2 = h, 3 = vh):
-# b1, c1 -> the vertical generator; b2, c2 -> the horizontal one
+# V4 = (Z/2)^2 as 2-bit ints under XOR, encoded as in the `squares` docstring
+# (1 = gamma_v, 2 = gamma_h): b1, c1 -> gamma_v; b2, c2 -> gamma_h
 V4_QUOTIENT_OF_LAMBDA = (1, 2, 1, 2)
 
 
@@ -256,50 +242,41 @@ def reidemeister_schreier(presentation: Presentation, images: tuple[int, ...]) -
 
     The cosets are the XOR span of the images, found by a breadth-first
     coset tree over positive generator letters, which is also the Schreier
-    transversal.  Schreier generators are named x{coset}_{gen}; tree
-    generators are dropped and every relator is rewritten from every coset,
-    then freely reduced.  A relator that does not map to 0 raises
-    InvalidQuotientError.
+    transversal.  Each (coset, generator) pair off the tree is a Schreier
+    generator, named x{coset}_{gen} in the order the tree walk meets it;
+    every relator is rewritten from every coset, then freely reduced.  A
+    relator that does not map to 0 raises InvalidQuotientError.
     """
     n_gens = len(presentation.generators)
     if len(images) != n_gens:
         raise ValueError("one image per generator required")
 
-    # breadth-first coset tree, root 0; the list grows while it is walked
+    # breadth-first coset tree, root 0; the list grows while it is walked.
+    # label[coset, g] is 0 on a tree edge, else the Schreier generator's index
     order = [0]
-    tree_edges: set[tuple[int, int]] = set()
+    label: dict[tuple[int, int], int] = {}
+    names: list[str] = []
     for coset in order:
         for g in range(n_gens):
             nxt = coset ^ images[g]
-            if nxt not in order:
-                tree_edges.add((coset, g))
+            if nxt in order:
+                names.append(f"x{coset}_{presentation.generators[g]}")
+                label[coset, g] = len(names)
+            else:
+                label[coset, g] = 0
                 order.append(nxt)
-
-    # Schreier generators: one per (coset, generator) pair off the tree
-    gen_name: dict[tuple[int, int], int] = {}
-    names = []
-    for coset in order:
-        for g in range(n_gens):
-            if (coset, g) in tree_edges:
-                continue
-            gen_name[(coset, g)] = len(names) + 1
-            names.append(f"x{coset}_{presentation.generators[g]}")
 
     def rewrite(start: int, word: Word) -> Word:
         out = []
         coset = start
         for letter in word:
             g = abs(letter) - 1
-            if letter > 0:
-                key = (coset, g)
-                coset ^= images[g]
-                if key not in tree_edges:
-                    out.append(gen_name[key])
-            else:
-                coset ^= images[g]
-                key = (coset, g)
-                if key not in tree_edges:
-                    out.append(-gen_name[key])
+            nxt = coset ^ images[g]
+            # g is read from the coset before the step, g^-1 from the one after
+            k = label[coset, g] if letter > 0 else -label[nxt, g]
+            if k:
+                out.append(k)
+            coset = nxt
         if coset != start:
             raise InvalidQuotientError(f"relator {presentation.word_str(word)} does not map to 1")
         return free_reduce(tuple(out))

@@ -15,6 +15,10 @@ square [a,b'; b,a'] for every relation ab' = ba', whose corner at s_ij joins
 ((a,0), (b',1), rev (a',1), rev (b,0)).  The Klein four group acts on the
 complex, and inverse-stability of the structure is equivalent to the
 label-inverting involution preserving the square set.
+
+V4 = (Z/2)^2 is written as 2-bit ints under XOR, here and in `presentations`:
+bit 0 is gamma_v, which flips j (s_ij -> s_i(1-j)) and inverts the A labels;
+bit 1 is gamma_h, which flips i and inverts the B labels; 3 is both.
 """
 
 from __future__ import annotations
@@ -31,21 +35,13 @@ GroupOps = namedtuple("GroupOps", "mul inv canon")
 
 
 def _inverse_pairing(names: tuple[str, ...], elems: dict, ops: GroupOps) -> dict[str, str] | None:
-    """name -> name of the inverse, or None if the set is not inverse-closed."""
-    keys = {name: ops.canon(elems[name]) for name in names}
-    inv_keys = {name: ops.canon(ops.inv(elems[name])) for name in names}
-    lookup: dict[object, str] = {}
-    for name in names:
-        if keys[name] in lookup:
-            return None  # duplicate element
-        lookup[keys[name]] = name
-    pairing = {}
-    for name in names:
-        partner = lookup.get(inv_keys[name])
-        if partner is None:
-            return None
-        pairing[name] = partner
-    return pairing
+    """name -> name of the inverse, or None if the set is not inverse-closed
+    or names one element twice."""
+    lookup = {ops.canon(elems[name]): name for name in names}
+    if len(lookup) < len(names):
+        return None
+    pairing = {name: lookup.get(ops.canon(ops.inv(elems[name]))) for name in names}
+    return None if None in pairing.values() else pairing
 
 
 def _check_v4(
@@ -65,19 +61,14 @@ def _check_v4(
     if failures:
         return failures, {}, ()
     prod_ab: dict[object, tuple[str, str]] = {}
-    for a in a_names:
-        for b in b_names:
-            key = ops.canon(ops.mul(elems[a], elems[b]))
-            if key in prod_ab:
-                failures.append(f"products {a}{b} and {''.join(prod_ab[key])} coincide")
-            prod_ab[key] = (a, b)
     prod_ba: dict[object, tuple[str, str]] = {}
-    for b in b_names:
-        for a in a_names:
-            key = ops.canon(ops.mul(elems[b], elems[a]))
-            if key in prod_ba:
-                failures.append(f"products {b}{a} and {''.join(prod_ba[key])} coincide")
-            prod_ba[key] = (b, a)
+    for left, right, prod in ((a_names, b_names, prod_ab), (b_names, a_names, prod_ba)):
+        for x in left:
+            for y in right:
+                key = ops.canon(ops.mul(elems[x], elems[y]))
+                if key in prod:
+                    failures.append(f"products {x}{y} and {''.join(prod[key])} coincide")
+                prod[key] = (x, y)
     if not failures and set(prod_ab) != set(prod_ba):
         failures.append("AB and BA differ as sets")
     if failures:
@@ -152,22 +143,23 @@ def is_complete_bipartite(corners: list[tuple[str, str]], a_names: tuple[str, ..
     return set(counts) == {(a, b) for a in a_names for b in b_names} and all(v == 1 for v in counts.values())
 
 
-def v4_square_image(structure: V4Structure, square: Square, gamma: str) -> Square:
-    """Image of a square under gamma_v, gamma_h or gamma_r = gamma_v*gamma_h."""
+def v4_square_image(structure: V4Structure, square: Square, gamma: int) -> Square:
+    """Image of a square under gamma in 0..3, a 2-bit int as in the module
+    docstring."""
+    if gamma not in range(4):
+        raise ValueError(f"not a Klein-four element {gamma!r}")
     a, bp, b, ap = square
     inv = structure.inv
-    if gamma == "v":
-        return (inv[a], b, bp, inv[ap])
-    if gamma == "h":
-        return (ap, inv[bp], inv[b], a)
-    if gamma == "r":
-        return v4_square_image(structure, v4_square_image(structure, square, "v"), "h")
-    raise ValueError(f"unknown Klein-four generator {gamma!r}")
+    if gamma & 1:
+        a, bp, b, ap = inv[a], b, bp, inv[ap]
+    if gamma & 2:
+        a, bp, b, ap = ap, inv[bp], inv[b], a
+    return (a, bp, b, ap)
 
 
 def v4_orbits_of_squares(structure: V4Structure) -> list[list[Square]]:
-    """Orbits of the Klein-four action on squares, each listed from its
-    deterministic representative (least by label order)."""
+    """Orbits of the Klein-four action on squares: each is the four images
+    of the least remaining square by label order, which it lists first."""
     order = {name: k for k, name in enumerate(structure.a_names + structure.b_names)}
 
     def sort_key(s: Square):
@@ -177,17 +169,9 @@ def v4_orbits_of_squares(structure: V4Structure) -> list[list[Square]]:
     orbits = []
     while remaining:
         seed = min(remaining, key=sort_key)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            s = frontier.pop()
-            for gamma in ("v", "h", "r"):
-                img = v4_square_image(structure, s, gamma)
-                if img not in orbit:
-                    if img not in remaining:
-                        raise AssertionError("Klein-four action left the square set")
-                    orbit.add(img)
-                    frontier.append(img)
+        orbit = {v4_square_image(structure, seed, gamma) for gamma in range(4)}
+        if not orbit <= remaining:
+            raise AssertionError("Klein-four action left the square set")
         remaining -= orbit
         orbits.append(sorted(orbit, key=sort_key))
     return orbits

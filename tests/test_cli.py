@@ -75,25 +75,19 @@ def test_traced_benchmark_workload_passes_its_checks(workload):
     assert result["correct"] and result["failed"] == 0, result
 
 
-def test_present_lambda(capsys):
-    assert main(["present", "lambda"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "< b1, b2, c1, c2 | c1^2, c2^2, c1c2c1^-1c2^-1, b1b2c1b2, b1c2b1b2^-1 >"
+PRESENT_TEXT = {
+    "lambda": "< b1, b2, c1, c2 | c1^2, c2^2, c1c2c1^-1c2^-1, b1b2c1b2, b1c2b1b2^-1 >",
+    "gr": "< b1, b2, c1, c2, d | c1^2, c2^2, d^2, c1c2c1^-1c2^-1, c1dc1^-1d^-1, c2dc2^-1d^-1, b1b2c1b2, b1c2b1b2^-1,"
+    " db1db1, db2db2 >",
+    "gamma": "< a1, a2 | a2a1^-1a2^2a1a2a1a2^2a1^-1a2a1, a1a2^2a1^-1a2^2a1^-1a2^2a1a2a1^-1a2 >",
+    "orbifold": "< b1, c1, b2, c2 | c1^2, c2^2, b1b2c1b2, b1b2^-1b1c2, c1c2c1c2 >",
+}
 
 
-def test_present_gamma_and_gr(capsys):
-    assert main(["present", "gamma"]) == 0
-    out = capsys.readouterr().out
-    assert "a2a1^-1a2^2a1a2a1a2^2a1^-1a2a1" in out
-    assert main(["present", "gr", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert "db1db1" in data["relator_text"] and "db2db2" in data["relator_text"]
-
-
-def test_present_orbifold(capsys):
-    assert main(["present", "orbifold"]) == 0
-    out = capsys.readouterr().out
-    assert "c1^2" in out and "c2^2" in out
+@pytest.mark.parametrize("which", list(PRESENT_TEXT))
+def test_present_text(which, capsys):
+    assert main(["present", which]) == 0
+    assert capsys.readouterr().out == PRESENT_TEXT[which] + "\n"
 
 
 def test_ball_check_command(capsys):

@@ -249,10 +249,33 @@ def test_v4_action_and_orbits():
 def test_v4_action_respects_orientation():
     s = standard_structure()
     for sq in s.squares:
-        for gamma in ("v", "h", "r"):
+        for gamma in range(4):
             a, bp, b, ap = v4_square_image(s, sq, gamma)
             assert a in s.a_names and ap in s.a_names
             assert b in s.b_names and bp in s.b_names
+
+
+def test_v4_action_is_the_klein_four_group_on_2_bit_ints():
+    s = standard_structure()
+    for sq in s.squares:
+        assert v4_square_image(s, sq, 0) == sq
+        for gamma in range(4):
+            assert v4_square_image(s, v4_square_image(s, sq, gamma), gamma) == sq
+        v_then_h = v4_square_image(s, v4_square_image(s, sq, 1), 2)
+        h_then_v = v4_square_image(s, v4_square_image(s, sq, 2), 1)
+        assert v4_square_image(s, sq, 3) == v_then_h == h_then_v
+    # a square of a 4-element orbit has four distinct images
+    assert len({v4_square_image(s, ("b1", "b2", "b2^-1", "c1"), gamma) for gamma in range(4)}) == 4
+    for gamma in (4, -1, "v"):
+        with pytest.raises(ValueError):
+            v4_square_image(s, s.squares[0], gamma)
+
+
+def test_v4_orbits_reject_a_square_set_that_is_not_closed():
+    s = standard_structure()
+    dropped = s._replace(squares=tuple(sq for sq in s.squares if sq != ("b1", "b2", "b2^-1", "c1")))
+    with pytest.raises(AssertionError, match="Klein-four action left the square set"):
+        v4_orbits_of_squares(dropped)
 
 
 def test_build_structure_rejects_an_invalid_structure():
