@@ -16,24 +16,23 @@ A Matrix2 is stored like a quaternion, in the form that
 stored ints.
 
 An embedding works on the five ints a quaternion stores (numerators
-n0..n3 over den) and never builds a fraction.  rho_y substitutes y^2 + y
-into each int.  rho_t first reverses all five to one degree D, the largest
-among them: n_k(1/u) / den(1/u) = u^D n_k(1/u) / u^D den(1/u), so the u^D
-cancels and the reversed ints are the same element's numerators over a
-denominator in u; then it substitutes t^2 + t.  Substituting x^2 + x is
-GF(2)-linear, so it XORs precomputed powers (x^2 + x)^k over the set bits
-of each int instead of running Horner's rule.  Both maps keep the five
-ints coprime.  The images are then summed against the four basis images,
-precomputed as int matrices over one denominator, and reduced once.
-`embed_scalar` is the same map on the two ints of a fraction, which stay
-coprime, so its image is built without a gcd.
+n0..n3 over den) and never builds a fraction.  Substituting x^2 + x is
+GF(2)-linear, so an int's image XORs precomputed powers (x^2 + x)^k over its
+set bits k.  rho_y reads the table from the bottom, rho_t from the top: bit k
+takes (t^2 + t)^(D-k), D the largest degree among the five, which substitutes
+the reversal u^D n_k(1/u); the u^D cancels over the common denominator.  Both
+maps keep the five ints coprime.  Each image then scales its basis image's
+row of four ints as `Quaternion.__mul__` scales its rows, the bit x^k adding
+the row times 2^k, so a call makes one `clmul`, for the denominator, and
+reduces once.  `embed_scalar` is the same map on the two ints of a fraction,
+which stay coprime, so its image is built without a gcd.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .binpoly import clmul, compose, reverse
+from .binpoly import clmul, compose
 from .quaternion import Quaternion
 from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _common_form, rf
 
@@ -99,21 +98,6 @@ _set__acts = Matrix2._acts.__set__  # the slot's own setter, as in rational.Over
 _SQUARE_PLUS_POWERS = [1]
 
 
-def _substitute_square_plus(p: int) -> int:
-    """p(x^2 + x), the same int as binpoly.compose(p, 0b110).  The map is
-    GF(2)-linear, so the image is the XOR of (x^2 + x)^k over the set bits k
-    of p, read from a table of powers."""
-    powers = _SQUARE_PLUS_POWERS
-    while len(powers) < p.bit_length():
-        powers.append(clmul(powers[-1], 0b110))
-    out = 0
-    while p:
-        low = p & -p
-        out ^= powers[low.bit_length() - 1]
-        p ^= low
-    return out
-
-
 class EmbeddingMap:
     """One of the two splitting embeddings: z = y^2 + y, or with `inverted`
     z = 1/u and u = t^2 + t."""
@@ -133,25 +117,41 @@ class EmbeddingMap:
 
     def _substitute(self, ints: tuple[int, ...]) -> list[int]:
         """The images of numerators over one denominator (the last int), as
-        numerators over one denominator in the extension's variable."""
-        if self.inverted:
-            degree = max(x.bit_length() for x in ints) - 1
-            ints = [reverse(x, degree) for x in ints]
-        return [_substitute_square_plus(x) for x in ints]
+        numerators over one denominator in the extension's variable; bit k
+        reads (x^2 + x)^k, or (x^2 + x)^(D-k) with D the largest degree."""
+        powers = _SQUARE_PLUS_POWERS
+        top = max(x.bit_length() for x in ints)
+        while len(powers) < top:
+            powers.append(clmul(powers[-1], 0b110))
+        powers = powers[top - 1 :: -1] if self.inverted else powers
+        out = []
+        for x in ints:
+            image = 0
+            while x:
+                low = x & -x
+                image ^= powers[low.bit_length() - 1]
+                x ^= low
+            out.append(image)
+        return out
 
     def embed_scalar(self, f: RationalFunction) -> RationalFunction:
         return RationalFunction._coprime(*self._substitute((f.num, f.den)))
 
     def __call__(self, q: Quaternion) -> Matrix2:
-        """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J)."""
+        """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J),
+        each row scaled in one loop over its coordinate's set bits: one
+        `clmul`, for the denominator, once the table of powers is long enough."""
         *xs, den = self._substitute((*q._nums, q._den))
-        entries = [0, 0, 0, 0]
-        for x, image in zip(xs, self._image_nums):
-            if x:
-                for k, m in enumerate(image):
-                    if m:
-                        entries[k] ^= clmul(x, m)
-        return Matrix2._from_ints(self.var, tuple(entries), clmul(den, self._image_den))
+        e0 = e1 = e2 = e3 = 0
+        for x, (m0, m1, m2, m3) in zip(xs, self._image_nums):
+            while x:
+                low = x & -x
+                e0 ^= m0 * low
+                e1 ^= m1 * low
+                e2 ^= m2 * low
+                e3 ^= m3 * low
+                x ^= low
+        return Matrix2._from_ints(self.var, (e0, e1, e2, e3), clmul(den, self._image_den))
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.name})"

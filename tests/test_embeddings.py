@@ -1,5 +1,5 @@
-from quatlat.binpoly import clgcd, compose
-from quatlat.embeddings import _SQUARE_PLUS_POWERS, RHO_T, RHO_Y, Matrix2, _substitute_square_plus
+from quatlat.binpoly import clgcd, compose, reverse
+from quatlat.embeddings import _SQUARE_PLUS_POWERS, RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import named_elements, standard_algebra
 from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
 
@@ -55,15 +55,28 @@ def test_embed_scalar_images_are_in_lowest_terms():
 
 
 def test_substitution_kernel_matches_compose():
-    """The table of powers (x^2 + x)^k against Horner's rule, on zero, on
-    random ints of degree <= 40 and on ints longer than the table was when
-    the test started, so the table grows on the way."""
+    """Both maps' `_substitute` against Horner's rule: rho_y composes each int
+    with x^2 + x, rho_t each int's reversal to D, the largest degree in the
+    tuple.  The tuples hold zeros, often have their largest degree after the
+    first int, and include ints longer than the table was when the test
+    started, so the table grows on the way."""
     rng = make_rng(34)
     top = max(len(_SQUARE_PLUS_POWERS), 41)  # longer than the table and the random ints
     longer = [1 << (top + k - 1) | rng.getrandbits(top + k - 1) for k in (1, 2, 8, 31)]
-    samples = [0, 1, *(rng.getrandbits(rng.randint(1, 41)) for _ in range(2000)), *longer]
-    for p in samples:
-        assert _substitute_square_plus(p) == compose(p, 0b110), bin(p)
+
+    def sample(bits: int) -> int:
+        return rng.choice((0, rng.getrandbits(rng.randint(1, bits))))
+
+    samples = [(0, 1), (1, 0b11), *((sample(41), x, 0, sample(41), 1) for x in longer)]
+    for _ in range(2000):
+        *nums, den = (sample(41) for _ in range(rng.choice((2, 5))))
+        samples.append((*nums, den or 1))
+    for ints in samples:
+        degree = max(x.bit_length() for x in ints) - 1
+        assert RHO_Y._substitute(ints) == [compose(x, 0b110) for x in ints], ints
+        assert RHO_T._substitute(ints) == [compose(reverse(x, degree), 0b110) for x in ints], ints
+    assert sum(0 in ints for ints in samples) > 1000
+    assert sum(ints[0].bit_length() < max(ints).bit_length() for ints in samples) > 1000
     assert len(_SQUARE_PLUS_POWERS) == top + 31
 
 

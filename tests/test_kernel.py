@@ -16,6 +16,7 @@ import pickle
 import pytest
 
 from quatlat.binpoly import cldivmod, clgcd, clmul, multiplicity
+from quatlat import embeddings
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.places import PLACE_ZERO, valuation
 from quatlat.embeddings import Matrix2
@@ -203,6 +204,48 @@ def test_splitting_and_det_match_matrix_arithmetic(which):
         m = which(q)
         assert m.entries == reference_rho(which, q).entries, q
         assert m.det() == reference_det(m)
+
+
+@pytest.mark.parametrize("which", (RHO_Y, RHO_T), ids=("rho_y", "rho_t"))
+def test_splitting_of_sparse_coordinates_matches_matrix_arithmetic(which):
+    """The splitting scales each basis image's row of four by its substituted
+    coordinate; here the coordinates are each 0, 1 or a random polynomial of
+    degree <= 4, over denominator 1 or over a shared one that is not a unit."""
+    rng = make_rng(77)
+    alg = standard_algebra()
+    dens = set()
+    for k in range(SAMPLES):
+        q = _over(rng, alg, [rng.choice((0, 1, random_poly(rng, 4))) for _ in range(4)], k & 1)
+        dens.add(q._den == 1)
+        assert which(q).entries == reference_rho(which, q).entries, q
+    assert dens == {True, False}
+
+
+def test_splittings_pay_the_documented_clmul_calls(monkeypatch):
+    """As `EmbeddingMap.__call__` states, once the table of powers is long
+    enough, a splitting makes one `clmul` call, for the denominator, and
+    `embed_scalar` makes none."""
+    rng = make_rng(78)
+    alg = standard_algebra()
+    quaternions = [Quaternion(alg, [ZERO_RF] * 4), alg.one(), *(random_quaternion(rng, alg, DEGREE) for _ in range(SAMPLES))]
+    for q in quaternions:  # grows the table
+        RHO_Y(q), RHO_T(q)
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return clmul(x, y)
+
+    monkeypatch.setattr(embeddings, "clmul", counted)
+    for q in quaternions:
+        for which in (RHO_Y, RHO_T):
+            calls = 0
+            which(q)
+            assert calls == 1, (which, q)
+            for c in q.coords:
+                which.embed_scalar(c)
+            assert calls == 1, (which, q)
 
 
 def test_tree_action_and_distance_match_matrix_arithmetic():
