@@ -221,6 +221,17 @@ def ball_check(radius: int) -> BallCheckReport:
     c1 and c2 are treated as their own inverses (no c^-1 letters); only free
     reductions are pruned, so relator collisions are found by interning.
 
+    The words are walked depth first from one explicit stack of (element,
+    horizontal vertex, vertical vertex, leftmost letter, letters left): a
+    popped word makes all its one-letter-longer children, and a child is
+    pushed only while it has letters left.  `word_count` counts the words
+    the walk makes.  The order cannot change the verdict: a conflict between
+    two words (one element on two vertices, or two elements on one vertex)
+    is seen by whichever of them comes second.  Besides the interned ball,
+    the stack holds only the unwalked siblings of the current word's
+    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 3 on), so memory is
+    O(|ball| + 5L) rather than the 5^L words of a whole layer.
+
     Each word past the empty one costs exactly one quaternion product
     (generator times the element of its suffix), two memoized `act` calls
     (one per tree), one projective key and the dict work; nothing else is
@@ -270,29 +281,30 @@ def ball_check(radius: int) -> BallCheckReport:
     vertices = {w}
     word_count = 1
     consistent = True
-    # layer entries: (element, horizontal vertex, vertical vertex, leftmost letter)
-    layer = [(one, w[0], w[1], None)]
-    for _ in range(radius):
-        nxt = []
-        append = nxt.append
-        for elem, horizontal, vertical, first in layer:
-            for name, gen, my, mt in follow[first]:
-                new_h = act(my, horizontal)
-                new_v = act(mt, vertical)
-                key = word_key((gen * elem)._nums)
-                entry = element_to_vertex.get(key)
-                if entry is None:
-                    new_vert = (new_h, new_v)
-                    entry = element_to_vertex[key] = (new_h, new_v, primitive(alg, key, 1))
-                    if new_vert in vertices:
-                        consistent = False
-                    else:
-                        vertices.add(new_vert)
-                elif entry[0] != new_h or entry[1] != new_v:
+    # stack entries: (element, horizontal vertex, vertical vertex, leftmost letter, letters left)
+    stack = [(one, w[0], w[1], None, radius)] if radius else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        elem, horizontal, vertical, first, left = pop()
+        left -= 1
+        children = follow[first]
+        word_count += len(children)
+        for name, gen, my, mt in children:
+            new_h = act(my, horizontal)
+            new_v = act(mt, vertical)
+            key = word_key((gen * elem)._nums)
+            entry = element_to_vertex.get(key)
+            if entry is None:
+                new_vert = (new_h, new_v)
+                entry = element_to_vertex[key] = (new_h, new_v, primitive(alg, key, 1))
+                if new_vert in vertices:
                     consistent = False
-                append((entry[2], new_h, new_v, name))
-        word_count += len(nxt)
-        layer = nxt
+                else:
+                    vertices.add(new_vert)
+            elif entry[0] != new_h or entry[1] != new_v:
+                consistent = False
+            if left:
+                push((entry[2], new_h, new_v, name, left))
 
     distinct_elements = len(element_to_vertex)
     distinct_vertices = len(vertices)

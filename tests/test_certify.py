@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from quatlat import certify
@@ -107,7 +109,7 @@ def test_ball_check_fails_when_c1_is_swapped_for_d(monkeypatch):
 def test_ball_check_pays_one_product_and_two_actions_per_word(monkeypatch):
     """Every word past the empty one costs one product and one act per tree,
     so the counts are fixed by the word count (4,686 products and 9,372 act
-    calls at radius 5)."""
+    calls at radius 5).  Radius 0 walks nothing and radius 1 only leaves."""
     standard_structure()  # built, with its own products, before counting
     calls = {"mul": 0, "act": 0}
     mul, act = Quaternion.__mul__, certify.act
@@ -122,11 +124,27 @@ def test_ball_check_pays_one_product_and_two_actions_per_word(monkeypatch):
 
     monkeypatch.setattr(Quaternion, "__mul__", counted_mul)
     monkeypatch.setattr(certify, "act", counted_act)
-    for radius in (3, 4):
+    for radius in (0, 1, 3, 4):
         calls.update(mul=0, act=0)
         report = ball_check(radius)
         assert report.injective
         assert calls == {"mul": report.word_count - 1, "act": 2 * (report.word_count - 1)}
+
+
+def test_ball_check_memory_stays_below_one_kib_per_ball_vertex():
+    """The walk keeps the interned ball and one stack of words, not a whole
+    layer of 5^L words: at radius 6 the traced peak stays under 1 KiB per
+    vertex of the 1,540-vertex ball (a layer-by-layer walk peaks at about
+    2,200 KiB)."""
+    standard_structure()  # built before tracing
+    tracemalloc.start()
+    try:
+        report = ball_check(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.injective
+    assert peak < 1024 * ball_vertex_count(6), peak
 
 
 def test_ball_check_fails_when_rho_t_is_twisted_by_d(monkeypatch):
