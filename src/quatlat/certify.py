@@ -229,7 +229,7 @@ def ball_check(radius: int) -> BallCheckReport:
     two words (one element on two vertices, or two elements on one vertex)
     is seen by whichever of them comes second.  Besides the interned ball,
     the stack holds only the unwalked siblings of the current word's
-    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 3 on), so memory is
+    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 2 on), so memory is
     O(|ball| + 5L) rather than the 5^L words of a whole layer.
 
     Each word past the empty one costs exactly one quaternion product
