@@ -20,8 +20,7 @@ times 2^k.  The structure constants enter the rows the same way, so the
 loops run over the short left coordinates and a, b, ab, never over the right
 numerators; when a and b are polynomials, no `clmul` is called unless both
 denominators differ from 1.  The sum is reduced once, by dividing the five
-output ints by their gcd; over denominator 1 there is nothing to divide,
-and the product writes its result's slots itself.
+output ints by their gcd.
 The norm and the inverse read the stored ints, and the projective key is
 the numerator 4-tuple divided by its gcd (the denominator is a scalar).
 """
@@ -39,9 +38,6 @@ from .rational import (
     OverOneDenominator,
     RationalFunction,
     _primitive_part,
-    _set__den,
-    _set__nums,
-    _set__tag,
     parse_rational,
     rf,
 )
@@ -130,12 +126,7 @@ class Quaternion(OverOneDenominator):
         denominator is 1, and one call, for the denominator, when neither
         is.  When a or b is not a polynomial, the terms without a structure
         constant and the denominator are multiplied by `one`, the common
-        denominator of a and b, in five more calls.
-
-        Over denominator 1, the case of every product in `certify.ball_check`,
-        there is nothing to reduce, so the result is built here, slot by
-        slot, as `_from_ints` would build it; any other denominator goes
-        through `_from_ints`, which divides the five ints by their gcd."""
+        denominator of a and b, in five more calls."""
         if other._tag is not self._tag:
             self._same_tag(other)
         one, a, b, ab = self._tag._ints
@@ -208,13 +199,7 @@ class Quaternion(OverOneDenominator):
                 z2 ^= aq1 * low
                 z3 ^= u0 * low
                 p3 ^= low
-        if den != 1:
-            return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
-        x = object.__new__(Quaternion)  # nothing to reduce: the slots are written here
-        _set__tag(x, self._tag)
-        _set__nums(x, (z0, z1, z2, z3))
-        _set__den(x, 1)
-        return x
+        return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""

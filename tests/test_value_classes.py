@@ -86,7 +86,6 @@ def _slotted_values_built_every_way() -> dict:
     return {
         "quaternion-init": q,
         "quaternion-mul": q * q,
-        "quaternion-mul-fraction": q.inverse() * q.inverse(),  # denominators 6 and 12: built by _from_ints
         "quaternion-inverse": q.inverse(),
         "quaternion-from-ints": Quaternion._from_ints(alg, (1, 0b10, 0, 0b11), 0b10),
         "matrix-rho": m,
@@ -101,13 +100,6 @@ def _slotted_values_built_every_way() -> dict:
 
 
 SLOTTED = _slotted_values_built_every_way()
-
-
-def test_the_slotted_products_take_both_construction_paths():
-    """`Quaternion.__mul__` writes the slots itself over denominator 1 and
-    goes through `_from_ints` otherwise; one case of each is checked below."""
-    assert SLOTTED["quaternion-mul"]._den == 1
-    assert SLOTTED["quaternion-mul-fraction"]._den == 12
 
 
 @pytest.mark.parametrize("obj", SLOTTED.values(), ids=SLOTTED.keys())
