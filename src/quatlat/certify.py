@@ -229,20 +229,29 @@ def ball_check(radius: int) -> BallCheckReport:
     two words (one element on two vertices, or two elements on one vertex)
     is seen by whichever of them comes second.  Besides the interned ball,
     the stack holds only the unwalked siblings of the current word's
-    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 2 on), so memory is
-    O(|ball| + 5L) rather than the 5^L words of a whole layer.
+    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 2 on).  The
+    generators, and the memos of their products and their matrices' actions,
+    are built afresh for each call and hold at most one entry per
+    (generator, element) pair, so memory is O(|ball| + 5L) rather than the
+    5^L words of a whole layer, and nothing is cached across calls.
 
-    Each word past the empty one costs exactly one quaternion product
+    Each word past the empty one costs exactly one `Quaternion.__mul__` call
     (generator times the element of its suffix), two memoized `act` calls
     (one per tree), one projective key and the dict work; nothing else is
-    paid per word.  So a check at radius L makes word_count - 1 products and
-    twice as many `act` calls.
+    paid per word.  So a check at radius L makes word_count - 1 `__mul__`
+    calls and twice as many `act` calls.  Words reach an element by several
+    paths, so only the first call for each (generator, element) pair
+    computes; the others return the product from the generator's memo (150
+    of 186 calls compute at radius 3, 1,392 of 4,686 at radius 5).
 
     Every element is kept as its primitive representative: the projective
     key (a primitive polynomial 4-tuple) over denominator 1, one Quaternion
-    per distinct key.  Nothing observable changes: elements are interned
-    projectively, and the vertices come from the generators' matrices,
-    whose scalar factors do not move a vertex (a homothety class).
+    per distinct key.  When `_word_key` returns the product's numerators
+    unchanged, the product itself is interned, which the generator's memo
+    already holds, rather than a second copy.  Nothing observable changes:
+    elements are interned projectively, and the vertices come from the
+    generators' matrices, whose scalar factors do not move a vertex (a
+    homothety class).
     Vertices are plain (horizontal, vertical) pairs, equal to and hashing
     as the ProductVertex of the same factors.
 
@@ -292,11 +301,15 @@ def ball_check(radius: int) -> BallCheckReport:
         for name, gen, my, mt in children:
             new_h = act(my, horizontal)
             new_v = act(mt, vertical)
-            key = word_key((gen * elem)._nums)
+            product = gen * elem
+            nums = product._nums
+            key = word_key(nums)
             entry = element_to_vertex.get(key)
             if entry is None:
                 new_vert = (new_h, new_v)
-                entry = element_to_vertex[key] = (new_h, new_v, primitive(alg, key, 1))
+                if key is not nums:
+                    product = primitive(alg, key, 1)
+                entry = element_to_vertex[key] = (new_h, new_v, product)
                 if new_vert in vertices:
                     consistent = False
                 else:

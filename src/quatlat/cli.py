@@ -7,8 +7,10 @@ Subcommands:
     invariants  counting formulas, Chern numbers, kernel dims, abelianization
     export      JSON of the square complex or DOT of its links
 
-All subcommands accept --json for machine-readable output.  Exit codes:
-0 success, 1 a certificate failed, 2 usage error (argparse's default).
+verify, present, ball-check and invariants accept --json for
+machine-readable output; export has no --json and picks its format with
+--format (json for the complex, dot for the links).  Exit codes: 0 success,
+1 a certificate failed, 2 usage error (argparse's default).
 """
 
 from __future__ import annotations

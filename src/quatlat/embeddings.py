@@ -39,26 +39,15 @@ from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _co
 
 class Matrix2(OverOneDenominator):
     """A 2x2 matrix over GF(2)(var) whose `entries` e11, e12, e21, e22 are
-    stored in the form of `rational.OverOneDenominator`.
+    stored in the form of `rational.OverOneDenominator`.  The memo that
+    `tree.act` keeps on a matrix is that form's `_memo` slot."""
 
-    `_acts` maps each tree vertex v that `tree.act` has moved by this matrix
-    to m.v.  It lives and dies with the matrix: every way of building one
-    starts it empty, equality and hashing ignore it, and copy and pickle
-    leave it out."""
-
-    __slots__ = ("_acts",)
+    __slots__ = ()
 
     def __init__(
         self, var: str, e11: RationalFunction, e12: RationalFunction, e21: RationalFunction, e22: RationalFunction
     ) -> None:
         super().__init__(var, (e11, e12, e21, e22))
-        _set__acts(self, {})
-
-    @classmethod
-    def _from_ints(cls, var: str, nums: tuple[int, int, int, int], den: int) -> Matrix2:
-        m = super()._from_ints(var, nums, den)
-        _set__acts(m, {})
-        return m
 
     @classmethod
     def identity(cls, var: str) -> Matrix2:
@@ -89,9 +78,6 @@ class Matrix2(OverOneDenominator):
     def __str__(self) -> str:
         e11, e12, e21, e22 = (e.to_string(self.var) for e in self.entries)
         return f"[[{e11}, {e12}], [{e21}, {e22}]]"
-
-
-_set__acts = Matrix2._acts.__set__  # the slot's own setter, as in rational.OverOneDenominator
 
 
 # (x^2 + x)^k at index k; grows on demand to the largest degree substituted

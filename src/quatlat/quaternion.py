@@ -21,6 +21,9 @@ loops run over the short left coordinates and a, b, ab, never over the right
 numerators; when a and b are polynomials, no `clmul` is called unless both
 denominators differ from 1.  The sum is reduced once, by dividing the five
 output ints by their gcd.
+The left factor memoizes its products in the form's `_memo` slot, keyed by
+the right factor's value, so a product that repeats (the ball check meets
+one generator times one element by several words) is computed once.
 The norm and the inverse read the stored ints, and the projective key is
 the numerator 4-tuple divided by its gcd (the denominator is a scalar).
 """
@@ -38,6 +41,7 @@ from .rational import (
     OverOneDenominator,
     RationalFunction,
     _primitive_part,
+    _set__memo,
     parse_rational,
     rf,
 )
@@ -126,17 +130,34 @@ class Quaternion(OverOneDenominator):
         denominator is 1, and one call, for the denominator, when neither
         is.  When a or b is not a polynomial, the terms without a structure
         constant and the denominator are multiplied by `one`, the common
-        denominator of a and b, in five more calls."""
+        denominator of a and b, in five more calls.
+
+        The product is memoized in the left factor's `_memo`, created on its
+        first product, keyed by the right factor's value: its numerator
+        tuple itself over denominator 1, which allocates no key, and the
+        pair (numerators, denominator) otherwise.  A 4-tuple of ints never
+        equals a pair, so the two kinds of key cannot collide.  A repeated
+        product returns the stored one and skips the arithmetic."""
         if other._tag is not self._tag:
             self._same_tag(other)
+        nums, other_den = other._nums, other._den
+        key = nums if other_den == 1 else (nums, other_den)
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            _set__memo(self, memo)
+        else:
+            product = memo.get(key)
+            if product is not None:
+                return product
         one, a, b, ab = self._tag._ints
         p0, p1, p2, p3 = self._nums
-        q0, q1, q2, q3 = other._nums
+        q0, q1, q2, q3 = nums
         den = self._den
         if den == 1:
-            den = other._den
-        elif other._den != 1:
-            den = clmul(den, other._den)
+            den = other_den
+        elif other_den != 1:
+            den = clmul(den, other_den)
         if one == 1:
             u0, u1, u2, u3 = q0, q1, q2, q3
         else:  # a or b is not a polynomial
@@ -199,7 +220,8 @@ class Quaternion(OverOneDenominator):
                 z2 ^= aq1 * low
                 z3 ^= u0 * low
                 p3 ^= low
-        return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
+        product = memo[key] = Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
+        return product
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""

@@ -208,9 +208,16 @@ class OverOneDenominator:
     Construction writes through the slots' own setters, bound once below the
     class; `__setattr__` and `__delattr__` refuse every other write, so values
     are immutable.
+
+    `_memo` is a cache for the value acting as an operator: `tree.act` keeps
+    vertex -> image in a matrix's memo, `Quaternion.__mul__` keeps right
+    factor -> product in the left factor's.  Every constructor, copy and
+    unpickling leaves it None; the first use creates the dict and writes it
+    through `_set__memo`, as the constructors write their slots.  Equality,
+    hash, copy and pickle ignore it, so it lives and dies with its value.
     """
 
-    __slots__ = ("_tag", "_nums", "_den")
+    __slots__ = ("_tag", "_nums", "_den", "_memo")
 
     def __init__(self, tag, fracs) -> None:
         fracs = tuple(fracs)
@@ -220,6 +227,7 @@ class OverOneDenominator:
         _set__tag(self, tag)
         _set__nums(self, tuple(nums))
         _set__den(self, den)
+        _set__memo(self, None)
 
     @classmethod
     def _from_ints(cls, tag, nums: tuple[int, int, int, int], den: int):
@@ -230,6 +238,7 @@ class OverOneDenominator:
         _set__tag(x, tag)
         _set__nums(x, nums)
         _set__den(x, den)
+        _set__memo(x, None)
         return x
 
     def __setattr__(self, name, value):
@@ -272,4 +281,6 @@ class OverOneDenominator:
 
 
 # as for RationalFunction above
-_set__tag, _set__nums, _set__den = (getattr(OverOneDenominator, slot).__set__ for slot in OverOneDenominator.__slots__)
+_set__tag, _set__nums, _set__den, _set__memo = (
+    getattr(OverOneDenominator, slot).__set__ for slot in OverOneDenominator.__slots__
+)

@@ -15,7 +15,7 @@ from quatlat.certify import (
 from quatlat.binpoly import cldivmod, clmul
 from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
-from quatlat.embeddings import RHO_T
+from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, is_ring_unit, named_elements, standard_algebra
 from quatlat.rational import _primitive_part, parse_rational, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
@@ -129,6 +129,33 @@ def test_ball_check_pays_one_product_and_two_actions_per_word(monkeypatch):
         report = ball_check(radius)
         assert report.injective
         assert calls == {"mul": report.word_count - 1, "act": 2 * (report.word_count - 1)}
+
+
+def test_ball_check_computes_each_generator_times_element_product_once(monkeypatch):
+    """The walk reaches an element by several words, so most of its products
+    repeat; each generator keeps its products in its memo, and only the
+    first product of a generator and an element computes: 150 of the 186
+    products at radius 3 and 492 of the 936 at radius 4."""
+    standard_structure()
+    generators, pairs = [], set()
+    mul = Quaternion.__mul__
+
+    def captured_rho_y(q):
+        generators.append(q)
+        return RHO_Y(q)
+
+    def recorded_mul(p, q):
+        pairs.add((id(p), q._nums, q._den))
+        return mul(p, q)
+
+    monkeypatch.setattr(certify, "RHO_Y", captured_rho_y)
+    monkeypatch.setattr(Quaternion, "__mul__", recorded_mul)
+    for radius, computed in ((3, 150), (4, 492)):
+        generators.clear()
+        pairs.clear()
+        assert ball_check(radius).injective
+        assert len(generators) == 6
+        assert sum(len(g._memo) for g in generators) == len(pairs) == computed
 
 
 def test_ball_check_memory_stays_below_one_kib_per_ball_vertex():

@@ -433,10 +433,10 @@ def test_act_memo_agrees_with_a_fresh_matrix_and_the_fraction_oracle():
                 level = rng.randint(-3, 3)
                 v = TreeVertex(m.var, level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
                 first = act(m, v)
-                assert m._acts[v] == first
+                assert m._memo[v] == first
                 assert act(m, v) == first
                 fresh = Matrix2(m.var, *m.entries)
-                assert fresh == m and not fresh._acts
+                assert fresh == m and fresh._memo is None
                 assert act(fresh, v) == first == vertex_from_matrix(m * vertex_matrix(v)), (q, v)
                 pairs += 1
     assert pairs >= 2000
@@ -448,13 +448,57 @@ def test_act_memo_is_invisible_to_equality_hash_copy_and_pickle():
     twin = Matrix2(m.var, *m.entries)
     hash_before = hash(m)
     v = TreeVertex("t", 2, 0b1)
+    assert m._memo is None and twin._memo is None  # no memo before the first act
     act(m, v)
-    assert m._acts and not twin._acts  # equal matrices do not share a memo
+    assert m._memo and twin._memo is None  # equal matrices do not share a memo
+    act(twin, v)
+    assert twin._memo == m._memo and twin._memo is not m._memo
     assert m == twin and hash(m) == hash(twin) == hash_before
     for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert copied == m and hash(copied) == hash(m)
-        assert copied._acts == {} and copied._acts is not m._acts
-        assert act(copied, v) == m._acts[v]  # copying reads the entries, which keeps the memo
-    for name in ("var", "_nums", "_den", "_acts", "unknown_attribute"):
+        assert copied._memo is None
+        assert act(copied, v) == m._memo[v]  # copying reads the entries, which keeps the memo
+        assert copied._memo is not m._memo
+    for name in ("var", "_nums", "_den", "_memo", "unknown_attribute"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
+
+
+def test_product_memo_agrees_with_a_memo_less_copy_and_the_fraction_oracle(alg):
+    """p*q is stored in p's memo under q's value: a second product by q, or
+    by an equal right factor held by another object, returns the stored
+    product, which must equal the product of a memo-less copy of p and the
+    fraction formula, over denominator 1 and over other denominators."""
+    rng = make_rng(77)
+    kinds = set()
+    for k in range(SAMPLES):
+        p = random_quaternion(rng, alg, DEGREE)
+        q = _over(rng, alg, [random_poly(rng, DEGREE) for _ in range(4)], k & 1)
+        twin = Quaternion(alg, q.coords)
+        assert twin == q and twin is not q and twin._nums is not q._nums
+        kinds.add(q._den == 1)
+        first = p * q
+        assert p * q is first and p * twin is first  # memo hits
+        fresh = copy.copy(p)
+        assert fresh._memo is None
+        assert fresh * twin == first == Quaternion(alg, reference_mul(p, q).coords), (p, q)
+    assert kinds == {True, False}
+
+
+def test_product_memo_tells_right_factors_apart_by_their_denominator(alg):
+    """Two right factors with the same numerator tuple over 1 and over another
+    denominator are different values with different products, in either
+    order; a memo keyed on the numerators alone returns the first product
+    for both."""
+    rng = make_rng(78)
+    for _ in range(SAMPLES // 5):
+        p = random_invertible_quaternion(rng, alg, DEGREE)
+        nums = tuple(rng.sample([1, *(random_poly(rng, DEGREE) for _ in range(3))], 4))  # content 1
+        den = random_nonzero_poly(rng, DEGREE - 1) << 1 | 1
+        over_one = Quaternion._from_ints(alg, nums, 1)
+        over_den = Quaternion._from_ints(alg, nums, den)
+        assert over_den._nums == over_one._nums and over_den._den == den != 1
+        for left, right in ((p, (over_one, over_den)), (copy.copy(p), (over_den, over_one))):
+            for q in right:
+                assert left * q == Quaternion(alg, reference_mul(p, q).coords), (p, q)
+            assert left * right[0] != left * right[1]

@@ -106,8 +106,12 @@ SLOTTED = _slotted_values_built_every_way()
 def test_every_slot_refuses_assignment_after_construction(obj):
     if isinstance(obj, Matrix2):
         act(obj, standard_vertex(obj.var))  # fills the act memo, which must stay the same dict
+    elif isinstance(obj, Quaternion):
+        obj * obj  # fills the product memo, likewise
     slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
-    assert slots and ("_acts" in slots) == isinstance(obj, Matrix2)
+    assert slots and ("_memo" in slots) == isinstance(obj, (Quaternion, Matrix2))
+    if "_memo" in slots:
+        assert type(obj._memo) is dict and obj._memo
     before = {name: getattr(obj, name) for name in slots}
     for name in slots:
         with pytest.raises(AttributeError):
