@@ -24,7 +24,7 @@ from .quaternion import (
     standard_algebra,
 )
 from .rational import RationalFunction, parse_rational, rf
-from .tree import ProductVertex, TreeVertex, act, bt_act, distance, standard_product_vertex, vertex_from_matrix
+from .tree import TreeVertex, act, bt_act, distance, standard_product_vertex, vertex_from_matrix
 
 __all__ = [
     "Matrix2",
@@ -34,7 +34,6 @@ __all__ = [
     "PLACE_ZERO",
     "PLACE_ZETA",
     "Place",
-    "ProductVertex",
     "Quaternion",
     "QuaternionAlgebra",
     "RHO_T",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations
+from operator import index
 
 from .embeddings import RHO_T, RHO_Y, Matrix2
 from .lattice import standard_structure
@@ -150,24 +151,23 @@ def neighbors_certificate(structure: V4Structure) -> CertificateResult:
     """The A side moves only the vertical tree factor, the B side only the
     horizontal one, each onto three distinct neighbors of the base vertex."""
     w = standard_product_vertex()
+    factor = ("horizontal", "vertical")  # the names of w[0] and w[1]
     failures = []
     details: dict = {}
 
-    for side, names, moved, fixed in (
-        ("A", structure.a_names, "vertical", "horizontal"),
-        ("B", structure.b_names, "horizontal", "vertical"),
-    ):
+    for side, names, moved in (("A", structure.a_names, 1), ("B", structure.b_names, 0)):
+        fixed = 1 - moved
         images = []
         for name in names:
             img = bt_act(structure.elements[name], w)
-            if getattr(img, fixed) != getattr(w, fixed):
-                failures.append(f"{name} moved the {fixed} factor")
-            if distance(getattr(img, moved), getattr(w, moved)) != 1:
-                failures.append(f"{name} did not send the {moved} base to a neighbor")
-            images.append(getattr(img, moved))
+            if img[fixed] != w[fixed]:
+                failures.append(f"{name} moved the {factor[fixed]} factor")
+            if distance(img[moved], w[moved]) != 1:
+                failures.append(f"{name} did not send the {factor[moved]} base to a neighbor")
+            images.append(img[moved])
         if len(set(images)) != 3:
             failures.append(f"{side} images not pairwise distinct")
-        details[f"{side.lower()}_{moved}_images"] = [v.key() for v in images]
+        details[f"{side.lower()}_{factor[moved]}_images"] = [v.key() for v in images]
     details["failures"] = failures
     return CertificateResult("neighbors", not failures, details)
 
@@ -175,13 +175,9 @@ def neighbors_certificate(structure: V4Structure) -> CertificateResult:
 # -- the ball check ----------------------------------------------------------
 
 
-class BallCheckReport(
-    namedtuple("BallCheckReport", "radius word_count distinct_elements distinct_vertices expected_vertices injective")
-):
-    __slots__ = ()
-
-    def as_json(self) -> dict:
-        return dict(zip(self._fields, self))
+BallCheckReport = namedtuple(
+    "BallCheckReport", "radius word_count distinct_elements distinct_vertices expected_vertices injective"
+)
 
 
 def _over_one_plus_z(x: int) -> int:
@@ -252,8 +248,6 @@ def ball_check(radius: int) -> BallCheckReport:
     elements are interned projectively, and the vertices come from the
     generators' matrices, whose scalar factors do not move a vertex (a
     homothety class).
-    Vertices are plain (horizontal, vertical) pairs, equal to and hashing
-    as the ProductVertex of the same factors.
 
     The key of a word is `_word_key` of the product, which divides out
     powers of z and 1+z only and runs no gcd chain.  It is exact: every
@@ -267,6 +261,7 @@ def ball_check(radius: int) -> BallCheckReport:
     half finds its vertex taken and the check turns red.  A wrong key can
     never give a false pass.
     """
+    radius = index(radius)  # a float radius would never count down to 0
     if radius < 0:
         raise ValueError("radius must be non-negative")
     structure = standard_structure()
@@ -328,4 +323,4 @@ def ball_check(radius: int) -> BallCheckReport:
 
 def ball_certificate(radius: int = 3) -> CertificateResult:
     report = ball_check(radius)
-    return CertificateResult("ball-check", report.injective, report.as_json())
+    return CertificateResult("ball-check", report.injective, report._asdict())

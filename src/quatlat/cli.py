@@ -73,7 +73,7 @@ def cmd_ball_check(args) -> int:
         return _usage_error("--radius must be non-negative")
     report = ball_check(args.radius)
     if args.json:
-        print(json.dumps({"schema_version": 1, **report.as_json()}, indent=2, sort_keys=True))
+        print(json.dumps({"schema_version": 1, **report._asdict()}, indent=2, sort_keys=True))
     else:
         print(
             f"radius {report.radius}: {report.word_count} words, "

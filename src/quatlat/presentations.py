@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
+from operator import itemgetter
 
 from .quaternion import Quaternion
 from .smith import invariant_factors
@@ -42,27 +43,24 @@ def exponent_vector(word: Word, n_gens: int) -> list[int]:
     return out
 
 
-class Presentation:
-    """Named generators and relators, words in their signed indices."""
+class Presentation(tuple):
+    """The tuple (generators, relators): named generators and relators,
+    words in their signed indices."""
 
-    __slots__ = ("generators", "relators")
+    __slots__ = ()
 
-    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
         n = len(generators)
         for rel in relators:
             if any(letter == 0 or abs(letter) > n for letter in rel):
                 raise ValueError("relator letter out of range")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
+        return tuple.__new__(cls, (generators, relators))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Presentation is immutable; cannot set {name}")
+    generators = property(itemgetter(0))
+    relators = property(itemgetter(1))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"Presentation is immutable; cannot delete {name}")
-
-    def __reduce__(self):  # copy and pickle through the public constructor
-        return (Presentation, (self.generators, self.relators))
+    def __getnewargs__(self) -> tuple[tuple[str, ...], tuple[Word, ...]]:  # copy and pickle through __new__
+        return tuple(self)
 
     def gen_index(self, name: str) -> int:
         return self.generators.index(name) + 1

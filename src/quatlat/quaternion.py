@@ -137,7 +137,13 @@ class Quaternion(OverOneDenominator):
         tuple itself over denominator 1, which allocates no key, and the
         pair (numerators, denominator) otherwise.  A 4-tuple of ints never
         equals a pair, so the two kinds of key cannot collide.  A repeated
-        product returns the stored one and skips the arithmetic."""
+        product returns the stored one and skips the arithmetic.
+
+        A left factor keeps every product it has made for as long as it
+        lives.  The package's own long-lived elements act only in bounded
+        set-up; a caller who multiplies one held element by many distinct
+        values can multiply `copy.copy(element)` instead, which is equal and
+        has no memo."""
         if other._tag is not self._tag:
             self._same_tag(other)
         nums, other_den = other._nums, other._den

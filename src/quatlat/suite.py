@@ -3,10 +3,12 @@
 Every certificate is a plain function that returns a `CertificateResult` and
 never reads the clock; `run_all` runs the twelve of them in order and is the
 one place that times them.  It builds the standard V4-structure once, before
-the clock starts, and passes it to each certificate that reads it, so a green
-run certifies the whole chain: exact arithmetic, the splittings, the
-structure and its complex, the local permutation groups, the presentations
-and the invariants.
+the clock starts, and passes it to each certificate that takes it as an
+argument; the ball check takes only its radius and reads the cached
+`standard_structure()` itself (passing the structure in is ROADMAP item 5).
+So a green run certifies the whole chain: exact arithmetic, the splittings,
+the structure and its complex, the local permutation groups, the
+presentations and the invariants.
 """
 
 from __future__ import annotations

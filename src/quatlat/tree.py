@@ -10,10 +10,11 @@ tail is the Laurent polynomial c reduced modulo pi^n, written as the int
 whose bit k is the coefficient of pi^(n-1-k) -- the order in which
 `places._series` produces it.  Every nonnegative int is a tail, so
 canonical coordinates are two ints.  A `TreeVertex` is the tuple
-(field, level, tail) and a `ProductVertex` the pair (horizontal, vertical):
-tuple subclasses whose constructors validate, so equality and hashing are
-the tuple's, run in C, which the ball enumerations (dicts keyed by
-vertices) rely on.  A vertex equals the plain tuple of its coordinates.
+(field, level, tail), a tuple subclass whose constructor validates, so
+equality and hashing are the tuple's, run in C, which the ball enumerations
+(dicts keyed by vertices) rely on.  A vertex equals the plain tuple of its
+coordinates.  A vertex of the product of the two trees is the plain pair
+(horizontal, vertical) of a vertex over y and a vertex over t.
 
 A vertex is a lattice class up to scalars, so a matrix acts through its
 polynomial numerators alone: `vertex_from_matrix` and `act` read the
@@ -145,39 +146,15 @@ def distance(v1: TreeVertex, v2: TreeVertex) -> int:
     return n1 + n2 - 2 * low
 
 
-class ProductVertex(tuple):
-    """A vertex (horizontal, vertical) of the product of the two trees:
-    horizontal over y, vertical over t."""
-
-    __slots__ = ()
-
-    def __new__(cls, horizontal: TreeVertex, vertical: TreeVertex) -> ProductVertex:
-        if horizontal[0] != "y" or vertical[0] != "t":
-            raise ValueError("product vertices are horizontal-over-y, vertical-over-t")
-        return tuple.__new__(cls, (horizontal, vertical))
-
-    horizontal = property(itemgetter(0))
-    vertical = property(itemgetter(1))
-
-    def __getnewargs__(self) -> tuple[TreeVertex, TreeVertex]:  # copy and pickle through __new__
-        return tuple(self)
-
-    def key(self) -> str:
-        horizontal, vertical = self
-        return f"{horizontal.key()}|{vertical.key()}"
-
-    def __str__(self) -> str:
-        return self.key()
+def standard_product_vertex() -> tuple[TreeVertex, TreeVertex]:
+    return standard_vertex("y"), standard_vertex("t")
 
 
-def standard_product_vertex() -> ProductVertex:
-    return ProductVertex(standard_vertex("y"), standard_vertex("t"))
-
-
-def bt_act(g: Quaternion, v: ProductVertex) -> ProductVertex:
-    """Act through rho_y on the horizontal factor and rho_t on the vertical one."""
+def bt_act(g: Quaternion, v: tuple[TreeVertex, TreeVertex]) -> tuple[TreeVertex, TreeVertex]:
+    """Act through rho_y on the horizontal factor and rho_t on the vertical
+    one; `act` refuses a pair whose factors are not over y and t in turn."""
     horizontal, vertical = v
-    return ProductVertex(act(RHO_Y(g), horizontal), act(RHO_T(g), vertical))
+    return act(RHO_Y(g), horizontal), act(RHO_T(g), vertical)
 
 
 def ball_vertex_count(radius: int) -> int:

@@ -250,6 +250,9 @@ def test_ball_check_fails_when_the_word_key_divides_out_z_only(monkeypatch):
 def test_ball_check_guards():
     with pytest.raises(ValueError):
         ball_check(-1)
+    for radius in (2.5, 2.0):  # a float radius would never count down to 0
+        with pytest.raises(TypeError):
+            ball_check(radius)
 
 
 def fixes_base_vertex(word_letters: list[str]) -> bool:

@@ -4,7 +4,6 @@ from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import named_elements
 from quatlat.rational import parse_rational, rf
 from quatlat.tree import (
-    ProductVertex,
     TreeVertex,
     act,
     ball_vertex_count,
@@ -166,19 +165,20 @@ def test_product_action():
     assert bt_act(ne.B1.algebra.one(), w) == w
     assert bt_act(ne.D, w) == w
     moved = bt_act(ne.C2, w)
-    assert moved.vertical == w.vertical
-    assert distance(moved.horizontal, w.horizontal) == 1
+    assert moved[1] == w[1]
+    assert distance(moved[0], w[0]) == 1
 
 
 def test_vertex_serialization():
     assert W.key() == "y:0:0"
     assert TreeVertex("t", 3, make_tail(3, {1, 2})).key() == "t:3:3"
     assert TreeVertex("y", -2, make_tail(-2, {-3, -6})).key() == "y:-2:9"
-    assert standard_product_vertex().key() == "y:0:0|t:0:0"
+    horizontal, vertical = standard_product_vertex()
+    assert (horizontal.key(), vertical.key()) == ("y:0:0", "t:0:0")
     with pytest.raises(ValueError):
         TreeVertex("y", 0, -1)
-    with pytest.raises(ValueError):
-        ProductVertex(standard_vertex("t"), standard_vertex("y"))
+    with pytest.raises(ValueError, match="different fields"):
+        bt_act(named_elements().C2, (standard_vertex("t"), standard_vertex("y")))
 
 
 def test_ball_vertex_count_formula():

@@ -12,11 +12,11 @@ from quatlat.certify import BallCheckReport, CertificateResult, ball_check
 from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.invariants import ComplexCounts, complex_counts
 from quatlat.places import PLACE_INF, PLACE_ONE, PLACE_ZERO, PLACE_ZETA, Place
-from quatlat.presentations import Presentation, lambda_presentation
+from quatlat.presentations import Presentation, gr_presentation, lambda_presentation
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import RationalFunction, rf
 from quatlat.squares import GroupOps, V4Structure, build_structure
-from quatlat.tree import ProductVertex, TreeVertex, act, standard_product_vertex, standard_vertex
+from quatlat.tree import TreeVertex, act, bt_act, standard_product_vertex, standard_vertex
 
 from conftest import make_rng, random_invertible_quaternion
 
@@ -37,7 +37,6 @@ def _instances():
     alg = standard_algebra()
     return [
         (TreeVertex("y", 3, 0b101), ("field", "level", "tail")),
-        (standard_product_vertex(), ("horizontal", "vertical")),
         (PLACE_ZETA, ("kind", "minpoly")),
         (PLACE_INF, ("kind", "minpoly")),
         (lambda_presentation(), ("generators", "relators")),
@@ -148,16 +147,22 @@ def test_copy_and_pickle_keep_the_type_and_the_fields(obj, names, round_trip):
         assert hash(twin) == hash(obj)
 
 
+def _with_last_relator_reversed(presentation: Presentation) -> Presentation:
+    *rest, last = presentation.relators
+    assert last[::-1] != last
+    return Presentation(presentation.generators, (*rest, last[::-1]))
+
+
 def test_value_equality_and_hash():
     pairs = [
         (TreeVertex("t", -2, 9), TreeVertex("t", -2, 9)),
-        (ProductVertex(TreeVertex("y", 1, 1), standard_vertex("t")), ProductVertex(TreeVertex("y", 1, 1), TreeVertex("t", 0, 0))),
         (Place("finite", 0b111), PLACE_ZETA),
         (Place("infinity"), PLACE_INF),
         (QuaternionAlgebra(rf(0b10), rf(0b1001)), standard_algebra()),
         (complex_counts(4, 2), ComplexCounts(4, 2, 12, 9, 1)),
         (ball_check(1), BallCheckReport(1, 7, 7, 7, 7, True)),
         (named_elements(), named_elements()),
+        (lambda_presentation(), lambda_presentation()),
     ]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
@@ -170,6 +175,8 @@ def test_value_equality_and_hash():
         (PLACE_ZERO, PLACE_INF),
         (standard_algebra(), QuaternionAlgebra(rf(0b10), rf(0b1001), "w")),
         (standard_algebra(), QuaternionAlgebra(rf(0b11), rf(0b1001))),
+        (lambda_presentation(), gr_presentation()),
+        (lambda_presentation(), _with_last_relator_reversed(lambda_presentation())),
     ]
     for x, y in different:
         assert x != y
@@ -184,27 +191,26 @@ def test_vertices_as_dict_keys():
     table = {}
     for _ in range(200):
         g = random_invertible_quaternion(rng, alg)
-        v = ProductVertex(act(RHO_Y(g), w.horizontal), act(RHO_T(g), w.vertical))
+        v = (act(RHO_Y(g), w[0]), act(RHO_T(g), w[1]))
         table.setdefault(v, len(table))
     for v, index in table.items():
-        rebuilt = ProductVertex(TreeVertex(*v.horizontal), TreeVertex(*v.vertical))
+        horizontal, vertical = v
+        rebuilt = (TreeVertex(*horizontal), TreeVertex(*vertical))
         assert rebuilt is not v and table[rebuilt] == index
-        by_factor = {v.horizontal: "h", v.vertical: "v"}
-        assert by_factor[TreeVertex(*v.horizontal)] == "h" and by_factor[TreeVertex(*v.vertical)] == "v"
-    assert len(set(table)) == len(table) == len({v.key() for v in table})
+        by_factor = {horizontal: "h", vertical: "v"}
+        assert by_factor[TreeVertex(*horizontal)] == "h" and by_factor[TreeVertex(*vertical)] == "v"
+    assert len(set(table)) == len(table) == len({(h.key(), v.key()) for h, v in table})
 
 
 def test_vertex_fields_and_text():
     v = TreeVertex("t", 3, 0b11)
     assert (v.field, v.level, v.tail) == ("t", 3, 3)
-    p = ProductVertex(standard_vertex("y"), v)
-    assert (p.horizontal, p.vertical) == (standard_vertex("y"), v)
-    assert str(p) == p.key() == "y:0:0|t:3:3"
+    assert str(v) == v.key() == "t:3:3"
 
 
 def test_ball_check_report_json_keeps_its_keys_in_order():
     report = ball_check(2)
-    assert list(report.as_json().items()) == [
+    assert list(report._asdict().items()) == [
         ("radius", 2),
         ("word_count", 37),
         ("distinct_elements", 28),
@@ -217,13 +223,14 @@ def test_ball_check_report_json_keeps_its_keys_in_order():
 def test_constructors_reject_invalid_values():
     with pytest.raises(ValueError, match="nonnegative"):
         TreeVertex("y", 0, -1)
-    for horizontal, vertical in (
+    c1 = named_elements().C1
+    for pair in (
         (standard_vertex("t"), standard_vertex("y")),
         (standard_vertex("y"), standard_vertex("y")),
         (standard_vertex("t"), standard_vertex("t")),
     ):
-        with pytest.raises(ValueError, match="horizontal-over-y"):
-            ProductVertex(horizontal, vertical)
+        with pytest.raises(ValueError, match="different fields"):
+            bt_act(c1, pair)
     with pytest.raises(ValueError, match="unknown place kind"):
         Place("weird")
     with pytest.raises(ValueError, match="irreducible"):
