@@ -28,7 +28,7 @@ from .places import (
     valuation,
 )
 from .quaternion import Quaternion, is_ring_unit, named_elements, standard_algebra
-from .rational import RationalFunction, rf
+from .rational import RationalFunction, _set__memo, rf
 from .squares import V4Structure
 from .tree import act, ball_vertex_count, bt_act, distance, standard_product_vertex
 
@@ -225,11 +225,13 @@ def ball_check(radius: int) -> BallCheckReport:
     two words (one element on two vertices, or two elements on one vertex)
     is seen by whichever of them comes second.  Besides the interned ball,
     the stack holds only the unwalked siblings of the current word's
-    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 2 on).  The
-    generators, and the memos of their products and their matrices' actions,
-    are built afresh for each call and hold at most one entry per
-    (generator, element) pair, so memory is O(|ball| + 5L) rather than the
-    5^L words of a whole layer, and nothing is cached across calls.
+    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 2 on).  The six
+    generators and their twelve matrices are the package's only memoized
+    values: each is built afresh for the call and given an empty `_memo`,
+    which `Quaternion.__mul__` and `tree.act` then fill, and which holds at
+    most one entry per (generator, element) pair.  So memory is
+    O(|ball| + 5L) rather than the 5^L words of a whole layer, and nothing
+    is cached across calls or left on any other value.
 
     Each word past the empty one costs exactly one `Quaternion.__mul__` call
     (generator times the element of its suffix), two memoized `act` calls
@@ -274,7 +276,9 @@ def ball_check(radius: int) -> BallCheckReport:
     steps = {}  # letter -> (letter, element, rho_y matrix, rho_t matrix)
     for name in letters:
         gen = primitive(alg, canon(structure.elements[name]), 1)
-        steps[name] = (name, gen, RHO_Y(gen), RHO_T(gen))
+        steps[name] = step = (name, gen, RHO_Y(gen), RHO_T(gen))
+        for value in step[1:]:
+            _set__memo(value, {})
     # the letters allowed after each leftmost letter: all but its inverse
     follow = {name: [steps[n] for n in letters if structure.inv[n] != name] for name in letters}
     follow[None] = list(steps.values())

@@ -33,14 +33,15 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .binpoly import clmul, compose
-from .quaternion import Quaternion
+from .quaternion import AlgebraMismatchError, Quaternion, standard_algebra
 from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _common_form, rf
 
 
 class Matrix2(OverOneDenominator):
     """A 2x2 matrix over GF(2)(var) whose `entries` e11, e12, e21, e22 are
-    stored in the form of `rational.OverOneDenominator`.  The memo that
-    `tree.act` keeps on a matrix is that form's `_memo` slot."""
+    stored in the form of `rational.OverOneDenominator`.  `tree.act` keeps
+    its images in that form's `_memo` slot when the matrix carries a memo,
+    which only `certify.ball_check` gives."""
 
     __slots__ = ()
 
@@ -82,6 +83,8 @@ class Matrix2(OverOneDenominator):
 
 # (x^2 + x)^k at index k; grows on demand to the largest degree substituted
 _SQUARE_PLUS_POWERS = [1]
+
+_SPLIT = standard_algebra()  # the algebra that both maps split
 
 
 class EmbeddingMap:
@@ -126,7 +129,10 @@ class EmbeddingMap:
     def __call__(self, q: Quaternion) -> Matrix2:
         """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J),
         each row scaled in one loop over its coordinate's set bits: one
-        `clmul`, for the denominator, once the table of powers is long enough."""
+        `clmul`, for the denominator, once the table of powers is long enough.
+        An element of an algebra other than [z, 1+z^3) is refused."""
+        if q._tag is not _SPLIT and q._tag != _SPLIT:
+            raise AlgebraMismatchError(f"{self.name} splits [z, 1+z^3) only, not {q._tag!r}")
         *xs, den = self._substitute((*q._nums, q._den))
         e0 = e1 = e2 = e3 = 0
         for x, (m0, m1, m2, m3) in zip(xs, self._image_nums):

@@ -18,12 +18,12 @@ of four, the right factor times its basis element (q, I q, J q or IJ q), in
 one loop over the coordinate's set bits, where the bit x^k adds the row
 times 2^k.  The structure constants enter the rows the same way, so the
 loops run over the short left coordinates and a, b, ab, never over the right
-numerators; when a and b are polynomials, no `clmul` is called unless both
-denominators differ from 1.  The sum is reduced once, by dividing the five
-output ints by their gcd.
-The left factor memoizes its products in the form's `_memo` slot, keyed by
-the right factor's value, so a product that repeats (the ball check meets
-one generator times one element by several words) is computed once.
+numerators, and no `clmul` is called unless both denominators differ from
+1.  The sum is reduced once, by dividing the five output ints by their gcd.
+A left factor that carries a memo in the form's `_memo` slot (only the ball
+check gives one, to its generators) keeps its products by right factors over
+denominator 1 there, so a product that repeats (the ball check meets one
+generator times one element by several words) is computed once.
 The norm and the inverse read the stored ints, and the projective key is
 the numerator 4-tuple divided by its gcd (the denominator is a scalar).
 """
@@ -41,7 +41,6 @@ from .rational import (
     OverOneDenominator,
     RationalFunction,
     _primitive_part,
-    _set__memo,
     parse_rational,
     rf,
 )
@@ -55,15 +54,16 @@ class QuaternionAlgebra(tuple):
     """The algebra [a,b) over GF(2)(var): I^2 = I + a, J^2 = b, JI = IJ + J.
 
     The tuple (a, b, var, _ints), where `_ints` holds the structure constants
-    1, a, b, ab as GF(2)[var] ints over the common denominator of a and b."""
+    a, b, ab as GF(2)[var] ints: a and b must be polynomials."""
 
     __slots__ = ()
 
     def __new__(cls, a: RationalFunction, b: RationalFunction, var: str = "z") -> QuaternionAlgebra:
         if b.is_zero():
             raise ValueError("the parameter b must be nonzero")
-        na, da, nb, db = a.num, a.den, b.num, b.den
-        return tuple.__new__(cls, (a, b, var, (clmul(da, db), clmul(na, db), clmul(da, nb), clmul(na, nb))))
+        if a.den != 1 or b.den != 1:
+            raise ValueError("the parameters a and b must be polynomials")
+        return tuple.__new__(cls, (a, b, var, (a.num, b.num, clmul(a.num, b.num))))
 
     a = property(itemgetter(0))
     b = property(itemgetter(1))
@@ -126,37 +126,23 @@ class Quaternion(OverOneDenominator):
         a q3, one over b makes b q2 and b q3, and one over ab makes ab q3.
         The denominator is the other factor's when one of the two is 1.  So
         a right coordinate 0 or 1 costs one multiply like any other, and a
-        product in the standard algebra makes no `clmul` call when either
-        denominator is 1, and one call, for the denominator, when neither
-        is.  When a or b is not a polynomial, the terms without a structure
-        constant and the denominator are multiplied by `one`, the common
-        denominator of a and b, in five more calls.
+        product makes no `clmul` call when either denominator is 1, and one
+        call, for the denominator, when neither is.
 
-        The product is memoized in the left factor's `_memo`, created on its
-        first product, keyed by the right factor's value: its numerator
-        tuple itself over denominator 1, which allocates no key, and the
-        pair (numerators, denominator) otherwise.  A 4-tuple of ints never
-        equals a pair, so the two kinds of key cannot collide.  A repeated
-        product returns the stored one and skips the arithmetic.
-
-        A left factor keeps every product it has made for as long as it
-        lives.  The package's own long-lived elements act only in bounded
-        set-up; a caller who multiplies one held element by many distinct
-        values can multiply `copy.copy(element)` instead, which is equal and
-        has no memo."""
+        The memo is read and filled, never created: only when this factor
+        carries one (`certify.ball_check` gives one to each generator; every
+        other value has `_memo` None) and `other` is over denominator 1 is
+        the product kept there under `other`'s numerator tuple, which
+        allocates no key, and a repeated product returns the stored one."""
         if other._tag is not self._tag:
             self._same_tag(other)
         nums, other_den = other._nums, other._den
-        key = nums if other_den == 1 else (nums, other_den)
-        memo = self._memo
-        if memo is None:
-            memo = {}
-            _set__memo(self, memo)
-        else:
-            product = memo.get(key)
+        memo = self._memo if other_den == 1 else None
+        if memo is not None:
+            product = memo.get(nums)
             if product is not None:
                 return product
-        one, a, b, ab = self._tag._ints
+        a, b, ab = self._tag._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = nums
         den = self._den
@@ -164,17 +150,13 @@ class Quaternion(OverOneDenominator):
             den = other_den
         elif other_den != 1:
             den = clmul(den, other_den)
-        if one == 1:
-            u0, u1, u2, u3 = q0, q1, q2, q3
-        else:  # a or b is not a polynomial
-            u0, u1, u2, u3, den = clmul(one, q0), clmul(one, q1), clmul(one, q2), clmul(one, q3), clmul(one, den)
         z0 = z1 = z2 = z3 = 0
         while p0:  # q
             low = p0 & -p0
-            z0 ^= u0 * low
-            z1 ^= u1 * low
-            z2 ^= u2 * low
-            z3 ^= u3 * low
+            z0 ^= q0 * low
+            z1 ^= q1 * low
+            z2 ^= q2 * low
+            z3 ^= q3 * low
             p0 ^= low
         if p1 or p3:
             aq1 = aq3 = 0
@@ -193,8 +175,8 @@ class Quaternion(OverOneDenominator):
                 bq3 ^= q3 * low
                 x ^= low
         if p1:  # I q
-            r1 = u0 ^ u1
-            r3 = u2 ^ u3
+            r1 = q0 ^ q1
+            r3 = q2 ^ q3
             while p1:
                 low = p1 & -p1
                 z0 ^= aq1 * low
@@ -204,13 +186,13 @@ class Quaternion(OverOneDenominator):
                 p1 ^= low
         if p2:  # J q
             r0 = bq2 ^ bq3
-            r2 = u0 ^ u1
+            r2 = q0 ^ q1
             while p2:
                 low = p2 & -p2
                 z0 ^= r0 * low
                 z1 ^= bq3 * low
                 z2 ^= r2 * low
-                z3 ^= u1 * low
+                z3 ^= q1 * low
                 p2 ^= low
         if p3:  # IJ q
             abq3 = 0
@@ -224,23 +206,24 @@ class Quaternion(OverOneDenominator):
                 z0 ^= abq3 * low
                 z1 ^= bq2 * low
                 z2 ^= aq1 * low
-                z3 ^= u0 * low
+                z3 ^= q0 * low
                 p3 ^= low
-        product = memo[key] = Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
+        product = Quaternion._from_ints(self._tag, (z0, z1, z2, z3), den)
+        if memo is not None:
+            memo[nums] = product
         return product
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
         den = self._den
-        return RationalFunction(self._norm_num(), clmul(self._tag._ints[0], clmul(den, den)))
+        return RationalFunction(self._norm_num(), clmul(den, den))
 
     def _norm_num(self) -> int:
-        """The numerator of the reduced norm over one * den^2, where `one` is
-        the common denominator of a and b."""
-        one, a, b, ab = self._tag._ints
+        """The numerator of the reduced norm over den^2."""
+        a, b, ab = self._tag._ints
         x0, x1, x2, x3 = self._nums
         return (
-            clmul(one, clmul(x0, x0 ^ x1))
+            clmul(x0, x0 ^ x1)
             ^ clmul(a, clmul(x1, x1))
             ^ clmul(b, clmul(x2, x2 ^ x3))
             ^ clmul(ab, clmul(x3, x3))
@@ -250,13 +233,13 @@ class Quaternion(OverOneDenominator):
         return RationalFunction(self._nums[1], self._den)
 
     def inverse(self) -> Quaternion:
-        """conj(q) / nrd(q) = conj(n) * one * den / norm numerator."""
+        """conj(q) / nrd(q) = conj(n) * den / norm numerator."""
         norm = self._norm_num()
         if norm == 0:
             raise NotInvertibleError("element has reduced norm zero")
         x0, x1, x2, x3 = self._nums
-        f = clmul(self._tag._ints[0], self._den)
-        return Quaternion._from_ints(self._tag, tuple(clmul(f, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
+        den = self._den
+        return Quaternion._from_ints(self._tag, tuple(clmul(den, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
 
     def projective_canon(self) -> tuple[int, int, int, int]:
         """Canonical representative: the primitive coordinate 4-tuple over

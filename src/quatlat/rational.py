@@ -212,9 +212,10 @@ class OverOneDenominator:
     `_memo` is a cache for the value acting as an operator: `tree.act` keeps
     vertex -> image in a matrix's memo, `Quaternion.__mul__` keeps right
     factor -> product in the left factor's.  Every constructor, copy and
-    unpickling leaves it None; the first use creates the dict and writes it
-    through `_set__memo`, as the constructors write their slots.  Equality,
-    hash, copy and pickle ignore it, so it lives and dies with its value.
+    unpickling leaves it None, and neither user creates one: only
+    `certify.ball_check` writes an empty dict, through `_set__memo`, into the
+    generators and matrices it builds for one call.  Equality, hash, copy and
+    pickle ignore it, so it lives and dies with its value.
     """
 
     __slots__ = ("_tag", "_nums", "_den", "_memo")

@@ -24,12 +24,12 @@ power of pi so that every entry of the product is a polynomial.  The
 canonical form then needs only carry-less products, the lowest set bits of
 the entries (valuations at 0) and one truncated series division.
 
-`act` memoizes on the matrix: it keeps the vertices a Matrix2 has moved and
-their images in the matrix's `_memo` (the slot of the form it shares with
-quaternions, None until the first `act`), so a matrix that acts again on a
-vertex it has seen (the generator images in the ball check) costs a dict
-lookup.  The memo lives and dies with its matrix; there is no module-level
-vertex cache.
+`act` reads and fills a memo on the matrix but never creates one: a Matrix2
+whose `_memo` slot (of the form it shares with quaternions) holds a dict
+keeps the vertices it has moved and their images there, so acting again on
+a vertex it has seen costs a dict lookup.  Only `certify.ball_check` gives
+its generators' matrices a memo; every other matrix has `_memo` None and
+computes each image.  There is no module-level vertex cache.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .binpoly import clmul, reverse
 from .embeddings import RHO_T, RHO_Y, Matrix2
 from .places import _series
 from .quaternion import Quaternion
-from .rational import _set__memo
 
 
 class TreeVertex(tuple):
@@ -100,13 +99,10 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
 
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
-    """The vertex m.v: the canonical form of m times the matrix of v,
-    memoized as v -> m.v in `m._memo`, which the first call creates."""
+    """The vertex m.v: the canonical form of m times the matrix of v, kept
+    as v -> m.v in `m._memo` when m carries a memo."""
     memo = m._memo
-    if memo is None:
-        memo = {}
-        _set__memo(m, memo)
-    else:
+    if memo is not None:
         image = memo.get(v)
         if image is not None:
             return image
@@ -124,7 +120,8 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     tail = reverse(tail) << max(n - w, 0)
     a, b, c, d = m._nums
     image = _vertex(field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
-    memo[v] = image
+    if memo is not None:
+        memo[v] = image
     return image
 
 

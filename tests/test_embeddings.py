@@ -1,7 +1,10 @@
+import pytest
+
 from quatlat.binpoly import clgcd, compose, reverse
-from quatlat.embeddings import _SQUARE_PLUS_POWERS, RHO_T, RHO_Y, Matrix2
-from quatlat.quaternion import named_elements, standard_algebra
+from quatlat.embeddings import _SPLIT, _SQUARE_PLUS_POWERS, RHO_T, RHO_Y, Matrix2
+from quatlat.quaternion import AlgebraMismatchError, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
+from quatlat.tree import bt_act, standard_product_vertex
 
 from conftest import make_rng, random_quaternion, random_rational, sympy_bridge
 from fraction_reference import reference_matrix_projective_eq, reference_rho
@@ -114,6 +117,23 @@ def test_generator_images():
     alg = standard_algebra()
     assert str(RHO_Y(alg.gen_i())) == "[[y, 0], [0, 1+y]]"
     assert RHO_T(alg.one()).entries == Matrix2.identity("t").entries
+
+
+def test_splittings_refuse_elements_of_other_algebras():
+    """Both maps split [z, 1+z^3) only: an element of the split algebra [0, 1),
+    or of [z, 1+z^3) over another variable, is refused, not read as if its
+    coordinates were in the standard algebra."""
+    foreign = (QuaternionAlgebra(rf(0), rf(1)), QuaternionAlgebra(rf(0b10), rf(0b1001), "w"))
+    for alg in foreign:
+        for q in (alg.gen_i(), alg.gen_j(), alg.one()):
+            for which in (RHO_Y, RHO_T):
+                with pytest.raises(AlgebraMismatchError):
+                    which(q)
+            with pytest.raises(AlgebraMismatchError):
+                bt_act(q, standard_product_vertex())
+    equal = QuaternionAlgebra(rf(0b10), rf(0b1001))  # an equal algebra, another object, is accepted
+    assert equal is not _SPLIT
+    assert str(RHO_Y(equal.gen_i())) == "[[y, 0], [0, 1+y]]"
 
 
 def test_defining_relations_under_both_embeddings():

@@ -3,10 +3,11 @@
 Products, reduced norms, inverses, projective keys, the splittings and the
 tree action run on raw GF(2)[z] ints; each is compared here with the
 fraction-by-fraction formula in fraction_reference.py on random inputs, in
-the standard algebra [z, 1+z^3) and in [1/z, z/(1+z)), whose parameters are
-not polynomials.  Quaternion and Matrix2 store four numerators over one
-denominator; the tests below also check that this stored form is in lowest
-terms and that ==, hash and the coordinate views agree with it.
+the standard algebra [z, 1+z^3) and in the division algebra
+[z+z^3, 1+z+z^2), ramified at zeta and infinity.  Quaternion and Matrix2
+store four numerators over one denominator; the tests below also check that
+this stored form is in lowest terms and that ==, hash and the coordinate
+views agree with it.
 """
 
 import copy
@@ -22,8 +23,18 @@ from quatlat.places import PLACE_ZERO, valuation
 from quatlat.embeddings import Matrix2
 from quatlat import quaternion
 from quatlat.lattice import standard_structure
+from quatlat.suite import run_all
 from quatlat.quaternion import AlgebraMismatchError, NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
-from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, _primitive_part, _reduce_over, parse_rational
+from quatlat.rational import (
+    ONE_RF,
+    ZERO_RF,
+    RationalFunction,
+    _primitive_part,
+    _reduce_over,
+    _set__memo,
+    parse_rational,
+    rf,
+)
 from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
 
 from conftest import (
@@ -46,9 +57,11 @@ from fraction_reference import (
     vertex_matrix,
 )
 
+# "non-polynomial" is an id kept so that the printed test names stay stable;
+# the algebra's parameters are polynomials, as QuaternionAlgebra requires.
 ALGEBRAS = {
     "standard": standard_algebra(),
-    "non-polynomial": QuaternionAlgebra(parse_rational("1/z"), parse_rational("z/(1+z)"), "z"),
+    "non-polynomial": QuaternionAlgebra(rf(0b1010), rf(0b111)),
 }
 SAMPLES = 500
 DEGREE = 3
@@ -92,8 +105,7 @@ def _sparse_left_factor(rng, alg) -> Quaternion:
 def test_product_by_sparse_left_factors_matches_the_fraction_formula(alg):
     """The product skips a left numerator 0 and adds the row of a left
     numerator 1 by XOR; each of the four positions takes the zero, the unit
-    and the general branch, in the polynomial and the non-polynomial
-    algebra alike."""
+    and the general branch, in both algebras alike."""
     rng = make_rng(74)
     branches = set()
     for _ in range(SAMPLES):
@@ -419,8 +431,8 @@ def test_act_ignores_a_scalar_factor_of_the_matrix():
 
 
 def test_act_memo_agrees_with_a_fresh_matrix_and_the_fraction_oracle():
-    """act stores m.v in the matrix it acted by: a second call (a memo hit)
-    and a fresh equal matrix (an empty memo) must give the vertex that the
+    """act stores m.v in a matrix given a memo: a second call (a memo hit)
+    and a fresh equal matrix (no memo) must give the vertex that the
     fraction arithmetic gives."""
     rng = make_rng(72)
     alg = standard_algebra()
@@ -429,6 +441,7 @@ def test_act_memo_agrees_with_a_fresh_matrix_and_the_fraction_oracle():
         q = random_invertible_quaternion(rng, alg, DEGREE)
         for which in (RHO_Y, RHO_T):
             m = which(q)
+            _set__memo(m, {})
             for _ in range(2):
                 level = rng.randint(-3, 3)
                 v = TreeVertex(m.var, level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
@@ -438,6 +451,7 @@ def test_act_memo_agrees_with_a_fresh_matrix_and_the_fraction_oracle():
                 fresh = Matrix2(m.var, *m.entries)
                 assert fresh == m and fresh._memo is None
                 assert act(fresh, v) == first == vertex_from_matrix(m * vertex_matrix(v)), (q, v)
+                assert fresh._memo is None
                 pairs += 1
     assert pairs >= 2000
 
@@ -448,9 +462,11 @@ def test_act_memo_is_invisible_to_equality_hash_copy_and_pickle():
     twin = Matrix2(m.var, *m.entries)
     hash_before = hash(m)
     v = TreeVertex("t", 2, 0b1)
-    assert m._memo is None and twin._memo is None  # no memo before the first act
+    assert m._memo is None and twin._memo is None  # no memo until one is given
+    _set__memo(m, {})
+    _set__memo(twin, {})
     act(m, v)
-    assert m._memo and twin._memo is None  # equal matrices do not share a memo
+    assert m._memo and not twin._memo  # equal matrices do not share a memo
     act(twin, v)
     assert twin._memo == m._memo and twin._memo is not m._memo
     assert m == twin and hash(m) == hash(twin) == hash_before
@@ -458,27 +474,31 @@ def test_act_memo_is_invisible_to_equality_hash_copy_and_pickle():
         assert copied == m and hash(copied) == hash(m)
         assert copied._memo is None
         assert act(copied, v) == m._memo[v]  # copying reads the entries, which keeps the memo
-        assert copied._memo is not m._memo
+        assert copied._memo is None
     for name in ("var", "_nums", "_den", "_memo", "unknown_attribute"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
 
 
 def test_product_memo_agrees_with_a_memo_less_copy_and_the_fraction_oracle(alg):
-    """p*q is stored in p's memo under q's value: a second product by q, or
-    by an equal right factor held by another object, returns the stored
-    product, which must equal the product of a memo-less copy of p and the
-    fraction formula, over denominator 1 and over other denominators."""
+    """A p given a memo stores p*q there under q's value when q is over
+    denominator 1: a second product by q, or by an equal right factor held
+    by another object, returns the stored product; over other denominators
+    each product is computed anew.  Either way it must equal the product of
+    a memo-less copy of p and the fraction formula."""
     rng = make_rng(77)
     kinds = set()
     for k in range(SAMPLES):
         p = random_quaternion(rng, alg, DEGREE)
+        _set__memo(p, {})
         q = _over(rng, alg, [random_poly(rng, DEGREE) for _ in range(4)], k & 1)
         twin = Quaternion(alg, q.coords)
         assert twin == q and twin is not q and twin._nums is not q._nums
         kinds.add(q._den == 1)
         first = p * q
-        assert p * q is first and p * twin is first  # memo hits
+        hit = q._den == 1
+        assert (p * q is first) == hit and (p * twin is first) == hit  # memo hits over 1 only
+        assert len(p._memo) == hit
         fresh = copy.copy(p)
         assert fresh._memo is None
         assert fresh * twin == first == Quaternion(alg, reference_mul(p, q).coords), (p, q)
@@ -488,8 +508,8 @@ def test_product_memo_agrees_with_a_memo_less_copy_and_the_fraction_oracle(alg):
 def test_product_memo_tells_right_factors_apart_by_their_denominator(alg):
     """Two right factors with the same numerator tuple over 1 and over another
     denominator are different values with different products, in either
-    order; a memo keyed on the numerators alone returns the first product
-    for both."""
+    order; a memo keyed on the numerators alone, for every denominator,
+    returns the first product for both."""
     rng = make_rng(78)
     for _ in range(SAMPLES // 5):
         p = random_invertible_quaternion(rng, alg, DEGREE)
@@ -499,6 +519,43 @@ def test_product_memo_tells_right_factors_apart_by_their_denominator(alg):
         over_den = Quaternion._from_ints(alg, nums, den)
         assert over_den._nums == over_one._nums and over_den._den == den != 1
         for left, right in ((p, (over_one, over_den)), (copy.copy(p), (over_den, over_one))):
+            _set__memo(left, {})
             for q in right:
                 assert left * q == Quaternion(alg, reference_mul(p, q).coords), (p, q)
             assert left * right[0] != left * right[1]
+
+
+def test_no_value_outside_the_ball_check_gets_a_memo():
+    """Products, inverses, splittings and actions create no memo on their
+    operands or results, over denominator 1 and over others."""
+    rng = make_rng(79)
+    alg = standard_algebra()
+    for k in range(SAMPLES // 5):
+        p = random_invertible_quaternion(rng, alg, DEGREE)
+        q = _over(rng, alg, [random_poly(rng, DEGREE) for _ in range(4)], k & 1)
+        values = [p, q, p * q, q * p, p * p, p.inverse()]
+        for which in (RHO_Y, RHO_T):
+            m = which(p)
+            v = TreeVertex(m.var, 1, 0b1)
+            assert act(m, v) == act(m, v)
+            values += [m, Matrix2(m.var, *m.entries)]
+        assert all(x._memo is None for x in values), p
+
+
+def test_run_all_leaves_no_memo_on_the_structure_elements():
+    assert all(result.passed for result in run_all(3))
+    elements = standard_structure().elements
+    assert len(elements) == 6
+    assert all(x._memo is None for x in elements.values())
+
+
+def test_a_held_element_keeps_no_products():
+    """A long-lived element, one of the structure's, multiplied by 20,000
+    distinct right factors over denominator 1, keeps none of the products."""
+    rng = make_rng(80)
+    b1 = standard_structure().elements["b1"]
+    alg = b1.algebra
+    for _ in range(20_000):
+        q = Quaternion._from_ints(alg, tuple(rng.getrandbits(8) for _ in range(4)), 1)
+        b1 * q
+    assert b1._memo is None

@@ -6,6 +6,9 @@ quatlat.__all__ or referred to by package code outside its own definition.
 A definition that only tests use belongs in tests/, or nowhere.  References
 are read from the syntax tree (names, attributes and imported names), so a
 method of the same name elsewhere also counts as a use.
+
+A second guard keeps the choice of which values memoize in one module: only
+`certify` (and `rational`, which defines it) names `_set__memo`.
 """
 
 from __future__ import annotations
@@ -59,3 +62,8 @@ def test_every_public_definition_is_used_by_the_package():
     unused = unused_public_definitions()
     print("public definitions that nothing in src/quatlat uses:", unused)
     assert not unused, unused
+
+
+def test_only_the_ball_check_gives_values_a_memo():
+    naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["_set__memo"])
+    assert naming == ["certify.py", "rational.py"], naming

@@ -14,7 +14,7 @@ from quatlat.invariants import ComplexCounts, complex_counts
 from quatlat.places import PLACE_INF, PLACE_ONE, PLACE_ZERO, PLACE_ZETA, Place
 from quatlat.presentations import Presentation, gr_presentation, lambda_presentation
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
-from quatlat.rational import RationalFunction, rf
+from quatlat.rational import RationalFunction, _set__memo, rf
 from quatlat.squares import GroupOps, V4Structure, build_structure
 from quatlat.tree import TreeVertex, act, bt_act, standard_product_vertex, standard_vertex
 
@@ -104,9 +104,11 @@ SLOTTED = _slotted_values_built_every_way()
 @pytest.mark.parametrize("obj", SLOTTED.values(), ids=SLOTTED.keys())
 def test_every_slot_refuses_assignment_after_construction(obj):
     if isinstance(obj, Matrix2):
+        _set__memo(obj, {})
         act(obj, standard_vertex(obj.var))  # fills the act memo, which must stay the same dict
     elif isinstance(obj, Quaternion):
-        obj * obj  # fills the product memo, likewise
+        _set__memo(obj, {})
+        obj * named_elements().B1  # fills the product memo (B1 is over 1), likewise
     slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
     assert slots and ("_memo" in slots) == isinstance(obj, (Quaternion, Matrix2))
     if "_memo" in slots:
@@ -244,4 +246,7 @@ def test_constructors_reject_invalid_values():
             Presentation(("a",), (relator,))
     with pytest.raises(ValueError, match="nonzero"):
         QuaternionAlgebra(rf(0b10), rf(0))
+    for a, b in ((rf(1, 0b10), rf(0b1001)), (rf(0b10), rf(0b10, 0b11))):
+        with pytest.raises(ValueError, match="polynomials"):
+            QuaternionAlgebra(a, b)
 
