@@ -1,23 +1,24 @@
 """Command-line front end.
 
-Subcommands:
-    verify      run every certificate; exit 0 iff all pass
-    present     print one of the fixed presentations, or the generated one
-    ball-check  the simple-transitivity ball check at a chosen radius
-    invariants  counting formulas, Chern numbers, kernel dims, abelianization
-    export      JSON of the square complex or DOT of its links
+Usage:
+    quatlat verify [--radius L] [--json]                      run every certificate; exit 0 iff all pass
+    quatlat present {lambda,gr,gamma,orbifold} [--json]       print a fixed or the generated presentation
+    quatlat ball-check --radius L [--json]                    the simple-transitivity ball check
+    quatlat invariants [--N 4] [--q 2] [--ell 5 7] [--json]   counting formulas, Chern numbers, kernel dims
+    quatlat export --what complex --format json [--out FILE]  the square complex as JSON
+    quatlat export --what links --format dot [--out FILE]     its links as DOT
+    quatlat [SUBCOMMAND] --help                               print this text
 
-verify, present, ball-check and invariants accept --json for
-machine-readable output; export has no --json and picks its format with
---format (json for the complex, dot for the links).  Exit codes: 0 success,
-1 a certificate failed, 2 usage error (argparse's default).
+A value follows its option or an `=` (--radius=5), the last of a repeated
+option wins, and options are spelled out in full.  Exit codes: 0 success, 1 a
+certificate failed, 2 a usage error, reported as one `quatlat: error:` line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .certify import ball_check
 from .invariants import albanese_kernel_dim, chern_numbers, complex_counts, is_prime
@@ -143,44 +144,63 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quatlat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's handler and options, as name: (type, default).  A type is
+# int, str, bool (a flag), list (zero or more ints) or a tuple of choices; the
+# default None makes an option required; a name without dashes is positional.
+_COMMANDS = {
+    "verify": (cmd_verify, {"--radius": (int, 3), "--json": (bool, False)}),
+    "present": (cmd_present, {"which": (("lambda", "gr", "gamma", "orbifold"), None), "--json": (bool, False)}),
+    "ball-check": (cmd_ball_check, {"--radius": (int, None), "--json": (bool, False)}),
+    "invariants": (cmd_invariants, {"--N": (int, 4), "--q": (int, 2), "--ell": (list, (5, 7)), "--json": (bool, False)}),
+    "export": (cmd_export, {"--what": (("complex", "links"), None), "--format": (("json", "dot"), None), "--out": (str, "")}),
+}
 
-    p_verify = sub.add_parser("verify", help="run all certificates")
-    p_verify.add_argument("--radius", type=int, default=3, help="ball-check radius (default 3)")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(fn=cmd_verify)
 
-    p_present = sub.add_parser("present", help="print a presentation")
-    p_present.add_argument("which", choices=("lambda", "gr", "gamma", "orbifold"))
-    p_present.add_argument("--json", action="store_true")
-    p_present.set_defaults(fn=cmd_present)
+def _fail(message: str):
+    raise SystemExit(_usage_error(message))
 
-    p_ball = sub.add_parser("ball-check", help="simple-transitivity ball check")
-    p_ball.add_argument("--radius", type=int, required=True)
-    p_ball.add_argument("--json", action="store_true")
-    p_ball.set_defaults(fn=cmd_ball_check)
 
-    p_inv = sub.add_parser("invariants", help="counting formulas and surface invariants")
-    p_inv.add_argument("--N", type=int, default=4)
-    p_inv.add_argument("--q", type=int, default=2)
-    p_inv.add_argument("--ell", type=int, nargs="*", default=[5, 7])
-    p_inv.add_argument("--json", action="store_true")
-    p_inv.set_defaults(fn=cmd_invariants)
-
-    p_export = sub.add_parser("export", help="write the complex or its links")
-    p_export.add_argument("--what", choices=("complex", "links"), required=True)
-    p_export.add_argument("--format", choices=("json", "dot"), required=True)
-    p_export.add_argument("--out", default=None)
-    p_export.set_defaults(fn=cmd_export)
-
-    return parser
+def _value(name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        return text if text in kind else _fail(f"argument {name}: invalid choice {text!r} (one of {', '.join(kind)})")
+    try:
+        return text if kind is str else int(text)
+    except ValueError:
+        _fail(f"argument {name}: invalid int value {text!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run the subcommand that argv (default sys.argv[1:]) names; --opt=value
+    reads as --opt value, and a value may start with a dash (--radius -1)."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"invalid subcommand {argv[0]!r}" if argv else "a subcommand is required"
+        _fail(f"{what} (one of {', '.join(_COMMANDS)})")
+    handler, options = _COMMANDS[argv[0]]
+    positionals = [name for name in options if not name.startswith("-")]
+    values = {name: default for name, (_, default) in options.items()}
+    words = [part for arg in argv[1:] for part in (arg.split("=", 1) if arg.startswith("--") else [arg])]
+    rest = words[::-1]  # the words left, the next one last
+    while rest:
+        name = rest.pop()
+        if not name.startswith("-"):  # a positional's value: name the positional
+            rest.append(name)
+            name = positionals.pop(0) if positionals else _fail(f"unrecognized argument {name!r}")
+        kind = options[name][0] if name in options else _fail(f"unrecognized option {name}")
+        if kind is bool:
+            values[name] = True
+        elif kind is list:
+            values[name] = []
+            while rest and not rest[-1].startswith("-"):
+                values[name].append(_value(name, int, rest.pop()))
+        else:
+            values[name] = _value(name, kind, rest.pop()) if rest else _fail(f"argument {name}: expected a value")
+    if missing := [name for name, value in values.items() if value is None]:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    return handler(SimpleNamespace(**{name.lstrip("-"): value for name, value in values.items()}))
 
 
 if __name__ == "__main__":

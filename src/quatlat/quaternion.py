@@ -297,9 +297,13 @@ def parse_quaternion(text: str, algebra: QuaternionAlgebra) -> Quaternion:
 # -- the standard algebra and its distinguished elements ------------------
 
 
+_STANDARD = QuaternionAlgebra(rf(0b10), rf(0b1001), "z")
+
+
 def standard_algebra() -> QuaternionAlgebra:
-    """The algebra [z, 1+z^3) over GF(2)(z)."""
-    return QuaternionAlgebra(rf(0b10), rf(0b1001), "z")
+    """The algebra [z, 1+z^3) over GF(2)(z), one object for every call, so a
+    tag check between values built from separate calls is an `is` test."""
+    return _STANDARD
 
 
 NamedElements = namedtuple("NamedElements", "B1 B2 C1 C2 D")

@@ -191,3 +191,54 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("quatlat: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        pytest.param([], id="no-subcommand"),
+        pytest.param(["frobnicate"], id="unknown-subcommand"),
+        pytest.param(["verify", "--bogus"], id="unknown-option"),
+        pytest.param(["verify", "--rad", "3"], id="abbreviated-option"),
+        pytest.param(["ball-check", "--radius"], id="missing-value"),
+        pytest.param(["verify", "--radius", "three"], id="int-does-not-parse"),
+        pytest.param(["invariants", "--ell", "5", "x"], id="list-int-does-not-parse"),
+        pytest.param(["export", "--what", "cells", "--format", "json"], id="bad-choice"),
+        pytest.param(["present", "nonexistent"], id="bad-positional-choice"),
+        pytest.param(["ball-check", "--json"], id="missing-required-option"),
+        pytest.param(["present"], id="missing-positional"),
+        pytest.param(["present", "gr", "extra"], id="extra-argument"),
+        pytest.param(["verify", "--json=yes"], id="flag-given-a-value"),
+    ),
+)
+def test_parse_error_exits_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("quatlat: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (["--help"], ["-h"], ["verify", "--help"], ["export", "--what", "links", "-h"]))
+def test_help_prints_the_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == cli.__doc__ + "\n"
+    assert "quatlat ball-check --radius L [--json]" in out
+
+
+def test_option_value_after_equals_sign(capsys):
+    assert main(["ball-check", "--radius", "2", "--json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["ball-check", "--radius=2", "--json"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main(["ball-check", "--radius", "5", "--radius=2", "--json"]) == 0  # the last value wins
+    assert capsys.readouterr().out == spaced
+
+
+def test_invariants_ell_without_values(capsys):
+    assert main(["invariants", "--ell", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dims"] == {}

@@ -1,7 +1,9 @@
-"""Importing the CLI stays cheap: no module on its import path loads the
-stdlib's introspection machinery (dataclasses pulls in inspect, ast, dis and
-tokenize; typing is heavy on its own), which would cost every fresh
-`quatlat verify` several milliseconds before any work starts."""
+"""Importing and running the CLI stays cheap: no module on its import path
+loads the stdlib's introspection machinery (dataclasses pulls in inspect,
+ast, dis and tokenize; typing is heavy on its own), and parsing the command
+line loads no argparse, whose messages go through gettext and its first
+lookups through locale.  Each would cost every fresh `quatlat verify`
+milliseconds before any work starts."""
 
 import json
 import os
@@ -54,3 +56,27 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
         name = report["loaded"][0]
         importer = report["importers"].get(name) or "a module imported by quatlat"
         raise AssertionError(f"import quatlat.cli loaded {name} (via {importer}); all heavy: {report['loaded']}")
+
+
+# Runs one CLI command under `python -S` and lists which of the modules
+# given were loaded afterwards.
+RUN_PROBE = """
+import contextlib, io, json, sys
+
+import quatlat.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quatlat.cli.main(["verify", "--json", "--radius", "0"])
+print(json.dumps({"code": code, "loaded": [name for name in %r if name in sys.modules]}))
+"""
+
+
+def test_running_the_cli_loads_no_argument_parser():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    modules = ("argparse", "gettext", "locale", *HEAVY)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_PROBE % (modules,)], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    assert report["loaded"] == [], f"a verify run loaded {report['loaded']}"

@@ -119,6 +119,13 @@ def test_generator_images():
     assert RHO_T(alg.one()).entries == Matrix2.identity("t").entries
 
 
+def test_the_standard_algebra_is_one_object():
+    """Values built from separate calls share their algebra, so the tag
+    checks between them (products, splittings) are `is` tests."""
+    assert standard_algebra() is standard_algebra()
+    assert named_elements().B1.algebra is _SPLIT
+
+
 def test_splittings_refuse_elements_of_other_algebras():
     """Both maps split [z, 1+z^3) only: an element of the split algebra [0, 1),
     or of [z, 1+z^3) over another variable, is refused, not read as if its
