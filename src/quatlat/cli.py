@@ -11,12 +11,14 @@ Usage:
 
 A value follows its option or an `=` (--radius=5), the last of a repeated
 option wins, and options are spelled out in full.  Exit codes: 0 success, 1 a
-certificate failed, 2 a usage error, reported as one `quatlat: error:` line.
+certificate failed or stdout closed early (nothing on stderr), 2 a usage
+error, reported as one `quatlat: error:` line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -170,9 +172,23 @@ def _value(name: str, kind, text: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the subcommand that argv (default sys.argv[1:]) names; --opt=value
-    reads as --opt value, and a value may start with a dash (--radius -1)."""
-    argv = sys.argv[1:] if argv is None else argv
+    """Run the subcommand that argv (default sys.argv[1:]) names.  If the
+    reader of stdout (`head`, say) leaves before the output is written, exit
+    1 with nothing on stderr: the rest of the output goes to devnull, so the
+    flush at exit cannot fail again."""
+    try:
+        try:
+            return _dispatch(sys.argv[1:] if argv is None else argv)
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv: list[str]) -> int:
+    """Parse argv and run its handler; --opt=value reads as --opt value, and
+    a value may start with a dash (--radius -1)."""
     if "-h" in argv or "--help" in argv:
         print(__doc__)
         raise SystemExit(0)

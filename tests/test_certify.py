@@ -158,6 +158,45 @@ def test_ball_check_computes_each_generator_times_element_product_once(monkeypat
         assert sum(len(g._memo) for g in generators) == len(pairs) == computed
 
 
+def test_ball_check_keys_each_distinct_product_once(monkeypatch):
+    """Words keep returning the same products, and equal numerators over
+    denominator 1 are one element, so the key is computed once per distinct
+    product: 27/90/263/698 keys for the 36/186/936/4,686 words at radius
+    2/3/4/5."""
+    word_key = certify._word_key
+    calls = []
+
+    def counted(nums):
+        calls.append(nums)
+        return word_key(nums)
+
+    monkeypatch.setattr(certify, "_word_key", counted)
+    for radius, keys in ((2, 27), (3, 90), (4, 263), (5, 698)):
+        calls.clear()
+        report = ball_check(radius)
+        assert report.injective
+        assert len(calls) == len(set(calls)) == keys, radius
+
+
+def test_ball_check_fails_when_a_revisited_word_lands_elsewhere(monkeypatch):
+    """The last word walked reaches an element met before; if its last action
+    leaves the vertex unmoved, the word lands off that element's vertex.  A
+    word whose product was keyed before must still compare its vertices."""
+    act = certify.act
+    for radius in (2, 3, 4):
+        last = 2 * (6 * (5**radius - 1) // 4)  # two act calls per word past the empty one
+        calls = [0]
+
+        def faulty_act(m, v):
+            calls[0] += 1
+            return v if calls[0] == last else act(m, v)
+
+        monkeypatch.setattr(certify, "act", faulty_act)
+        report = ball_check(radius)
+        assert calls[0] == last
+        assert not report.injective, radius
+
+
 def test_ball_check_memory_stays_below_one_kib_per_ball_vertex():
     """The walk keeps the interned ball and one stack of words, not a whole
     layer of 5^L words: at radius 6 the traced peak stays under 1 KiB per

@@ -15,6 +15,7 @@ from quatlat.places import PLACE_ONE
 FIXTURES = Path(__file__).parent / "fixtures"
 METRICS = Path(__file__).resolve().parent.parent / "benchmarks" / "metrics.py"
 SELFTEST = METRICS.with_name("selftest.py")
+SRC = METRICS.parent.parent / "src"
 
 
 def fixture_dir() -> Path:
@@ -228,6 +229,31 @@ def test_help_prints_the_usage(argv, capsys):
     out = capsys.readouterr().out
     assert out == cli.__doc__ + "\n"
     assert "quatlat ball-check --radius L [--json]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["export", "--what", "links", "--format", "dot"],
+        ["invariants", "--json"],
+        ["verify", "--json", "--radius", "1"],
+        ["present", "lambda"],
+        ["--help"],
+    ),
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    """A reader that leaves early (`quatlat ... | head -1`) closes the pipe;
+    the CLI then exits 1 and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "quatlat", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_option_value_after_equals_sign(capsys):
