@@ -15,17 +15,15 @@ A Matrix2 is stored like a quaternion, in the form that
 `rational.OverOneDenominator` states once; products and det run on the
 stored ints.
 
-An embedding works on the five ints a quaternion stores (numerators
-n0..n3 over den) and never builds a fraction.  Substituting x^2 + x is
-GF(2)-linear, so an int's image XORs precomputed powers (x^2 + x)^k over its
-set bits k.  rho_y reads the table from the bottom, rho_t from the top: bit k
-takes (t^2 + t)^(D-k), D the largest degree among the five, which substitutes
-the reversal u^D n_k(1/u); the u^D cancels over the common denominator.  Both
-maps keep the five ints coprime.  Each image then scales its basis image's
-row of four ints as `Quaternion.__mul__` scales its rows, the bit x^k adding
-the row times 2^k, so a call makes one `clmul`, for the denominator, and
-reduces once.  `embed_scalar` is the same map on the two ints of a fraction,
-which stay coprime, so its image is built without a gcd.
+An embedding works on the five ints a quaternion stores (numerators n0..n3
+over den) and never builds a fraction.  It is GF(2)-linear in each int, so
+each map keeps a table, grown with the largest degree embedded (not with the
+number of calls) and kept for the process: row k holds (x^2 + x)^k times the
+basis images and their denominator.  A call XORs one row per set bit: rho_y
+row k for bit k, rho_t row D-k, D the largest degree among the five, which
+substitutes the reversal u^D n(1/u); the u^D cancels.  So a call makes no
+`clmul` and reduces once.  `embed_scalar` keeps the two ints of a fraction
+coprime, so its image is built without a gcd.
 """
 
 from __future__ import annotations
@@ -81,10 +79,17 @@ class Matrix2(OverOneDenominator):
         return f"[[{e11}, {e12}], [{e21}, {e22}]]"
 
 
-# (x^2 + x)^k at index k; grows on demand to the largest degree substituted
-_SQUARE_PLUS_POWERS = [1]
-
 _SPLIT = standard_algebra()  # the algebra that both maps split
+
+
+def _xor_scalars(rows: list, x: int, i: int) -> int:
+    """XOR of entry i of row k's scalars (denominator, power) over the set bits k of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= rows[low.bit_length() - 1][4][i]
+        x ^= low
+    return out
 
 
 class EmbeddingMap:
@@ -99,51 +104,44 @@ class EmbeddingMap:
         self.image_j = image_j
         self.image_ij = image_i * image_j
         self.identity = Matrix2.identity(var)
-        # the four basis images as int matrices over one common denominator
         images = (self.identity, image_i, image_j, self.image_ij)
-        *nums, self._image_den = _common_form([e for m in images for e in m.entries])
-        self._image_nums = tuple(tuple(nums[4 * k : 4 * k + 4]) for k in range(4))
+        # row k: (x^2 + x)^k times each basis image's four numerators over their
+        # common denominator, then the scalars (x^2 + x)^k times it, and (x^2 + x)^k
+        *nums, den = _common_form([e for m in images for e in m.entries])
+        self._rows = [(*(tuple(nums[c : c + 4]) for c in (0, 4, 8, 12)), (den, 1))]
 
-    def _substitute(self, ints: tuple[int, ...]) -> list[int]:
-        """The images of numerators over one denominator (the last int), as
-        numerators over one denominator in the extension's variable; bit k
-        reads (x^2 + x)^k, or (x^2 + x)^(D-k) with D the largest degree."""
-        powers = _SQUARE_PLUS_POWERS
-        top = max(x.bit_length() for x in ints)
-        while len(powers) < top:
-            powers.append(clmul(powers[-1], 0b110))
-        powers = powers[top - 1 :: -1] if self.inverted else powers
-        out = []
-        for x in ints:
-            image = 0
-            while x:
-                low = x & -x
-                image ^= powers[low.bit_length() - 1]
-                x ^= low
-            out.append(image)
-        return out
+    def _table(self, top: int) -> list:
+        """Rows 0..top-1, grown on demand; reversed for rho_t, whose bit k reads (x^2 + x)^(top-1-k)."""
+        rows = self._rows
+        while len(rows) < top:  # times x^2 + x: a shift by 1 XOR a shift by 2
+            rows.append(tuple(tuple(x << 1 ^ x << 2 for x in part) for part in rows[-1]))
+        return rows[top - 1 :: -1] if self.inverted else rows
 
     def embed_scalar(self, f: RationalFunction) -> RationalFunction:
-        return RationalFunction._coprime(*self._substitute((f.num, f.den)))
+        """f at z = y^2 + y resp. z = 1/(t^2 + t), built without a gcd: the images stay coprime."""
+        rows = self._table((f.num | f.den).bit_length())
+        return RationalFunction._coprime(_xor_scalars(rows, f.num, 1), _xor_scalars(rows, f.den, 1))
 
     def __call__(self, q: Quaternion) -> Matrix2:
-        """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J),
-        each row scaled in one loop over its coordinate's set bits: one
-        `clmul`, for the denominator, once the table of powers is long enough.
-        An element of an algebra other than [z, 1+z^3) is refused."""
+        """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J):
+        a set bit of coordinate c XORs basis image c of its row into the four
+        entries, so a call makes no `clmul` and reduces once.  An element of
+        an algebra other than [z, 1+z^3) is refused."""
         if q._tag is not _SPLIT and q._tag != _SPLIT:
             raise AlgebraMismatchError(f"{self.name} splits [z, 1+z^3) only, not {q._tag!r}")
-        *xs, den = self._substitute((*q._nums, q._den))
+        n0, n1, n2, n3 = nums = q._nums
+        rows = self._table((n0 | n1 | n2 | n3 | q._den).bit_length())
         e0 = e1 = e2 = e3 = 0
-        for x, (m0, m1, m2, m3) in zip(xs, self._image_nums):
+        for c, x in enumerate(nums):
             while x:
                 low = x & -x
-                e0 ^= m0 * low
-                e1 ^= m1 * low
-                e2 ^= m2 * low
-                e3 ^= m3 * low
+                m0, m1, m2, m3 = rows[low.bit_length() - 1][c]
+                e0 ^= m0
+                e1 ^= m1
+                e2 ^= m2
+                e3 ^= m3
                 x ^= low
-        return Matrix2._from_ints(self.var, (e0, e1, e2, e3), clmul(den, self._image_den))
+        return Matrix2._from_ints(self.var, (e0, e1, e2, e3), _xor_scalars(rows, q._den, 0))
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.name})"

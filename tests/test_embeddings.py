@@ -1,9 +1,10 @@
 import pytest
 
 from quatlat.binpoly import clgcd, compose, reverse
-from quatlat.embeddings import _SPLIT, _SQUARE_PLUS_POWERS, RHO_T, RHO_Y, Matrix2
-from quatlat.quaternion import AlgebraMismatchError, QuaternionAlgebra, named_elements, standard_algebra
+from quatlat.embeddings import _SPLIT, RHO_T, RHO_Y, Matrix2, _build_rho_t, _build_rho_y
+from quatlat.quaternion import AlgebraMismatchError, Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
+from quatlat.suite import run_all
 from quatlat.tree import bt_act, standard_product_vertex
 
 from conftest import make_rng, random_quaternion, random_rational, sympy_bridge
@@ -43,28 +44,56 @@ def _evaluate(poly: int, x: RationalFunction) -> RationalFunction:
     return total
 
 
+def _horner(which, ints) -> list[int]:
+    """The images of numerators over one denominator (the last int) by
+    Horner's rule, not the table: rho_y composes each int with x^2 + x, rho_t
+    each int's reversal to D, the largest degree in the tuple."""
+    degree = max(x.bit_length() for x in ints) - 1
+    if which.inverted:
+        ints = [reverse(x, degree) for x in ints]
+    return [compose(x, 0b110) for x in ints]
+
+
+def _horner_scalar(which):
+    """which.embed_scalar recomputed by `_horner`."""
+    return lambda f: RationalFunction(*_horner(which, (f.num, f.den)))
+
+
+def _horner_rho(which, q: Quaternion) -> Matrix2:
+    """which(q) from the five ints of q substituted together by `_horner`
+    and combined with the basis images in Matrix2 arithmetic."""
+    *xs, den = _horner(which, (*q._nums, q._den))
+    images = (which.identity, which.image_i, which.image_j, which.image_ij)
+    total = which.identity.scale(ZERO_RF)
+    for x, image in zip(xs, images):
+        total = total + image.scale(rf(x))
+    return total.scale(rf(1, den))
+
+
 def test_embed_scalar_images_are_in_lowest_terms():
     """embed_scalar builds its image without a gcd: the pair must already be
-    coprime, equal the reduced substituted pair, and equal f evaluated at
-    z = y^2 + y resp. z = 1/(t^2 + t) in fraction arithmetic."""
+    coprime, equal the reduced pair substituted by Horner's rule, and equal f
+    evaluated at z = y^2 + y resp. z = 1/(t^2 + t) in fraction arithmetic."""
     rng = make_rng(32)
     for which, z_image in ((RHO_Y, Z_IN_Y), (RHO_T, U_IN_T.inverse())):
         for _ in range(2000):
             f = random_rational(rng, 8)
             image = which.embed_scalar(f)
             assert clgcd(image.num, image.den) == 1, (which, f)
-            assert image == RationalFunction(*which._substitute((f.num, f.den)))
+            assert image == RationalFunction(*_horner(which, (f.num, f.den)))
             assert image == _evaluate(f.num, z_image) / _evaluate(f.den, z_image)
 
 
 def test_substitution_kernel_matches_compose():
-    """Both maps' `_substitute` against Horner's rule: rho_y composes each int
-    with x^2 + x, rho_t each int's reversal to D, the largest degree in the
-    tuple.  The tuples hold zeros, often have their largest degree after the
-    first int, and include ints longer than the table was when the test
-    started, so the table grows on the way."""
+    """Both maps' tables against Horner's rule, on the two ints of a fraction
+    (`embed_scalar`, int for int) and on the five of a quaternion (the call,
+    against `_horner_rho`): rho_y composes each int with x^2 + x, rho_t each
+    int's reversal to D, the largest degree in the tuple.  The tuples hold
+    zeros, often have their largest degree after the first int, and include
+    ints longer than either table was when the test started, so both tables
+    grow on the way."""
     rng = make_rng(34)
-    top = max(len(_SQUARE_PLUS_POWERS), 41)  # longer than the table and the random ints
+    top = max(len(RHO_Y._rows), len(RHO_T._rows), 41)  # longer than the tables and the random ints
     longer = [1 << (top + k - 1) | rng.getrandbits(top + k - 1) for k in (1, 2, 8, 31)]
 
     def sample(bits: int) -> int:
@@ -74,13 +103,93 @@ def test_substitution_kernel_matches_compose():
     for _ in range(2000):
         *nums, den = (sample(41) for _ in range(rng.choice((2, 5))))
         samples.append((*nums, den or 1))
-    for ints in samples:
-        degree = max(x.bit_length() for x in ints) - 1
-        assert RHO_Y._substitute(ints) == [compose(x, 0b110) for x in ints], ints
-        assert RHO_T._substitute(ints) == [compose(reverse(x, degree), 0b110) for x in ints], ints
-    assert sum(0 in ints for ints in samples) > 1000
-    assert sum(ints[0].bit_length() < max(ints).bit_length() for ints in samples) > 1000
-    assert len(_SQUARE_PLUS_POWERS) == top + 31
+    tested = []
+    for *nums, den in samples:
+        if len(nums) == 1:
+            f = RationalFunction(nums[0], den)
+            ints = (f.num, f.den)
+            for which in (RHO_Y, RHO_T):
+                image = which.embed_scalar(f)
+                assert [image.num, image.den] == _horner(which, ints), (which, ints)
+        else:
+            q = Quaternion._from_ints(_SPLIT, tuple(nums), den)
+            ints = (*q._nums, q._den)
+            for which in (RHO_Y, RHO_T):
+                assert which(q) == _horner_rho(which, q), (which, ints)
+        tested.append(ints)
+    assert sum(0 in ints for ints in tested) > 1000
+    assert sum(ints[0].bit_length() < max(ints).bit_length() for ints in tested) > 1000
+    assert len(RHO_Y._rows) == len(RHO_T._rows) == top + 31
+
+
+def test_tables_grow_with_degree_not_with_traffic():
+    """A map's table holds as many rows as the largest bit length it has
+    embedded, however many values that took.  The tables live as long as
+    the process, so a second pass over the same values adds no row."""
+    rng = make_rng(36)
+    alg = standard_algebra()
+    quaternions = [random_quaternion(rng, alg, rng.randint(0, 6)) for _ in range(200)]
+    scalars = [random_rational(rng, rng.randint(0, 9)) for _ in range(200)]
+    for build, which in ((_build_rho_y, RHO_Y), (_build_rho_t, RHO_T)):
+        fresh = build()
+        assert len(fresh._rows) == 1
+        largest = 1
+        for q, f in zip(quaternions, scalars):
+            assert fresh(q) == which(q)
+            assert fresh.embed_scalar(f) == which.embed_scalar(f)
+            n0, n1, n2, n3 = q._nums
+            largest = max(largest, (n0 | n1 | n2 | n3 | q._den).bit_length(), (f.num | f.den).bit_length())
+            assert len(fresh._rows) == largest, (fresh, q, f)
+        rows = len(which._rows)
+        for q, f in zip(quaternions, scalars):
+            fresh(q), fresh.embed_scalar(f), which(q), which.embed_scalar(f)
+        assert len(fresh._rows) == largest
+        assert len(which._rows) == rows
+
+
+def test_rho_t_reads_its_rows_from_the_top_degree():
+    """rho_t's bit k reads row top-1-k, top the largest bit length among the
+    five ints, checked with `reference_rho` over a scalar embedding by
+    Horner's rule: the denominator alone holds the top degree, x3 alone
+    holds it, the zero quaternion, scalars, and a top bit length one past
+    the table, held by the denominator and then by x3."""
+    alg = _SPLIT
+    embed = _horner_scalar(RHO_T)
+
+    def check(q: Quaternion) -> None:
+        assert RHO_T(q) == reference_rho(RHO_T, q, embed), q
+        for c in q.coords:
+            assert RHO_T.embed_scalar(c) == embed(c), c
+
+    den_on_top = Quaternion._from_ints(alg, (0b11, 0b10, 0, 1), 0b100101)
+    x3_on_top = Quaternion._from_ints(alg, (1, 0b10, 0b11, 0b1000011), 0b11)
+    assert den_on_top._den.bit_length() > max(den_on_top._nums).bit_length()
+    assert x3_on_top._nums[3].bit_length() > max(*x3_on_top._nums[:3], x3_on_top._den).bit_length()
+    scalars = [alg.element(f, ZERO_RF, ZERO_RF, ZERO_RF) for f in (ONE_RF, rf(0b10), rf(1, 0b10), rf(0b11, 0b1000))]
+    for q in (den_on_top, x3_on_top, alg.element(*[ZERO_RF] * 4), *scalars):
+        check(q)
+    for held_by in ("den", "x3"):
+        top = len(RHO_T._rows) + 1
+        high = 1 << (top - 1) | 1
+        if held_by == "den":
+            q = Quaternion._from_ints(alg, (0b10, 1, 0, 0b11), high)
+        else:
+            q = Quaternion._from_ints(alg, (0b10, 1, 0, high), 0b11)
+        check(q)
+        assert len(RHO_T._rows) == top, held_by
+
+
+def test_a_flipped_bit_in_rho_t_table_turns_the_suite_red(monkeypatch):
+    """Non-vacuity: one flipped bit in a low row that the suite reads (row 1,
+    the e12 entry of the image of I) must turn at least one certificate red;
+    neighbors and ball-check do."""
+    assert all(result.passed for result in run_all(1))
+    rows = list(RHO_T._rows)
+    identity, (e11, e12, e21, e22), *rest = rows[1]
+    rows[1] = (identity, (e11, e12 ^ 1, e21, e22), *rest)
+    monkeypatch.setattr(RHO_T, "_rows", rows)
+    failed = [result.name for result in run_all(1) if not result.passed]
+    assert failed
 
 
 def _sympy_embedding(which):
