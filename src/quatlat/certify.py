@@ -221,36 +221,38 @@ def ball_check(radius: int) -> BallCheckReport:
     horizontal vertex, vertical vertex, leftmost letter, letters left): a
     popped word makes all its one-letter-longer children, and a child is
     pushed only while it has letters left.  `word_count` counts the words
-    the walk makes.  The order cannot change the verdict: a conflict between
-    two words (one element on two vertices, or two elements on one vertex)
-    is seen by whichever of them comes second.  Besides the interned ball,
-    the stack holds only the unwalked siblings of the current word's
-    prefixes, fewer than 5L + 1 entries (4L - 2 from L = 2 on).  The six
-    generators and their twelve matrices are the package's only memoized
-    values: each is built afresh for the call and given an empty `_memo`,
-    which `Quaternion.__mul__` and `tree.act` then fill, and which holds at
-    most one entry per (generator, element) pair.  The call's `by_nums`
-    holds at most one entry per product computed.  So memory is
-    O(|ball| + 5L) rather than the 5^L words of a whole layer, and nothing
-    is cached across calls or left on any other value.
+    the walk makes.  The order cannot change the verdict: one element met
+    on two vertices is seen by whichever word comes second, and two
+    elements on one vertex leave fewer distinct vertices than elements,
+    which the counts at the end compare.  Besides the interned ball, the
+    stack holds only the unwalked siblings of the current word's prefixes,
+    fewer than 5L + 1 entries (4L - 2 from L = 2 on).  The six generators
+    and their twelve matrices are the package's only memoized values: each
+    is built afresh for the call and given an empty `_memo`, which
+    `Quaternion.__mul__` and `tree.act` then fill, and which holds at most
+    one entry per (generator, element) pair.  The call's one map,
+    `classes`, takes numerator tuples to a class's (horizontal vertex,
+    vertical vertex, element) entry: each class's primitive key, and the
+    numerators of every product met.  So memory is O(|ball| + 5L) rather
+    than the 5^L words of a whole layer, and nothing is cached across calls
+    or left on any other value.
 
-    Each word past the empty one costs exactly one `Quaternion.__mul__` call
+    Keying `classes` by numerators is sound: the generators and
+    every interned element are over denominator 1, so every product is
+    too, and equal numerators are equal quaternions, of one class.  Each
+    word past the empty one costs exactly one `Quaternion.__mul__` call
     (generator times the element of its suffix), two memoized `act` calls
-    (one per tree), one lookup of the product's numerators in `by_nums` and
-    one comparison of its two vertices with its element's; nothing else is
-    paid per word.  So a check at radius L makes word_count - 1 `__mul__`
-    calls and twice as many `act` calls.  Words reach an element by several
-    paths, so only the first call for each (generator, element) pair
-    computes; the others return the product from the generator's memo (150
-    of 186 calls compute at radius 3, 1,392 of 4,686 at radius 5).  The
-    memo keeps returning the same products, so only a product whose
-    numerators `by_nums` has not met pays the projective key and the
-    interning (90 of 186 words at radius 3, 698 of 4,686 at radius 5).
-    `by_nums` maps numerators straight to their element's entry, and that
-    is sound: the generators and every interned element are over
-    denominator 1, so every product is too, and equal numerators are equal
-    quaternions, whose key is one.  It only saves recomputing a key and
-    never merges two classes; a word whose numerators were met before
+    (one per tree), one lookup of the product's numerators in `classes`
+    and one comparison of its two vertices with its class's; nothing else
+    is paid per word.  So a check at radius L makes word_count - 1
+    `__mul__` calls and twice as many `act` calls.  Words reach an element
+    by several paths, so only the first call for each (generator, element)
+    pair computes; the others return the product from the generator's memo
+    (150 of 186 calls compute at radius 3, 1,392 of 4,686 at radius 5).
+    The memo keeps returning the same products, so only numerators that
+    `classes` has not met pay the projective key (90 of 186 words at
+    radius 3, 698 of 4,686 at radius 5), and only a new key makes a new
+    class, counted as it is made.  A word whose numerators were met before
     still compares its vertices, so a revisit that lands elsewhere turns
     the check red.
 
@@ -271,9 +273,9 @@ def ball_check(radius: int) -> BallCheckReport:
     the content of a product g*e is itself z^i (1+z)^j.  It is also sound
     without that lemma: a key that is not fully reduced can only split a
     projective class into several keys, never merge two classes, and both
-    halves of a split class act on the base vertex alike, so the second
-    half finds its vertex taken and the check turns red.  A wrong key can
-    never give a false pass.
+    halves of a split class act on the base vertex alike, so they share a
+    vertex, there are fewer vertices than elements, and the check turns
+    red.  A wrong key can never give a false pass.
     """
     radius = index(radius)  # a float radius would never count down to 0
     if radius < 0:
@@ -296,11 +298,10 @@ def ball_check(radius: int) -> BallCheckReport:
     follow[None] = list(steps.values())
 
     w = standard_product_vertex()
-    # element key -> (horizontal vertex, vertical vertex, the element's one Quaternion)
-    element_to_vertex: dict = {canon(one): (w[0], w[1], one)}
-    by_nums: dict = {}  # a product's numerators -> its class's entry above
-    vertices = {w}
-    word_count = 1
+    # numerators (a class's key, or a product's met so far) -> its class's
+    # (horizontal vertex, vertical vertex, the class's one Quaternion)
+    classes: dict = {canon(one): (w[0], w[1], one)}
+    distinct_elements = word_count = 1
     consistent = True
     # stack entries: (element, horizontal vertex, vertical vertex, leftmost letter, letters left)
     stack = [(one, w[0], w[1], None, radius)] if radius else []
@@ -315,27 +316,22 @@ def ball_check(radius: int) -> BallCheckReport:
             new_v = act(mt, vertical)
             product = gen * elem
             nums = product._nums
-            entry = by_nums.get(nums)
+            entry = classes.get(nums)
             if entry is None:
                 key = word_key(nums)
-                entry = element_to_vertex.get(key)
+                entry = classes.get(key)
                 if entry is None:
-                    new_vert = (new_h, new_v)
                     if key is not nums:
                         product = primitive(alg, key, 1)
-                    entry = element_to_vertex[key] = (new_h, new_v, product)
-                    if new_vert in vertices:
-                        consistent = False
-                    else:
-                        vertices.add(new_vert)
-                by_nums[nums] = entry
+                    entry = classes[key] = (new_h, new_v, product)
+                    distinct_elements += 1
+                classes[nums] = entry
             if entry[0] != new_h or entry[1] != new_v:
                 consistent = False
             if left:
                 push((entry[2], new_h, new_v, name, left))
 
-    distinct_elements = len(element_to_vertex)
-    distinct_vertices = len(vertices)
+    distinct_vertices = len({(h, v) for h, v, _ in classes.values()})
     expected = ball_vertex_count(radius)
     injective = consistent and distinct_elements == distinct_vertices == expected
     return BallCheckReport(radius, word_count, distinct_elements, distinct_vertices, expected, injective)

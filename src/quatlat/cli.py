@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from .certify import ball_check
 from .invariants import albanese_kernel_dim, chern_numbers, complex_counts, is_prime
 from .lattice import standard_structure
-from .presentations import abelianizations, fixed_presentations, orbifold_presentation
+from .presentations import abelianization, fixed_presentations, gamma_presentation, orbifold_presentation
 from .squares import complex_to_json, links_to_dot
 from .suite import run_all
 
@@ -113,8 +113,8 @@ def cmd_invariants(args) -> int:
     if (args.N, args.q) == (4, 2):
         structure = standard_structure()
         payload["kernel_dims"] = {str(ell): dim for ell, dim in albanese_kernel_dim(structure, args.ell).items()}
-        factors, rank = abelianizations()[0]
-        payload["gamma_ab"] = {"factors": list(factors), "free_rank": rank}  # text output prints [15]
+        factors, rank = abelianization(gamma_presentation())
+        payload["gamma_ab"] = {"factors": factors, "free_rank": rank}  # text output prints [15]
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

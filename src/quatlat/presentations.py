@@ -10,12 +10,12 @@ ambiguity left by choosing different orbit representatives.
 The finite quotient behind the second route to Gamma^ab = Z/15 is
 Lambda -> V4, with V4 = (Z/2)^2 written as 2-bit ints under XOR in the
 encoding stated once in the `squares` docstring; a quotient map is just the
-tuple of generator images, and its cosets are their span.
+tuple of generator images, and its cosets are their span.  Nothing here is
+cached; `suite.abelianization_certificate` alone compares the two routes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -298,12 +298,3 @@ def abelianization(presentation: Presentation) -> tuple[list[int], int]:
     matrix = [exponent_vector(rel, n) for rel in presentation.relators]
     return invariant_factors(matrix, cols=n)
 
-
-@lru_cache(maxsize=1)
-def abelianizations() -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
-    """(invariant factors, free rank) of Gamma^ab and of the abelianized
-    Reidemeister-Schreier kernel of Lambda -> V4: the two routes to Z/15."""
-    gamma_factors, gamma_rank = abelianization(gamma_presentation())
-    kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
-    kernel_factors, kernel_rank = abelianization(kernel)
-    return (tuple(gamma_factors), gamma_rank), (tuple(kernel_factors), kernel_rank)

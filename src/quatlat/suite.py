@@ -6,6 +6,8 @@ one place that times them.  It builds the standard V4-structure once, before
 the clock starts, and passes it to each certificate that takes it as an
 argument; the ball check takes only its radius and reads the cached
 `standard_structure()` itself (passing the structure in is ROADMAP item 5).
+Each fact has one home: only `abelianization` builds the Reidemeister-Schreier
+kernel, afresh on every run; `albanese` reads Gamma^ab from Gamma alone.
 So a green run certifies the whole chain: exact arithmetic, the splittings,
 the structure and its complex, the local permutation groups, the
 presentations and the invariants.
@@ -27,12 +29,15 @@ from .invariants import albanese_certificate, chern_numbers, complex_counts
 from .lattice import generator_images, standard_structure
 from .localperm import local_group, reference_group
 from .presentations import (
-    abelianizations,
+    V4_QUOTIENT_OF_LAMBDA,
+    abelianization,
     evaluate_word,
     fixed_presentations,
+    gamma_presentation,
     is_projectively_trivial,
     lambda_presentation,
     orbifold_presentation,
+    reidemeister_schreier,
     same_presentation,
 )
 from .squares import (
@@ -114,14 +119,17 @@ def relators_certificate(structure: V4Structure) -> CertificateResult:
 
 
 def abelianization_certificate() -> CertificateResult:
-    (gamma_factors, gamma_rank), (kernel_factors, kernel_rank) = abelianizations()
-    ok = gamma_factors == (15,) and gamma_rank == 0 and kernel_factors == (15,) and kernel_rank == 0
+    """Gamma^ab = Z/15 by both routes: Gamma's presentation, and the RS kernel of Lambda -> V4."""
+    gamma_factors, gamma_rank = abelianization(gamma_presentation())
+    kernel = reidemeister_schreier(lambda_presentation(), V4_QUOTIENT_OF_LAMBDA)
+    kernel_factors, kernel_rank = abelianization(kernel)
+    ok = gamma_factors == kernel_factors == [15] and gamma_rank == kernel_rank == 0
     return CertificateResult(
         "abelianization",
         ok,
         {
-            "gamma": {"factors": gamma_factors, "free_rank": gamma_rank},
-            "rs_kernel": {"factors": kernel_factors, "free_rank": kernel_rank},
+            "gamma": {"factors": tuple(gamma_factors), "free_rank": gamma_rank},
+            "rs_kernel": {"factors": tuple(kernel_factors), "free_rank": kernel_rank},
         },
     )
 

@@ -197,6 +197,31 @@ def test_ball_check_fails_when_a_revisited_word_lands_elsewhere(monkeypatch):
         assert not report.injective, radius
 
 
+def test_ball_check_fails_when_a_new_class_lands_on_a_taken_vertex(monkeypatch):
+    """The first action that would move the base vertex leaves it unmoved,
+    so the first word's new class lands on the identity's vertex.  At
+    radius 1 every word is a new class and nothing is revisited, so only the
+    counts see the collision: fewer distinct vertices than elements."""
+    act = certify.act
+    for radius in (1, 3):
+        moved = [False]
+
+        def faulty_act(m, v):
+            out = act(m, v)
+            if out == v or moved[0]:
+                return out
+            moved[0] = True
+            return v
+
+        monkeypatch.setattr(certify, "act", faulty_act)
+        report = ball_check(radius)
+        assert moved[0]
+        assert not report.injective, radius
+        assert report.distinct_vertices < report.distinct_elements, report
+        if radius == 1:
+            assert report.word_count == report.distinct_elements == report.expected_vertices
+
+
 def test_ball_check_memory_stays_below_one_kib_per_ball_vertex():
     """The walk keeps the interned ball and one stack of words, not a whole
     layer of 5^L words: at radius 6 the traced peak stays under 1 KiB per

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quatlat import cli
+from quatlat import cli, presentations, suite
 from quatlat.cli import main
 from quatlat.places import PLACE_ONE
 
@@ -61,6 +61,47 @@ def test_run_all_keeps_the_contract_the_benchmark_reads():
     for r in results:
         assert r.elapsed_ms >= 0
         assert set(r.as_json()) == {"name", "passed", "details"}
+
+
+def _count_rs_builds(monkeypatch) -> list[int]:
+    """Count Reidemeister-Schreier kernel builds through every binding of it."""
+    calls = [0]
+    build = presentations.reidemeister_schreier
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+
+    for module in (presentations, suite):
+        monkeypatch.setattr(module, "reidemeister_schreier", counted)
+    return calls
+
+
+def test_each_run_all_builds_the_rs_kernel_once(monkeypatch):
+    """Nothing caches Gamma^ab across runs, so a second run in one process
+    does the first run's work again rather than reading it back."""
+    calls = _count_rs_builds(monkeypatch)
+    for run in (1, 2):
+        assert all(r.passed for r in suite.run_all(1))
+        assert calls[0] == run
+
+
+def test_invariants_command_reads_gamma_ab_without_the_rs_kernel(monkeypatch, capsys):
+    calls = _count_rs_builds(monkeypatch)
+    assert main(["invariants", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma_ab"] == {"factors": [15], "free_rank": 0}
+    assert calls[0] == 0
+
+
+def test_only_the_abelianization_certificate_reads_the_rs_route(monkeypatch):
+    """An RS kernel that abelianizes to Z/3 turns `abelianization` red and
+    leaves `albanese`, which reads Gamma's own presentation, as it was."""
+    before = {r.name: r for r in suite.run_all(1)}
+    monkeypatch.setattr(suite, "reidemeister_schreier", lambda *args: presentations.Presentation(("x",), ((1, 1, 1),)))
+    after = {r.name: r for r in suite.run_all(1)}
+    assert [name for name, r in after.items() if not r.passed] == ["abelianization"]
+    assert after["abelianization"].details["rs_kernel"] == {"factors": (3,), "free_rank": 0}
+    assert after["albanese"].passed and after["albanese"].details == before["albanese"].details
 
 
 @pytest.mark.parametrize("workload", ["verify-cli", "ball-r5", "arith-mix"])

@@ -13,6 +13,7 @@ from quatlat.invariants import (
     is_prime,
 )
 from quatlat.lattice import standard_structure
+from quatlat.presentations import Presentation
 from quatlat.smith import hom_dim, invariant_factors
 from quatlat.squares import cell_counts, euler_characteristic
 from quatlat.suite import invariants_certificate
@@ -136,15 +137,16 @@ def test_albanese_certificate():
 
 
 def test_albanese_hom_checks_read_the_computed_abelianization(monkeypatch):
-    """With Gamma^ab reported as Z/21, Hom(Gamma^ab, Z/7) is Z/7 and the
+    """With Gamma presented as Z/21, Hom(Gamma^ab, Z/7) is Z/7 and the
     certificate turns red; a free part counts once for every l."""
-    rs_route = ((15,), 0)
-    monkeypatch.setattr("quatlat.invariants.abelianizations", lambda: (((21,), 0), rs_route))
+    monkeypatch.setattr(invariants, "gamma_presentation", lambda: Presentation(("a",), ((1,) * 21,)))
     result = albanese_certificate(standard_structure())
+    assert result.details["gamma_ab_factors"] == (21,)
     assert result.details["hom_checks"] == {"7": 1, "11": 0, "13": 0}
     assert not result.passed
-    monkeypatch.setattr("quatlat.invariants.abelianizations", lambda: (((15,), 1), rs_route))
+    monkeypatch.setattr(invariants, "gamma_presentation", lambda: Presentation(("a", "b"), ((1,) * 15,)))
     result = albanese_certificate(standard_structure())
+    assert (result.details["gamma_ab_factors"], result.details["gamma_ab_free_rank"]) == ((15,), 1)
     assert result.details["hom_checks"] == {"7": 1, "11": 1, "13": 1}
     assert not result.passed
 

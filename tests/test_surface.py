@@ -8,7 +8,8 @@ are read from the syntax tree (names, attributes and imported names), so a
 method of the same name elsewhere also counts as a use.
 
 A second guard keeps the choice of which values memoize in one module: only
-`certify` (and `rational`, which defines it) names `_set__memo`.
+`certify` (and `rational`, which defines it) names `_set__memo`.  A third
+keeps process-wide caches to one module: only `lattice` names `lru_cache`.
 """
 
 from __future__ import annotations
@@ -67,3 +68,8 @@ def test_every_public_definition_is_used_by_the_package():
 def test_only_the_ball_check_gives_values_a_memo():
     naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["_set__memo"])
     assert naming == ["certify.py", "rational.py"], naming
+
+
+def test_only_the_lattice_caches_across_calls():
+    naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["lru_cache"])
+    assert naming == ["lattice.py"], naming
