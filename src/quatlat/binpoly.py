@@ -33,6 +33,32 @@ def clmul(a: int, b: int) -> int:
     return acc
 
 
+def square(p: int) -> int:
+    """p^2, which over GF(2) moves bit k to bit 2k: the set bit x^k adds (x^k)^2."""
+    out = 0
+    while p:
+        low = p & -p
+        out |= low * low
+        p ^= low
+    return out
+
+
+def cldet(a: int, b: int, c: int, d: int) -> int:
+    """The determinant ad + bc of [[a, b], [c, d]], in one loop over the set
+    bits of each first-column entry and with no `clmul` call: the bit x^k
+    of a adds d * 2^k, that of c adds b * 2^k."""
+    det = 0
+    while a:
+        low = a & -a
+        det ^= d * low
+        a ^= low
+    while c:
+        low = c & -c
+        det ^= b * low
+        c ^= low
+    return det
+
+
 def cldivmod(num: int, den: int) -> tuple[int, int]:
     """Quotient and remainder of carry-less division."""
     if den == 0:
@@ -80,12 +106,34 @@ def compose(p: int, s: int) -> int:
     return result
 
 
+def _reversed_bytes() -> bytes:
+    """Byte b read backwards at entry b, built one bit at a time: entry b of
+    the table for k + 1 bits is entry b mod 2^k shifted up by one, plus bit k of b."""
+    table = [0]
+    for _ in range(8):
+        table = [x << 1 for x in table] + [x << 1 | 1 for x in table]
+    return bytes(table)
+
+
+_REVERSED_BYTES = _reversed_bytes()
+
+
 def reverse(p: int, degree: int | None = None) -> int:
-    """x^degree * p(1/x), with degree >= deg p (default deg p); zero maps to zero."""
+    """x^degree * p(1/x), with degree >= deg p (default deg p); zero maps to zero.
+
+    The bits of p are read backwards: a p of at most 8 bits by one lookup in
+    a byte table, a longer one by reversing every byte of its little-endian
+    bytes through the same table and reading them big-endian; either way the
+    n-bit reversal is what is left after dropping the padding below."""
     if p == 0:
         return 0
-    out = int(bin(p)[:1:-1], 2)  # the bits of p read backwards: x^deg(p) * p(1/x)
-    return out if degree is None else out << (degree - p.bit_length() + 1)
+    n = p.bit_length()
+    if n <= 8:
+        out = _REVERSED_BYTES[p] >> (8 - n)
+    else:
+        size = (n + 7) >> 3
+        out = int.from_bytes(p.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> (8 * size - n)
+    return out if degree is None else out << (degree - n + 1)
 
 
 def derivative(p: int) -> int:

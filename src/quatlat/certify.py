@@ -209,8 +209,9 @@ def _word_key(nums: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     return n0, n1, n2, n3
 
 
-def ball_check(radius: int) -> BallCheckReport:
-    """Enumerate freely reduced words in the generators up to the radius,
+def ball_check(radius: int, structure: V4Structure | None = None) -> BallCheckReport:
+    """Enumerate freely reduced words in the generators of `structure` (the
+    cached `standard_structure()` when none is given) up to the radius,
     intern their values projectively, act on the base vertex, and compare
     the element count against the vertex count of the product-tree ball.
 
@@ -280,7 +281,8 @@ def ball_check(radius: int) -> BallCheckReport:
     radius = index(radius)  # a float radius would never count down to 0
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    structure = standard_structure()
+    if structure is None:
+        structure = standard_structure()
     canon = Quaternion.projective_canon
     word_key = _word_key
     letters = list(structure.a_names) + list(structure.b_names)
@@ -337,6 +339,6 @@ def ball_check(radius: int) -> BallCheckReport:
     return BallCheckReport(radius, word_count, distinct_elements, distinct_vertices, expected, injective)
 
 
-def ball_certificate(radius: int = 3) -> CertificateResult:
-    report = ball_check(radius)
+def ball_certificate(radius: int = 3, structure: V4Structure | None = None) -> CertificateResult:
+    report = ball_check(radius, structure)
     return CertificateResult("ball-check", report.injective, report._asdict())

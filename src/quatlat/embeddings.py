@@ -13,7 +13,7 @@ relations, and det(rho(q)) equals the embedded reduced norm.
 
 A Matrix2 is stored like a quaternion, in the form that
 `rational.OverOneDenominator` states once; products and det run on the
-stored ints.
+stored ints, det by set-bit loops with no `clmul` call.
 
 An embedding works on the five ints a quaternion stores (numerators n0..n3
 over den) and never builds a fraction.  It is GF(2)-linear in each int, so
@@ -21,16 +21,17 @@ each map keeps a table, grown with the largest degree embedded (not with the
 number of calls) and kept for the process: row k holds (x^2 + x)^k times the
 basis images and their denominator.  A call XORs one row per set bit: rho_y
 row k for bit k, rho_t row D-k, D the largest degree among the five, which
-substitutes the reversal u^D n(1/u); the u^D cancels.  So a call makes no
-`clmul` and reduces once.  `embed_scalar` keeps the two ints of a fraction
-coprime, so its image is built without a gcd.
+substitutes the reversal u^D n(1/u); the u^D cancels.  Both read their rows
+through one offset (see `EmbeddingMap._table`), with no copy of the table.
+So a call makes no `clmul` and reduces once.  `embed_scalar` keeps the two
+ints of a fraction coprime, so its image is built without a gcd.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .binpoly import clmul, compose
+from .binpoly import cldet, clmul, compose, square
 from .quaternion import AlgebraMismatchError, Quaternion, standard_algebra
 from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _common_form, rf
 
@@ -71,8 +72,8 @@ class Matrix2(OverOneDenominator):
         return Matrix2._from_ints(self._tag, nums, clmul(self._den, other._den))
 
     def det(self) -> RationalFunction:
-        a, b, c, d = self._nums
-        return RationalFunction(clmul(a, d) ^ clmul(b, c), clmul(self._den, self._den))
+        """(ad + bc) / den^2 by set-bit loops, with no `clmul` call."""
+        return RationalFunction(cldet(*self._nums), square(self._den))
 
     def __str__(self) -> str:
         e11, e12, e21, e22 = (e.to_string(self.var) for e in self.entries)
@@ -82,12 +83,13 @@ class Matrix2(OverOneDenominator):
 _SPLIT = standard_algebra()  # the algebra that both maps split
 
 
-def _xor_scalars(rows: list, x: int, i: int) -> int:
-    """XOR of entry i of row k's scalars (denominator, power) over the set bits k of x."""
+def _xor_scalars(rows: list, off: int, x: int, i: int) -> int:
+    """XOR of entry i of the scalars (denominator, power) of the row that each
+    set bit x^k of x reads, rows[off - (k + 1)] (see `EmbeddingMap._table`)."""
     out = 0
     while x:
         low = x & -x
-        out ^= rows[low.bit_length() - 1][4][i]
+        out ^= rows[off - low.bit_length()][4][i]
         x ^= low
     return out
 
@@ -110,17 +112,22 @@ class EmbeddingMap:
         *nums, den = _common_form([e for m in images for e in m.entries])
         self._rows = [(*(tuple(nums[c : c + 4]) for c in (0, 4, 8, 12)), (den, 1))]
 
-    def _table(self, top: int) -> list:
-        """Rows 0..top-1, grown on demand; reversed for rho_t, whose bit k reads (x^2 + x)^(top-1-k)."""
-        rows = self._rows
-        while len(rows) < top:  # times x^2 + x: a shift by 1 XOR a shift by 2
-            rows.append(tuple(tuple(x << 1 ^ x << 2 for x in part) for part in rows[-1]))
-        return rows[top - 1 :: -1] if self.inverted else rows
+    def _table(self, top: int) -> tuple[list, int]:
+        """The rows, grown on demand to at least `top`, and the offset `off`
+        from which a set bit x^k reads rows[off - (k + 1)], with no copy of
+        the list.  rho_t reads (x^2 + x)^(top-1-k), row top-1-k of its rows
+        kept in order, so off = top.  rho_y reads (x^2 + x)^k and keeps its
+        rows newest first, row k at index -(k + 1), so off = 0."""
+        rows, inverted = self._rows, self.inverted
+        while len(rows) < top:  # the newest row times x^2 + x: a shift by 1 XOR a shift by 2
+            row = tuple(tuple(x << 1 ^ x << 2 for x in part) for part in rows[-1 if inverted else 0])
+            rows.insert(len(rows) if inverted else 0, row)
+        return rows, top if inverted else 0
 
     def embed_scalar(self, f: RationalFunction) -> RationalFunction:
         """f at z = y^2 + y resp. z = 1/(t^2 + t), built without a gcd: the images stay coprime."""
-        rows = self._table((f.num | f.den).bit_length())
-        return RationalFunction._coprime(_xor_scalars(rows, f.num, 1), _xor_scalars(rows, f.den, 1))
+        rows, off = self._table((f.num | f.den).bit_length())
+        return RationalFunction._coprime(_xor_scalars(rows, off, f.num, 1), _xor_scalars(rows, off, f.den, 1))
 
     def __call__(self, q: Quaternion) -> Matrix2:
         """Linear extension x0*Id + x1*rho(I) + x2*rho(J) + x3*rho(I)rho(J):
@@ -130,18 +137,18 @@ class EmbeddingMap:
         if q._tag is not _SPLIT and q._tag != _SPLIT:
             raise AlgebraMismatchError(f"{self.name} splits [z, 1+z^3) only, not {q._tag!r}")
         n0, n1, n2, n3 = nums = q._nums
-        rows = self._table((n0 | n1 | n2 | n3 | q._den).bit_length())
+        rows, off = self._table((n0 | n1 | n2 | n3 | q._den).bit_length())
         e0 = e1 = e2 = e3 = 0
         for c, x in enumerate(nums):
             while x:
                 low = x & -x
-                m0, m1, m2, m3 = rows[low.bit_length() - 1][c]
+                m0, m1, m2, m3 = rows[off - low.bit_length()][c]
                 e0 ^= m0
                 e1 ^= m1
                 e2 ^= m2
                 e3 ^= m3
                 x ^= low
-        return Matrix2._from_ints(self.var, (e0, e1, e2, e3), _xor_scalars(rows, q._den, 0))
+        return Matrix2._from_ints(self.var, (e0, e1, e2, e3), _xor_scalars(rows, off, q._den, 0))
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.name})"

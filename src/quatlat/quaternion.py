@@ -24,8 +24,9 @@ A left factor that carries a memo in the form's `_memo` slot (only the ball
 check gives one, to its generators) keeps its products by right factors over
 denominator 1 there, so a product that repeats (the ball check meets one
 generator times one element by several words) is computed once.
-The norm and the inverse read the stored ints, and the projective key is
-the numerator 4-tuple divided by its gcd (the denominator is a scalar).
+The norm and the inverse read the stored ints and, like the product, scale
+by set bits, so neither calls `clmul`; the projective key is the numerator
+4-tuple divided by its gcd (the denominator is a scalar).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 
-from .binpoly import cldivmod, clmul
+from .binpoly import cldivmod, clmul, square
 from .rational import (
     ONE_RF,
     ZERO_RF,
@@ -215,31 +216,58 @@ class Quaternion(OverOneDenominator):
 
     def rnorm(self) -> RationalFunction:
         """Reduced norm x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2)."""
-        den = self._den
-        return RationalFunction(self._norm_num(), clmul(den, den))
+        return RationalFunction(self._norm_num(), square(self._den))
 
     def _norm_num(self) -> int:
-        """The numerator of the reduced norm over den^2."""
-        a, b, ab = self._tag._ints
+        """The numerator of the reduced norm over den^2, as
+        x0 (x0 + x1) + a x1^2 + b (x2 (x2 + x3) + a x3^2), each product
+        in one loop over the set bits of its left factor, as `__mul__`
+        scales its rows, so no `clmul` is called."""
+        a, b, _ = self._tag._ints
         x0, x1, x2, x3 = self._nums
-        return (
-            clmul(x0, x0 ^ x1)
-            ^ clmul(a, clmul(x1, x1))
-            ^ clmul(b, clmul(x2, x2 ^ x3))
-            ^ clmul(ab, clmul(x3, x3))
-        )
+        r0, r2 = x0 ^ x1, x2 ^ x3
+        x1, x3 = square(x1), square(x3)
+        norm = inner = 0
+        while x0:  # x0 (x0 + x1)
+            low = x0 & -x0
+            norm ^= r0 * low
+            x0 ^= low
+        while x2:  # x2 (x2 + x3)
+            low = x2 & -x2
+            inner ^= r2 * low
+            x2 ^= low
+        while a:  # a x1^2 and a x3^2
+            low = a & -a
+            norm ^= x1 * low
+            inner ^= x3 * low
+            a ^= low
+        while b:
+            low = b & -b
+            norm ^= inner * low
+            b ^= low
+        return norm
 
     def rtrace(self) -> RationalFunction:
         return RationalFunction(self._nums[1], self._den)
 
     def inverse(self) -> Quaternion:
-        """conj(q) / nrd(q) = conj(n) * den / norm numerator."""
+        """conj(q) / nrd(q) = conj(n) * den / norm numerator, conj(n) scaled
+        by den in one loop over its set bits."""
         norm = self._norm_num()
         if norm == 0:
             raise NotInvertibleError("element has reduced norm zero")
         x0, x1, x2, x3 = self._nums
+        x0 ^= x1
         den = self._den
-        return Quaternion._from_ints(self._tag, tuple(clmul(den, x) for x in (x0 ^ x1, x1, x2, x3)), norm)
+        z0 = z1 = z2 = z3 = 0
+        while den:
+            low = den & -den
+            z0 ^= x0 * low
+            z1 ^= x1 * low
+            z2 ^= x2 * low
+            z3 ^= x3 * low
+            den ^= low
+        return Quaternion._from_ints(self._tag, (z0, z1, z2, z3), norm)
 
     def projective_canon(self) -> tuple[int, int, int, int]:
         """Canonical representative: the primitive coordinate 4-tuple over

@@ -20,9 +20,13 @@ A vertex is a lattice class up to scalars, so a matrix acts through its
 polynomial numerators alone: `vertex_from_matrix` and `act` read the
 stored form of a Matrix2 (its ints and its variable, the `_tag` slot behind
 `var`), drop the shared denominator and, in `act`, scale the vertex matrix by a
-power of pi so that every entry of the product is a polynomial.  The
-canonical form then needs only carry-less products, the lowest set bits of
-the entries (valuations at 0) and one truncated series division.
+power of pi so that every entry of the product is a polynomial.  A zero tail
+(the base vertex has one) makes that product two shifts; a nonzero one costs
+one `reverse` and two `clmul` calls.  The canonical form then needs only the
+determinant (`cldet`, set-bit loops with no `clmul` call), the lowest set
+bits of the entries (valuations at 0) and one truncated series division,
+whose tail is never negative, so it builds its vertex without the
+constructor's check.
 
 `act` reads and fills a memo on the matrix but never creates one: a Matrix2
 whose `_memo` slot (of the form it shares with quaternions) holds a dict
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .binpoly import clmul, reverse
+from .binpoly import cldet, clmul, reverse
 from .embeddings import RHO_T, RHO_Y, Matrix2
 from .places import _series
 from .quaternion import Quaternion
@@ -85,8 +89,10 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
     minimal valuation, eliminate the other bottom entry, rescale so the
     lattice is [[pi^n, c], [0, 1]] and truncate c below pi^n.  The valuation
     at 0 of a nonzero polynomial x is that of its lowest set bit, x & -x.
+    `cldet` loops over the set bits of a and c, which in `act` are those of
+    the acting matrix's first column, shifted.
     """
-    det = clmul(a, d) ^ clmul(b, c)
+    det = cldet(a, b, c, d)
     if det == 0:
         raise ValueError("matrix is singular")
     if d == 0 or (c and (d & -d) > (c & -c)):
@@ -95,7 +101,8 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
     # the lattice by d:  [[det/d^2 * d, b/d], [0, 1]] up to units, and
     # det/d^2 is valuation-equal to pi^n
     level = (det & -det).bit_length() + 1 - 2 * (d & -d).bit_length()
-    return TreeVertex(field, level, _series(b, d, level))
+    # `_series` returns a nonnegative int, so the validating constructor is skipped
+    return tuple.__new__(TreeVertex, (field, level, _series(b, d, level)))
 
 
 def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
@@ -112,14 +119,24 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     # m is N/den for a polynomial matrix N, and the matrix of v is
     # [[pi^n, c], [0, 1]] with c = reverse(tail) * pi^(n - w), w the bit
     # length of the tail.  A vertex is a lattice class up to scalars, so
-    # m.v = N.V' for V' = pi^max(w - n, 0) times the matrix of v:
-    # [[pi^max(n, w), reverse(tail) * pi^max(n - w, 0)], [0, pi^max(w - n, 0)]],
-    # all polynomial.
-    w = tail.bit_length()
-    up, s = max(n, w), max(w - n, 0)
-    tail = reverse(tail) << max(n - w, 0)
+    # m.v = N.V' for V' the matrix of v times pi^(w - n) when w > n, and
+    # V' is polynomial: [[pi^n, c], [0, 1]] for n >= w, and
+    # [[pi^w, reverse(tail)], [0, pi^(w - n)]] for n < w.  A zero tail is
+    # c = 0, so N.V' scales one column of N by pi^n or the other by pi^-n.
     a, b, c, d = m._nums
-    image = _vertex(field, a << up, clmul(a, tail) ^ (b << s), c << up, clmul(c, tail) ^ (d << s))
+    if not tail:
+        if n >= 0:
+            image = _vertex(field, a << n, b, c << n, d)
+        else:
+            image = _vertex(field, a, b << -n, c, d << -n)
+    else:
+        w = tail.bit_length()
+        if n >= w:
+            tail = reverse(tail, n - 1)
+            image = _vertex(field, a << n, clmul(a, tail) ^ b, c << n, clmul(c, tail) ^ d)
+        else:
+            tail, s = reverse(tail), w - n
+            image = _vertex(field, a << w, clmul(a, tail) ^ (b << s), c << w, clmul(c, tail) ^ (d << s))
     if memo is not None:
         memo[v] = image
     return image

@@ -12,6 +12,9 @@ conjugate-and-norm route of quatlat.places.  `reference_trace` is the
 trace of a residue down to GF(2) as the sum of its Frobenius iterates, the
 oracle for `local_symbol`.
 
+`reference_vertex` is a tree vertex's canonical form read from a matrix's
+entries as fractions, the oracle for `tree.vertex_from_matrix` and `act`.
+
 `reference_rank_mod` is Gaussian elimination over Z/l, the oracle for the
 Z/l dimensions quatlat reads from Smith invariant factors.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from quatlat.binpoly import cldivmod, clmul
 from quatlat.embeddings import EmbeddingMap, Matrix2
-from quatlat.places import PLACE_ZERO, Place, valuation
+from quatlat.places import PLACE_ZERO, Place, laurent_expand, valuation
 from quatlat.quaternion import Quaternion
 from quatlat.rational import RationalFunction, rf
 from quatlat.tree import TreeVertex
@@ -195,6 +198,23 @@ def vertex_matrix(v: TreeVertex) -> Matrix2:
             e = v.level - 1 - k
             c = c + (rf(1 << e) if e >= 0 else rf(1, 1 << -e))
     return Matrix2(v.field, pi_n, c, rf(0), rf(1))
+
+
+def reference_vertex(m: Matrix2) -> TreeVertex:
+    """The canonical form of the lattice spanned by m's columns, from its
+    entries as fractions: pivot on the bottom entry of least valuation
+    (the right one on a tie), clear the other bottom entry and divide by the
+    pivot, which leaves [[det/pivot^2, top/pivot], [0, 1]] up to units; the
+    level is the valuation of det/pivot^2 and the tail is the expansion of
+    top/pivot below pi^level, the coefficient of pi^e at bit level-1-e."""
+    e11, e12, e21, e22 = m.entries
+    det = reference_det(m)
+    if det.is_zero():
+        raise ValueError("singular matrix")
+    top, pivot = (e11, e21) if valuation(e21, PLACE_ZERO) < valuation(e22, PLACE_ZERO) else (e12, e22)
+    level = valuation(det / (pivot * pivot), PLACE_ZERO)
+    tail = sum(1 << (level - 1 - e) for e in laurent_expand(top / pivot, PLACE_ZERO, level))
+    return TreeVertex(m.var, level, tail)
 
 
 def reference_distance(v1: TreeVertex, v2: TreeVertex) -> int:

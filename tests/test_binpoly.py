@@ -1,6 +1,7 @@
 import pytest
 
 from quatlat.binpoly import (
+    cldet,
     cldivmod,
     clgcd,
     clmul,
@@ -11,6 +12,7 @@ from quatlat.binpoly import (
     multiplicity,
     parse_poly,
     reverse,
+    square,
     to_string,
 )
 from quatlat.rational import RationalFunction, parse_rational, rf
@@ -166,6 +168,35 @@ def test_compose_and_reverse():
     assert reverse(parse_poly("z+z^3")) == parse_poly("1+z^2")
     assert reverse(parse_poly("z+z^3"), 4) == parse_poly("z+z^3")
     assert reverse(0) == 0
+
+
+def _reverse_by_bits(p: int, degree: int) -> int:
+    """x^degree * p(1/x), one bit at a time: bit k of p moves to bit degree - k."""
+    return sum(1 << (degree - k) for k in range(p.bit_length()) if p >> k & 1)
+
+
+def test_reverse_matches_a_bit_loop_oracle():
+    """Every p below 2^10, across the 8 bits of one table lookup, and random
+    p of every bit length up to 40, read as bytes: `reverse(p)` reverses to
+    deg p and `reverse(p, degree)` to any degree >= deg p."""
+    rng = make_rng(81)
+    samples = list(range(1 << 10))
+    samples += [1 << (n - 1) | rng.getrandbits(n - 1) for n in range(1, 41) for _ in range(25)]
+    assert max(samples).bit_length() == 40
+    for p in samples:
+        degree = max(p.bit_length() - 1, 0)
+        assert reverse(p) == _reverse_by_bits(p, degree), p
+        for extra in (0, 1, 7, 8, 9):
+            assert reverse(p, degree + extra) == _reverse_by_bits(p, degree + extra), (p, extra)
+
+
+def test_square_and_cldet_match_clmul():
+    rng = make_rng(82)
+    for p in [*range(1 << 9), *(rng.getrandbits(rng.randint(10, 70)) for _ in range(300))]:
+        assert square(p) == clmul(p, p), p
+    for _ in range(1000):
+        a, b, c, d = (rng.choice((0, 1, rng.getrandbits(rng.randint(1, 40)))) for _ in range(4))
+        assert cldet(a, b, c, d) == clmul(a, d) ^ clmul(b, c), (a, b, c, d)
 
 
 def test_irreducibility_of_place_polynomials():

@@ -2,8 +2,9 @@ import tracemalloc
 
 import pytest
 
-from quatlat import certify
+from quatlat import certify, suite
 from quatlat.certify import (
+    ball_certificate,
     ball_check,
     discriminant_certificate,
     neighbors_certificate,
@@ -104,6 +105,18 @@ def test_ball_check_fails_when_c1_is_swapped_for_d(monkeypatch):
     monkeypatch.setattr(certify, "standard_structure", lambda: swapped)
     for radius in (1, 3):
         assert not ball_check(radius).injective
+
+
+def test_ball_check_reads_the_structure_it_is_given(monkeypatch):
+    """The same fault handed in as an argument, with nothing patched: the
+    ball check and its certificate turn red on it, and `run_all` hands the
+    ball check the structure it built, not the cached one."""
+    swapped = c1_swapped_for_d()
+    assert not ball_check(1, swapped).injective
+    assert ball_check(1, standard_structure()).injective
+    assert not ball_certificate(1, swapped).passed
+    monkeypatch.setattr(suite, "standard_structure", lambda: swapped)
+    assert not {r.name: r for r in suite.run_all(1)}["ball-check"].passed
 
 
 def test_ball_check_pays_one_product_and_two_actions_per_word(monkeypatch):

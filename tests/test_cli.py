@@ -86,6 +86,40 @@ def test_each_run_all_builds_the_rs_kernel_once(monkeypatch):
         assert calls[0] == run
 
 
+# The first certificate records both tables' row counts as it starts, after
+# run_all's set-up and once its clock runs; the twelfth has ended at the end.
+FRESH_RUN_ALL = """
+import json
+from quatlat import suite
+from quatlat.embeddings import RHO_T, RHO_Y
+
+def rows():
+    return [len(RHO_Y._rows), len(RHO_T._rows)]
+
+first, seen = suite.ramification_certificate, []
+
+def recorded():
+    seen.append(rows())
+    return first()
+
+suite.ramification_certificate = recorded
+passed = all(r.passed for r in suite.run_all(1))
+print(json.dumps({"passed": passed, "start": seen, "end": rows()}))
+"""
+
+
+def test_first_run_all_grows_the_splitting_tables_before_any_clock_starts():
+    """In a fresh interpreter the splittings' tables have one row; the
+    first run_all grows them while it builds the structure, so no
+    certificate's time includes their growth."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN_ALL], env=env, capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["passed"]
+    assert report["start"] == [report["end"]]
+    assert min(report["end"]) > 1
+
+
 def test_invariants_command_reads_gamma_ab_without_the_rs_kernel(monkeypatch, capsys):
     calls = _count_rs_builds(monkeypatch)
     assert main(["invariants", "--json"]) == 0

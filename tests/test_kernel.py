@@ -13,10 +13,11 @@ views agree with it.
 import copy
 import operator
 import pickle
+import sys
 
 import pytest
 
-from quatlat.binpoly import cldivmod, clgcd, clmul, multiplicity
+from quatlat.binpoly import cldivmod, clgcd, clmul, multiplicity, reverse
 from quatlat import embeddings
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.places import PLACE_ZERO, valuation
@@ -54,6 +55,7 @@ from fraction_reference import (
     reference_mul,
     reference_projective_eq,
     reference_rho,
+    reference_vertex,
     vertex_matrix,
 )
 
@@ -266,6 +268,89 @@ def test_tree_action_and_distance_match_matrix_arithmetic():
         moved = act(m, v)
         assert moved == vertex_from_matrix(m * vertex_matrix(v))
         assert distance(v, moved) == reference_distance(v, moved)
+
+
+def _count_calls(monkeypatch, *functions) -> dict:
+    """Count calls of the named binpoly functions through every quatlat
+    module that binds them, binpoly itself included."""
+    calls = dict.fromkeys((f.__name__ for f in functions), 0)
+    for function in functions:
+        name = function.__name__
+
+        def counted(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("quatlat") and getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_norm_inverse_and_det_make_no_clmul_call(monkeypatch):
+    """As `Quaternion._norm_num` and `Matrix2.det` state, the reduced norm,
+    the inverse and the determinant scale by the set bits of one factor of
+    each product and call no `clmul`, in both algebras and over any
+    denominator."""
+    rng = make_rng(83)
+    quaternions = [random_invertible_quaternion(rng, alg, DEGREE) for alg in ALGEBRAS.values() for _ in range(100)]
+    split = [q for q in quaternions if q._tag is standard_algebra()]
+    matrices = [which(q) for q in split for which in (RHO_Y, RHO_T)]
+    matrices += [random_invertible_matrix(rng, var, DEGREE) for var in "yt" for _ in range(100)]
+    assert sum(q._den != 1 for q in quaternions) > 100 and sum(m._den != 1 for m in matrices) > 100
+    calls = _count_calls(monkeypatch, clmul)
+    for q in quaternions:
+        q.rnorm()
+        q.inverse()
+        assert calls == {"clmul": 0}, q
+    for m in matrices:
+        m.det()
+        assert calls == {"clmul": 0}, m
+
+
+def test_act_on_a_zero_tail_calls_neither_reverse_nor_clmul(monkeypatch):
+    """A zero tail is the lattice [[pi^n, 0], [0, 1]], so `act` only shifts
+    a column of the matrix and its canonical form scales by set bits: no
+    reversal and no `clmul`.  A nonzero tail pays one reversal and two
+    products, as documented."""
+    rng = make_rng(84)
+    cases = []
+    for _ in range(200):
+        var = rng.choice("yt")
+        level = rng.randint(-6, 6)
+        cases.append((random_invertible_matrix(rng, var, DEGREE), level, rng.getrandbits(12) | 1))
+    calls = _count_calls(monkeypatch, clmul, reverse)
+    for m, level, tail in cases:
+        act(m, TreeVertex(m.var, level, 0))
+        assert calls == {"clmul": 0, "reverse": 0}, (m, level)
+        act(m, TreeVertex(m.var, level, tail))
+        assert calls == {"clmul": 2, "reverse": 1}, (m, level, tail)
+        calls.update(clmul=0, reverse=0)
+
+
+def test_act_and_canonical_form_match_the_fraction_oracle_on_every_branch():
+    """`act` branches on a zero tail by the sign of the level, and on a
+    nonzero tail by whether the level reaches the tail's bit length.  On
+    each branch, at levels -12..12, zero tails, short tails and tails of 9
+    to 20 bits (which `reverse` reads as several bytes), act(m, v) is the
+    canonical form of the product m * V, which `vertex_from_matrix` and the
+    fraction oracle compute apart; the oracle also checks the canonical
+    form of m itself."""
+    rng = make_rng(85)
+    branches = {}
+    for _ in range(SAMPLES):
+        var = rng.choice("yt")
+        m = random_invertible_matrix(rng, var, DEGREE)
+        level = rng.randint(-12, 12)
+        tail = rng.choice((0, rng.getrandbits(rng.randint(1, 8)), 1 << rng.randint(8, 19) | rng.getrandbits(8)))
+        v = TreeVertex(var, level, tail)
+        product = m * vertex_matrix(v)
+        assert act(m, v) == vertex_from_matrix(product) == reference_vertex(product), (m, v)
+        assert vertex_from_matrix(m) == reference_vertex(m), m
+        branch = ("zero", level >= 0) if tail == 0 else ("tail", level >= tail.bit_length())
+        branches.setdefault(branch, set()).add(tail.bit_length() >= 9)
+    assert branches[("zero", True)] == branches[("zero", False)] == {False}
+    assert branches[("tail", True)] == branches[("tail", False)] == {False, True}
 
 
 def test_valuation_at_zero_counts_factors_of_z():
