@@ -5,8 +5,10 @@ a_0 + a_1*2 + ... + a_n*2^n, so bit k is the coefficient of x^k, the degree
 is bit_length() - 1 and the zero polynomial is 0.  The form is canonical, so
 == and hash are the int's own.  Addition is XOR and multiplication the
 carry-less product `clmul`; both make p + p = 0, as required in
-characteristic 2.  Every function here takes and returns such ints; there
-is no wrapper type.
+characteristic 2.  Two products have their own loops: `square`, the one
+home of squaring, spreads the bits, and `cldet` sums the two products of a
+2x2 determinant without a `clmul` call.  Every function here takes and
+returns such ints; there is no wrapper type.
 
 The variable is not part of the value: the same int is read as a polynomial
 in z, y, t or u depending on context.  Parsing and printing take the
@@ -93,7 +95,7 @@ def clpow(p: int, n: int) -> int:
     while n:
         if n & 1:
             result = clmul(result, p)
-        p = clmul(p, p)
+        p = square(p)
         n >>= 1
     return result
 

@@ -19,7 +19,9 @@ An embedding works on the five ints a quaternion stores (numerators n0..n3
 over den) and never builds a fraction.  It is GF(2)-linear in each int, so
 each map keeps a table, grown with the largest degree embedded (not with the
 number of calls) and kept for the process: row k holds (x^2 + x)^k times the
-basis images and their denominator.  A call XORs one row per set bit: rho_y
+basis images and their denominator.  RHO_Y and RHO_T are grown at import
+to the rows that the named elements read, so no certificate's first
+embedding grows them.  A call XORs one row per set bit: rho_y
 row k for bit k, rho_t row D-k, D the largest degree among the five, which
 substitutes the reversal u^D n(1/u); the u^D cancels.  Both read their rows
 through one offset (see `EmbeddingMap._table`), with no copy of the table.
@@ -32,7 +34,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .binpoly import cldet, clmul, compose, square
-from .quaternion import AlgebraMismatchError, Quaternion, standard_algebra
+from .quaternion import AlgebraMismatchError, Quaternion, named_elements, standard_algebra
 from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _common_form, rf
 
 
@@ -186,3 +188,8 @@ def _build_rho_t() -> EmbeddingMap:
 
 RHO_Y = _build_rho_y()
 RHO_T = _build_rho_t()
+# both grown now to the bit length of the named elements' ints, the rows
+# every certificate reads, so no certificate's first embedding grows them
+_NAMED_BITS = max(x.bit_length() for q in named_elements() for x in (*q._nums, q._den))
+RHO_Y._table(_NAMED_BITS)
+RHO_T._table(_NAMED_BITS)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .binpoly import clmul, compose, is_irreducible, multiplicity, reverse, to_string
+from .binpoly import clmul, compose, is_irreducible, multiplicity, reverse, square, to_string
 from .rational import RationalFunction
 
 INFINITE_VALUATION = math.inf
@@ -185,7 +185,7 @@ def residue(a: RationalFunction, b: RationalFunction, place: Place) -> int:
     # over and under, the denominator is the norm d0^2 + d0*d1 + d1^2 in GF(2)[s]
     n0, n1 = _at_zeta(g.num)
     d0, d1 = _at_zeta(g.den)
-    norm = clmul(d0, d0) ^ clmul(d0, d1) ^ clmul(d1, d1)
+    norm = square(d0) ^ clmul(d0, d1) ^ square(d1)
     c0 = _series(clmul(n0, d0 ^ d1) ^ clmul(n1, d1), norm, 0) & 1
     c1 = _series(clmul(n0, d1) ^ clmul(n1, d0), norm, 0) & 1
     # carry GF(4) back to GF(2)[x]/(x^2+x+1) via w -> class of x

@@ -24,9 +24,11 @@ A left factor that carries a memo in the form's `_memo` slot (only the ball
 check gives one, to its generators) keeps its products by right factors over
 denominator 1 there, so a product that repeats (the ball check meets one
 generator times one element by several words) is computed once.
-The norm and the inverse read the stored ints and, like the product, scale
-by set bits, so neither calls `clmul`; the projective key is the numerator
-4-tuple divided by its gcd (the denominator is a scalar).
+The norm and the inverse read the stored ints and call no `clmul`: the
+norm's numerator is two `cldet` sums, one scaled by b's set bits, and the
+inverse scales the conjugate by the denominator's set bits, as the product
+scales its rows; the projective key is the numerator 4-tuple divided by
+its gcd (the denominator is a scalar).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 
-from .binpoly import cldivmod, clmul, square
+from .binpoly import cldet, cldivmod, clmul, square
 from .rational import (
     ONE_RF,
     ZERO_RF,
@@ -220,27 +222,14 @@ class Quaternion(OverOneDenominator):
 
     def _norm_num(self) -> int:
         """The numerator of the reduced norm over den^2, as
-        x0 (x0 + x1) + a x1^2 + b (x2 (x2 + x3) + a x3^2), each product
-        in one loop over the set bits of its left factor, as `__mul__`
-        scales its rows, so no `clmul` is called."""
+        x0 (x0 + x1) + a x1^2 + b (x2 (x2 + x3) + a x3^2): each of the two
+        inner sums is the determinant of [[x, x'^2], [a, x + x']], and b
+        scales the second by its set bits, as `__mul__` scales its rows, so
+        no `clmul` is called."""
         a, b, _ = self._tag._ints
         x0, x1, x2, x3 = self._nums
-        r0, r2 = x0 ^ x1, x2 ^ x3
-        x1, x3 = square(x1), square(x3)
-        norm = inner = 0
-        while x0:  # x0 (x0 + x1)
-            low = x0 & -x0
-            norm ^= r0 * low
-            x0 ^= low
-        while x2:  # x2 (x2 + x3)
-            low = x2 & -x2
-            inner ^= r2 * low
-            x2 ^= low
-        while a:  # a x1^2 and a x3^2
-            low = a & -a
-            norm ^= x1 * low
-            inner ^= x3 * low
-            a ^= low
+        norm = cldet(x0, square(x1), a, x0 ^ x1)
+        inner = cldet(x2, square(x3), a, x2 ^ x3)
         while b:
             low = b & -b
             norm ^= inner * low

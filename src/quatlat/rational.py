@@ -13,7 +13,7 @@ build a fraction only where one is asked for.
 
 from __future__ import annotations
 
-from .binpoly import cldivmod, clgcd, clmul, clpow, derivative, parse_poly, to_string
+from .binpoly import cldivmod, clgcd, clmul, clpow, derivative, parse_poly, square, to_string
 
 
 class RationalFunction:
@@ -98,7 +98,7 @@ class RationalFunction:
     def derivative(self) -> RationalFunction:
         """d/dx via the quotient rule; exact, with + standing in for -."""
         num, den = self.num, self.den
-        return RationalFunction(clmul(derivative(num), den) ^ clmul(num, derivative(den)), clmul(den, den))
+        return RationalFunction(clmul(derivative(num), den) ^ clmul(num, derivative(den)), square(den))
 
     # -- text form -------------------------------------------------------
 

@@ -2,11 +2,9 @@
 
 Every certificate is a plain function that returns a `CertificateResult` and
 never reads the clock; `run_all` runs the twelve of them in order and is the
-one place that times them.  Before the first clock starts it builds the
-standard V4-structure once, to pass to each certificate that takes it as an
-argument (the ball check among them), and embeds its elements through both
-splittings, so that the tables those grow are not charged to the first
-certificate that embeds.
+one place that times them.  It builds the standard V4-structure once,
+before the clock starts, and passes it to each certificate that takes it as
+an argument, the ball check among them.
 Each fact has one home: only `abelianization` builds the Reidemeister-Schreier
 kernel, afresh on every run; `albanese` reads Gamma^ab from Gamma alone.
 So a green run certifies the whole chain: exact arithmetic, the splittings,
@@ -26,7 +24,6 @@ from .certify import (
     ramification_certificate,
     stabilizer_certificate,
 )
-from .embeddings import RHO_T, RHO_Y
 from .invariants import albanese_certificate, chern_numbers, complex_counts
 from .lattice import generator_images, standard_structure
 from .localperm import local_group, reference_group
@@ -170,8 +167,6 @@ def run_all(radius: int = 3) -> list[CertificateResult]:
     # built per call: a module-level tuple would pin the functions, and code
     # that rebinds this module's names (a tracer) would not reach it
     structure = standard_structure()
-    for element in structure.elements.values():  # grows the splittings' tables off the clock
-        RHO_Y(element), RHO_T(element)
     checks = (
         ramification_certificate,
         discriminant_certificate,

@@ -20,13 +20,12 @@ A vertex is a lattice class up to scalars, so a matrix acts through its
 polynomial numerators alone: `vertex_from_matrix` and `act` read the
 stored form of a Matrix2 (its ints and its variable, the `_tag` slot behind
 `var`), drop the shared denominator and, in `act`, scale the vertex matrix by a
-power of pi so that every entry of the product is a polynomial.  A zero tail
-(the base vertex has one) makes that product two shifts; a nonzero one costs
-one `reverse` and two `clmul` calls.  The canonical form then needs only the
-determinant (`cldet`, set-bit loops with no `clmul` call), the lowest set
-bits of the entries (valuations at 0) and one truncated series division,
-whose tail is never negative, so it builds its vertex without the
-constructor's check.
+power of pi so that every entry of the product is a polynomial, for one
+`reverse` and two `clmul` calls (a zero tail makes each return at once).
+The canonical form then needs only the determinant (`cldet`, set-bit loops
+with no `clmul` call), the lowest set bits of the entries (valuations at 0)
+and one truncated series division, whose tail is never negative, so it
+builds its vertex without the constructor's check.
 
 `act` reads and fills a memo on the matrix but never creates one: a Matrix2
 whose `_memo` slot (of the form it shares with quaternions) holds a dict
@@ -121,22 +120,15 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     # length of the tail.  A vertex is a lattice class up to scalars, so
     # m.v = N.V' for V' the matrix of v times pi^(w - n) when w > n, and
     # V' is polynomial: [[pi^n, c], [0, 1]] for n >= w, and
-    # [[pi^w, reverse(tail)], [0, pi^(w - n)]] for n < w.  A zero tail is
-    # c = 0, so N.V' scales one column of N by pi^n or the other by pi^-n.
+    # [[pi^w, reverse(tail)], [0, pi^(w - n)]] for n < w.
     a, b, c, d = m._nums
-    if not tail:
-        if n >= 0:
-            image = _vertex(field, a << n, b, c << n, d)
-        else:
-            image = _vertex(field, a, b << -n, c, d << -n)
+    w = tail.bit_length()
+    if n >= w:
+        tail = reverse(tail, n - 1)
+        image = _vertex(field, a << n, clmul(a, tail) ^ b, c << n, clmul(c, tail) ^ d)
     else:
-        w = tail.bit_length()
-        if n >= w:
-            tail = reverse(tail, n - 1)
-            image = _vertex(field, a << n, clmul(a, tail) ^ b, c << n, clmul(c, tail) ^ d)
-        else:
-            tail, s = reverse(tail), w - n
-            image = _vertex(field, a << w, clmul(a, tail) ^ (b << s), c << w, clmul(c, tail) ^ (d << s))
+        tail, s = reverse(tail), w - n
+        image = _vertex(field, a << w, clmul(a, tail) ^ (b << s), c << w, clmul(c, tail) ^ (d << s))
     if memo is not None:
         memo[v] = image
     return image

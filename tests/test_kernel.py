@@ -308,31 +308,27 @@ def test_norm_inverse_and_det_make_no_clmul_call(monkeypatch):
         assert calls == {"clmul": 0}, m
 
 
-def test_act_on_a_zero_tail_calls_neither_reverse_nor_clmul(monkeypatch):
-    """A zero tail is the lattice [[pi^n, 0], [0, 1]], so `act` only shifts
-    a column of the matrix and its canonical form scales by set bits: no
-    reversal and no `clmul`.  A nonzero tail pays one reversal and two
-    products, as documented."""
+def test_act_pays_one_reversal_and_two_products_per_miss(monkeypatch):
+    """As the `tree` docstring states, an image that is not in a memo costs
+    one `reverse` and two `clmul` calls (the canonical form's determinant
+    scales by set bits), whatever the level and the tail, zero included."""
     rng = make_rng(84)
     cases = []
     for _ in range(200):
         var = rng.choice("yt")
-        level = rng.randint(-6, 6)
-        cases.append((random_invertible_matrix(rng, var, DEGREE), level, rng.getrandbits(12) | 1))
+        m = random_invertible_matrix(rng, var, DEGREE)
+        cases.append((m, TreeVertex(var, rng.randint(-6, 6), rng.choice((0, rng.getrandbits(12))))))
     calls = _count_calls(monkeypatch, clmul, reverse)
-    for m, level, tail in cases:
-        act(m, TreeVertex(m.var, level, 0))
-        assert calls == {"clmul": 0, "reverse": 0}, (m, level)
-        act(m, TreeVertex(m.var, level, tail))
-        assert calls == {"clmul": 2, "reverse": 1}, (m, level, tail)
+    for m, v in cases:
+        act(m, v)
+        assert calls == {"clmul": 2, "reverse": 1}, (m, v)
         calls.update(clmul=0, reverse=0)
 
 
 def test_act_and_canonical_form_match_the_fraction_oracle_on_every_branch():
-    """`act` branches on a zero tail by the sign of the level, and on a
-    nonzero tail by whether the level reaches the tail's bit length.  On
-    each branch, at levels -12..12, zero tails, short tails and tails of 9
-    to 20 bits (which `reverse` reads as several bytes), act(m, v) is the
+    """`act` branches on whether the level reaches the tail's bit length.
+    On each branch, at levels -12..12, zero tails, short tails and tails of
+    9 to 20 bits (which `reverse` reads as several bytes), act(m, v) is the
     canonical form of the product m * V, which `vertex_from_matrix` and the
     fraction oracle compute apart; the oracle also checks the canonical
     form of m itself."""
@@ -347,10 +343,8 @@ def test_act_and_canonical_form_match_the_fraction_oracle_on_every_branch():
         product = m * vertex_matrix(v)
         assert act(m, v) == vertex_from_matrix(product) == reference_vertex(product), (m, v)
         assert vertex_from_matrix(m) == reference_vertex(m), m
-        branch = ("zero", level >= 0) if tail == 0 else ("tail", level >= tail.bit_length())
-        branches.setdefault(branch, set()).add(tail.bit_length() >= 9)
-    assert branches[("zero", True)] == branches[("zero", False)] == {False}
-    assert branches[("tail", True)] == branches[("tail", False)] == {False, True}
+        branches.setdefault(level >= tail.bit_length(), set()).add(0 if tail == 0 else 1 + (tail.bit_length() >= 9))
+    assert branches[True] == branches[False] == {0, 1, 2}
 
 
 def test_valuation_at_zero_counts_factors_of_z():
