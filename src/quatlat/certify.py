@@ -339,6 +339,6 @@ def ball_check(radius: int, structure: V4Structure | None = None) -> BallCheckRe
     return BallCheckReport(radius, word_count, distinct_elements, distinct_vertices, expected, injective)
 
 
-def ball_certificate(radius: int = 3, structure: V4Structure | None = None) -> CertificateResult:
+def ball_certificate(radius: int, structure: V4Structure) -> CertificateResult:
     report = ball_check(radius, structure)
     return CertificateResult("ball-check", report.injective, report._asdict())

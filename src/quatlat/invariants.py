@@ -18,7 +18,7 @@ from .certify import CertificateResult
 from .localperm import t_map
 from .presentations import abelianization, gamma_presentation
 from .smith import hom_dim, invariant_factors
-from .squares import V4Structure
+from .squares import InvalidStructureError, V4Structure
 
 ComplexCounts = namedtuple("ComplexCounts", "vertices q edges squares chi")
 
@@ -106,7 +106,7 @@ def boundary_matrix(structure: V4Structure) -> list[list[int]]:
                     block.append(row)
                 # zero-sum input functions must land in zero-sum functions on the squares
                 if any(sum(col) != 0 for col in zip(*block)):
-                    raise AssertionError(f"edge ({label},{index}) does not preserve zero-sum functions")
+                    raise InvalidStructureError(f"edge ({label},{index}) does not preserve zero-sum functions")
                 rows.extend(block)
     return rows
 
@@ -127,7 +127,10 @@ def albanese_certificate(structure: V4Structure) -> CertificateResult:
     Z/15; Hom(Gamma^ab, Z/l), read from the computed factors and free rank,
     vanishes for l in {7, 11, 13}.  The second route to Gamma^ab is checked
     once, by suite.abelianization_certificate."""
-    kernel_dims = albanese_kernel_dim(structure, (5, 7))
+    try:
+        kernel_dims = albanese_kernel_dim(structure, (5, 7))
+    except InvalidStructureError as exc:
+        return CertificateResult("albanese", False, {"failure": str(exc)})
     factors, rank = abelianization(gamma_presentation())
     hom_checks = {ell: hom_dim(factors, rank, ell) for ell in (7, 11, 13)}
     # the columns of boundary_matrix: with |A| = |B| = 1 there are none, and

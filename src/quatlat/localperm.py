@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .squares import Square, V4Structure, corner
+from .squares import InvalidStructureError, Square, V4Structure, corner
 
 Perm = tuple[int, ...]
 
@@ -70,7 +70,7 @@ def t_map(structure: V4Structure, label: str, index: int, target: int) -> dict[S
         for s in squares_on_edge(structure, label, index)
     }
     if len(set(out.values())) != len(out):
-        raise AssertionError("t-map failed to be injective")
+        raise InvalidStructureError("t-map failed to be injective")
     return out
 
 
@@ -83,7 +83,7 @@ def sigma(structure: V4Structure, label: str, index: int) -> Perm:
     g0 = {t1[s][0]: t0[s][0] for s in t0}  # into fiber 0: t0 after inverse of t1
     g1 = {t0[s][0]: t1[s][0] for s in t0}
     if set(g0) != set(opposite) or set(g1) != set(opposite):
-        raise AssertionError("sigma components are not permutations of the opposite side")
+        raise InvalidStructureError("sigma components are not permutations of the opposite side")
     return wreath_perm(opposite, g0, g1, flip=True)
 
 

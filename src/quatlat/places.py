@@ -103,14 +103,10 @@ def valuation(f: RationalFunction, place: Place):
     if place.kind == "infinity":
         return f.den.bit_length() - f.num.bit_length()
     m = place.minpoly
-    if m == 0b10:
-        return _val_at_zero(f.num, f.den)
+    if m == 0b10:  # the lowest set bits
+        num, den = f.num, f.den
+        return (num & -num).bit_length() - (den & -den).bit_length()
     return multiplicity(f.num, m) - multiplicity(f.den, m)
-
-
-def _val_at_zero(num: int, den: int) -> int:
-    """Valuation at x = 0 of num/den (both nonzero, not necessarily reduced)."""
-    return (num & -num).bit_length() - (den & -den).bit_length()
 
 
 def _series(num: int, den: int, upper: int) -> int:

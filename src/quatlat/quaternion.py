@@ -12,23 +12,12 @@ q*conj(q) is the scalar x0^2 + x0x1 + a*x1^2 + b*(x2^2 + x2x3 + a*x3^2), which
 is how it is computed, and the reduced trace q + conj(q) is x1.
 
 An element is stored in the form that `rational.OverOneDenominator` states
-once: four GF(2)[z] numerators over one denominator.  A product is
-distributed over the left factor: each nonzero left coordinate scales a row
-of four, the right factor times its basis element (q, I q, J q or IJ q), in
-one loop over the coordinate's set bits, where the bit x^k adds the row
-times 2^k.  The structure constants enter the rows the same way, so the
-loops run over the short left coordinates and a, b, ab, never over the right
-numerators, and no `clmul` is called unless both denominators differ from
-1.  The sum is reduced once, by dividing the five output ints by their gcd.
-A left factor that carries a memo in the form's `_memo` slot (only the ball
-check gives one, to its generators) keeps its products by right factors over
-denominator 1 there, so a product that repeats (the ball check meets one
-generator times one element by several words) is computed once.
-The norm and the inverse read the stored ints and call no `clmul`: the
-norm's numerator is two `cldet` sums, one scaled by b's set bits, and the
-inverse scales the conjugate by the denominator's set bits, as the product
-scales its rows; the projective key is the numerator 4-tuple divided by
-its gcd (the denominator is a scalar).
+once: four GF(2)[z] numerators over one denominator.  The product, the norm
+and the inverse scale by set bits where they would multiply, over the left
+factor's coordinates and the structure constants a and b (ab q3 is a (b q3)),
+so only a product of two denominators other than 1 calls `clmul`; each
+method's docstring says how.  The projective key is the numerator 4-tuple
+divided by its gcd (the denominator is a scalar).
 """
 
 from __future__ import annotations
@@ -36,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 
-from .binpoly import cldet, cldivmod, clmul, square
+from .binpoly import cldet, clmul, multiplicity, square
 from .rational import (
     ONE_RF,
     ZERO_RF,
@@ -57,7 +46,7 @@ class QuaternionAlgebra(tuple):
     """The algebra [a,b) over GF(2)(var): I^2 = I + a, J^2 = b, JI = IJ + J.
 
     The tuple (a, b, var, _ints), where `_ints` holds the structure constants
-    a, b, ab as GF(2)[var] ints: a and b must be polynomials."""
+    a and b as GF(2)[var] ints: both must be polynomials."""
 
     __slots__ = ()
 
@@ -66,7 +55,7 @@ class QuaternionAlgebra(tuple):
             raise ValueError("the parameter b must be nonzero")
         if a.den != 1 or b.den != 1:
             raise ValueError("the parameters a and b must be polynomials")
-        return tuple.__new__(cls, (a, b, var, (a.num, b.num, clmul(a.num, b.num))))
+        return tuple.__new__(cls, (a, b, var, (a.num, b.num)))
 
     a = property(itemgetter(0))
     b = property(itemgetter(1))
@@ -125,8 +114,9 @@ class Quaternion(OverOneDenominator):
         that coordinate's set bits, the bit x^k adding the row times 2^k to
         the four outputs, so a zero left coordinate costs nothing.  The
         structure constants are applied the same way, each only when a
-        nonzero row needs it: one loop over the bits of a makes a q1 and
-        a q3, one over b makes b q2 and b q3, and one over ab makes ab q3.
+        nonzero row needs it: one loop over the bits of b makes b q2 and
+        b q3, then one over the bits of a makes a q1, a q3 and ab q3 as
+        a (b q3).
         The denominator is the other factor's when one of the two is 1.  So
         a right coordinate 0 or 1 costs one multiply like any other, and a
         product makes no `clmul` call when either denominator is 1, and one
@@ -145,7 +135,7 @@ class Quaternion(OverOneDenominator):
             product = memo.get(nums)
             if product is not None:
                 return product
-        a, b, ab = self._tag._ints
+        a, b = self._tag._ints
         p0, p1, p2, p3 = self._nums
         q0, q1, q2, q3 = nums
         den = self._den
@@ -161,21 +151,22 @@ class Quaternion(OverOneDenominator):
             z2 ^= q2 * low
             z3 ^= q3 * low
             p0 ^= low
-        if p1 or p3:
-            aq1 = aq3 = 0
-            x = a
-            while x:
-                low = x & -x
-                aq1 ^= q1 * low
-                aq3 ^= q3 * low
-                x ^= low
+        bq2 = bq3 = 0
         if p2 or p3:
-            bq2 = bq3 = 0
             x = b
             while x:
                 low = x & -x
                 bq2 ^= q2 * low
                 bq3 ^= q3 * low
+                x ^= low
+        if p1 or p3:
+            aq1 = aq3 = abq3 = 0
+            x = a
+            while x:
+                low = x & -x
+                aq1 ^= q1 * low
+                aq3 ^= q3 * low
+                abq3 ^= bq3 * low
                 x ^= low
         if p1:  # I q
             r1 = q0 ^ q1
@@ -198,12 +189,6 @@ class Quaternion(OverOneDenominator):
                 z3 ^= q1 * low
                 p2 ^= low
         if p3:  # IJ q
-            abq3 = 0
-            x = ab
-            while x:
-                low = x & -x
-                abq3 ^= q3 * low
-                x ^= low
             while p3:
                 low = p3 & -p3
                 z0 ^= abq3 * low
@@ -226,7 +211,7 @@ class Quaternion(OverOneDenominator):
         inner sums is the determinant of [[x, x'^2], [a, x + x']], and b
         scales the second by its set bits, as `__mul__` scales its rows, so
         no `clmul` is called."""
-        a, b, _ = self._tag._ints
+        a, b = self._tag._ints
         x0, x1, x2, x3 = self._nums
         norm = cldet(x0, square(x1), a, x0 ^ x1)
         inner = cldet(x2, square(x3), a, x2 ^ x3)
@@ -344,6 +329,8 @@ def named_elements() -> NamedElements:
 # Unit groups of the coefficient rings used for integrality tests: the rings
 # GF(2)[z, 1/z], GF(2)[z, 1/(z(1+z))] and GF(2)[z, 1/(z(1+z^3))] have unit
 # groups generated by the listed irreducibles (GF(2)[z] ints: z, 1+z, 1+z+z^2).
+# A nonzero f is a unit exactly when their powers dividing its numerator, and
+# those dividing its denominator, make up the whole degree of each.
 RING_UNITS = {
     "R0": (0b10,),
     "R1": (0b10, 0b11),
@@ -356,13 +343,8 @@ def is_ring_unit(f: RationalFunction, ring: str) -> bool:
     factor entirely into the ring's inverted irreducibles)."""
     if f.is_zero():
         return False
-    for p in (f.num, f.den):
-        for g in RING_UNITS[ring]:
-            while True:
-                q, r = cldivmod(p, g)
-                if r:
-                    break
-                p = q
-        if p != 1:
-            return False
-    return True
+    units = RING_UNITS[ring]
+    return all(
+        sum(multiplicity(p, g) * (g.bit_length() - 1) for g in units) == p.bit_length() - 1
+        for p in (f.num, f.den)
+    )

@@ -159,9 +159,11 @@ def _common_form(fracs) -> tuple[int, ...]:
 
 
 def _reduce_over(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
-    """Numerators over one nonzero denominator, divided by the gcd of all of
-    them: one gcd chain, stopped as soon as it reaches 1.  All-zero
-    numerators come back over 1."""
+    """Numerators over one denominator, divided by the gcd of all of them:
+    one gcd chain, stopped as soon as it reaches 1.  Over a nonzero
+    denominator, all-zero numerators come back over 1.  Since
+    clgcd(x, 0) == x, the denominator 0 makes the chain the content of the
+    numerators alone, which `_primitive_part` divides out."""
     g = den
     for x in nums:
         if g == 1:
@@ -174,20 +176,12 @@ def _reduce_over(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]
 
 
 def _primitive_part(nums: tuple[int, ...]) -> tuple[int, ...]:
-    """The polynomials divided by their gcd: the canonical representative of
-    their projective class, since 1 is the only unit of GF(2)[z].  They must
-    not all be zero; a tuple holding a 1 is primitive and returned at once."""
-    if 1 in nums:
-        return nums
-    content = 0
-    for x in nums:
-        if x:
-            content = clgcd(x, content) if content else x
-            if content == 1:
-                return nums
-    if content == 0:
+    """The polynomials divided by their gcd, `_reduce_over` at denominator 0:
+    the canonical representative of their projective class, since 1 is the
+    only unit of GF(2)[z].  They must not all be zero."""
+    if not any(nums):
         raise ValueError("the zero vector has no projective representative")
-    return tuple(cldivmod(x, content)[0] for x in nums)
+    return _reduce_over(nums, 0)[0]
 
 
 class AlgebraMismatchError(ValueError):

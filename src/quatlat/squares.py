@@ -171,7 +171,7 @@ def v4_orbits_of_squares(structure: V4Structure) -> list[list[Square]]:
         seed = min(remaining, key=sort_key)
         orbit = {v4_square_image(structure, seed, gamma) for gamma in range(4)}
         if not orbit <= remaining:
-            raise AssertionError("Klein-four action left the square set")
+            raise InvalidStructureError("Klein-four action left the square set")
         remaining -= orbit
         orbits.append(sorted(orbit, key=sort_key))
     return orbits

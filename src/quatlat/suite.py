@@ -41,6 +41,7 @@ from .presentations import (
 )
 from .squares import (
     VERTICES,
+    InvalidStructureError,
     V4Structure,
     cell_counts,
     euler_characteristic,
@@ -78,10 +79,13 @@ def links_certificate(structure: V4Structure) -> CertificateResult:
 
 
 def local_groups_certificate(structure: V4Structure) -> CertificateResult:
-    pa0 = local_group(structure, "A", 0)
-    pa1 = local_group(structure, "A", 1)
-    pb0 = local_group(structure, "B", 0)
-    pb1 = local_group(structure, "B", 1)
+    try:
+        pa0 = local_group(structure, "A", 0)
+        pa1 = local_group(structure, "A", 1)
+        pb0 = local_group(structure, "B", 0)
+        pb1 = local_group(structure, "B", 1)
+    except InvalidStructureError as exc:
+        return CertificateResult("local-permutation-groups", False, {"failure": str(exc)})
     ref_a = reference_group(structure.a_names, structure.inv)
     ref_b = reference_group(structure.b_names, structure.inv)
     ok = (
@@ -110,10 +114,14 @@ def relators_certificate(structure: V4Structure) -> CertificateResult:
             value = evaluate_word(rel, images, pres)
             if not is_projectively_trivial(value):
                 failures.append(f"{label}: {pres.word_str(rel)}")
-    generated = orbifold_presentation(structure)
-    matches = same_presentation(generated, lambda_presentation())
-    if not matches:
-        failures.append("orbifold presentation differs from the fixed one")
+    try:
+        matches = same_presentation(orbifold_presentation(structure), lambda_presentation())
+    except InvalidStructureError as exc:
+        failures.append(str(exc))
+        matches = False
+    else:
+        if not matches:
+            failures.append("orbifold presentation differs from the fixed one")
     return CertificateResult("relators", not failures, {"failures": failures, "orbifold_matches": matches})
 
 
@@ -162,7 +170,7 @@ def invariants_certificate(structure: V4Structure) -> CertificateResult:
     )
 
 
-def run_all(radius: int = 3) -> list[CertificateResult]:
+def run_all(radius: int) -> list[CertificateResult]:
     """Run every certificate in order, setting each result's elapsed_ms."""
     # built per call: a module-level tuple would pin the functions, and code
     # that rebinds this module's names (a tracer) would not reach it

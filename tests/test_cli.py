@@ -18,10 +18,6 @@ SELFTEST = METRICS.with_name("selftest.py")
 SRC = METRICS.parent.parent / "src"
 
 
-def fixture_dir() -> Path:
-    return Path(os.environ.get("QUATLAT_FIXTURE_DIR", FIXTURES))
-
-
 def test_verify_passes(capsys):
     assert main(["verify", "--radius", "1"]) == 0
     out = capsys.readouterr().out
@@ -212,13 +208,13 @@ def _fixture_case(argv, fixture, positional=None):
 )
 def test_json_output_matches_fixture_byte_for_byte(argv, fixture, capsys):
     assert main(argv) == 0
-    assert capsys.readouterr().out.encode() == (fixture_dir() / fixture).read_bytes()
+    assert capsys.readouterr().out.encode() == (FIXTURES / fixture).read_bytes()
 
 
 def test_invariants_text_matches_fixture_byte_for_byte(capsys):
     """The text path keeps --ell's order and prints a repeated prime once."""
     assert main(["invariants", "--ell", "3", "2", "5", "5"]) == 0
-    assert capsys.readouterr().out.encode() == (fixture_dir() / "invariants-ell-3-2-5-5.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == (FIXTURES / "invariants-ell-3-2-5-5.txt").read_bytes()
 
 
 def test_invariants_decides_a_large_prime_at_once(capsys):

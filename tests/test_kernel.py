@@ -401,6 +401,7 @@ def test_primitive_part_against_the_gcd_of_all_coordinates():
         nums = tuple(random_poly(rng, DEGREE) for _ in range(4))
         if any(nums):
             assert _primitive_part(nums) == _reference_primitive_part(nums)
+            assert _reduce_over(nums, 0) == (_reference_primitive_part(nums), 0)
     with pytest.raises(ValueError):
         _primitive_part((0, 0, 0, 0))
 

@@ -1,8 +1,10 @@
 import pytest
 
+from quatlat.binpoly import cldivmod, clgcd
 from quatlat.embeddings import RHO_Y
 from quatlat.quaternion import (
     AlgebraMismatchError,
+    RING_UNITS,
     NotInvertibleError,
     QuaternionAlgebra,
     is_ring_unit,
@@ -179,6 +181,25 @@ def test_ring_units():
         assert is_ring_unit(q.rnorm(), "R1")  # q is a unit of the order over R1
     assert not is_ring_unit(ne.D.rnorm(), "R1")
     assert is_ring_unit(ne.D.rnorm(), "R")
+
+    def trial_division_unit(num: int, den: int, units: tuple[int, ...]) -> bool:
+        for p in (num, den):
+            for g in units:
+                while not cldivmod(p, g)[1]:
+                    p = cldivmod(p, g)[0]
+            if p != 1:
+                return False
+        return True
+
+    cases = 0
+    for ring, units in RING_UNITS.items():
+        assert not is_ring_unit(ZERO_RF, ring)
+        for num in range(1, 1 << 7):
+            for den in range(1, 1 << 7):
+                if clgcd(num, den) == 1:
+                    cases += 1
+                    assert is_ring_unit(RationalFunction(num, den), ring) == trial_division_unit(num, den, units)
+    assert cases == 24_573
 
 
 def test_parse_quaternion_round_trip(algebra):

@@ -1,5 +1,8 @@
 import pytest
 
+from quatlat import suite
+from quatlat.certify import ball_certificate, neighbors_certificate
+from quatlat.invariants import albanese_certificate
 from quatlat.lattice import standard_structure
 from quatlat.quaternion import named_elements
 from quatlat.squares import (
@@ -274,8 +277,46 @@ def test_v4_action_is_the_klein_four_group_on_2_bit_ints():
 def test_v4_orbits_reject_a_square_set_that_is_not_closed():
     s = standard_structure()
     dropped = s._replace(squares=tuple(sq for sq in s.squares if sq != ("b1", "b2", "b2^-1", "c1")))
-    with pytest.raises(AssertionError, match="Klein-four action left the square set"):
+    with pytest.raises(InvalidStructureError, match="Klein-four action left the square set"):
         v4_orbits_of_squares(dropped)
+
+
+def _swap_b2_and_c2(s):
+    swap = {"b2": "c2", "c2": "b2"}
+    return s._replace(squares=tuple(tuple(swap.get(x, x) for x in sq) for sq in s.squares))
+
+
+@pytest.mark.parametrize(
+    "perturb, red",
+    [
+        (
+            lambda s: s._replace(squares=s.squares[1:]),
+            {"v4-structure", "links", "local-permutation-groups", "relators", "invariants", "albanese"},
+        ),
+        (_swap_b2_and_c2, {"v4-structure", "local-permutation-groups", "relators"}),
+        (
+            lambda s: s._replace(inv={**s.inv, "b1": "c1"}),
+            {"v4-structure", "local-permutation-groups", "relators", "ball-check"},
+        ),
+    ],
+    ids=["square-dropped", "b2-c2-relabelled", "inverse-pairing-broken"],
+)
+def test_every_certificate_reports_a_malformed_complex(perturb, red):
+    """A square set or inverse pairing that no V4-structure has turns the
+    certificates that read it red, with a result rather than a traceback."""
+    s = perturb(standard_structure())
+    certificates = (
+        suite.structure_certificate,
+        suite.links_certificate,
+        suite.local_groups_certificate,
+        neighbors_certificate,
+        suite.relators_certificate,
+        lambda structure: ball_certificate(2, structure),
+        suite.invariants_certificate,
+        albanese_certificate,
+    )
+    results = [certificate(s) for certificate in certificates]
+    assert {r.name for r in results if not r.passed} == red
 
 
 def test_build_structure_rejects_an_invalid_structure():

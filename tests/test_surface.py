@@ -10,6 +10,8 @@ method of the same name elsewhere also counts as a use.
 A second guard keeps the choice of which values memoize in one module: only
 `certify` (and `rational`, which defines it) names `_set__memo`.  A third
 keeps process-wide caches to one module: only `lattice` names `lru_cache`.
+A fourth keeps a malformed input reportable: no module raises
+`AssertionError`, so a certificate can catch what it reads as a failure.
 """
 
 from __future__ import annotations
@@ -73,3 +75,14 @@ def test_only_the_ball_check_gives_values_a_memo():
 def test_only_the_lattice_caches_across_calls():
     naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["lru_cache"])
     assert naming == ["lattice.py"], naming
+
+
+def test_no_module_raises_assertion_error():
+    """An `assert` statement counts as raising it too."""
+    raising = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Raise) and _names(node)["AssertionError"]
+    )
+    assert raising == [], raising
