@@ -11,13 +11,11 @@ home of squaring, spreads the bits, and `cldet` sums the two products of a
 returns such ints; there is no wrapper type.
 
 The variable is not part of the value: the same int is read as a polynomial
-in z, y, t or u depending on context.  Parsing and printing take the
-variable name as an argument ("1+z^3" <-> 0b1001).
+in z, y, t or u depending on context.  Printing takes the variable name as
+an argument (0b1001 -> "1+z^3").
 """
 
 from __future__ import annotations
-
-import re
 
 
 def clmul(a: int, b: int) -> int:
@@ -179,26 +177,3 @@ def to_string(p: int, var: str = "z") -> str:
             else:
                 terms.append(f"{var}^{k}")
     return "+".join(terms)
-
-
-_TERM_RE = re.compile(r"^(?:1|(?P<var>[A-Za-z])(?:\^(?P<exp>\d+))?)$")
-
-
-def parse_poly(text: str, var: str = "z") -> int:
-    """Parse "1+z^3" style text; whitespace is ignored, terms may repeat."""
-    s = text.replace(" ", "")
-    if s == "0":
-        return 0
-    bits = 0
-    for term in s.split("+"):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse term {term!r}")
-        if term == "1":
-            bits ^= 1
-        else:
-            if m.group("var") != var:
-                raise ValueError(f"unexpected variable {m.group('var')!r}, wanted {var!r}")
-            exp = int(m.group("exp") or 1)
-            bits ^= 1 << exp
-    return bits

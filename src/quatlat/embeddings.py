@@ -34,8 +34,8 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .binpoly import cldet, clmul, compose, square
-from .quaternion import AlgebraMismatchError, Quaternion, named_elements, standard_algebra
-from .rational import ONE_RF, ZERO_RF, OverOneDenominator, RationalFunction, _common_form, rf
+from .quaternion import Quaternion, named_elements, standard_algebra
+from .rational import ONE_RF, ZERO_RF, AlgebraMismatchError, OverOneDenominator, RationalFunction, _common_form, rf
 
 
 class Matrix2(OverOneDenominator):

@@ -29,11 +29,9 @@ from .binpoly import cldet, clmul, multiplicity, square
 from .rational import (
     ONE_RF,
     ZERO_RF,
-    AlgebraMismatchError,  # re-exported: what mixing elements of two algebras raises
     OverOneDenominator,
     RationalFunction,
     _primitive_part,
-    parse_rational,
     rf,
 )
 
@@ -267,33 +265,6 @@ class Quaternion(OverOneDenominator):
 
     def __str__(self) -> str:
         return self.to_string()
-
-
-def parse_quaternion(text: str, algebra: QuaternionAlgebra) -> Quaternion:
-    """Parse "x0 + x1*I + x2*J + x3*IJ"; components are rational functions."""
-    coords = [ZERO_RF, ZERO_RF, ZERO_RF, ZERO_RF]
-    slot = {"": 0, "I": 1, "J": 2, "IJ": 3}
-    for part in text.split(" + "):
-        part = part.strip()
-        if not part or part == "0":
-            continue
-        name = ""
-        if part.endswith("*IJ"):
-            name, part = "IJ", part[:-3]
-        elif part.endswith("*J"):
-            name, part = "J", part[:-2]
-        elif part.endswith("*I"):
-            name, part = "I", part[:-2]
-        elif part == "IJ":
-            name, part = "IJ", "1"
-        elif part == "J":
-            name, part = "J", "1"
-        elif part == "I":
-            name, part = "I", "1"
-        if part.startswith("(") and part.endswith(")"):
-            part = part[1:-1]
-        coords[slot[name]] = coords[slot[name]] + parse_rational(part, algebra.var)
-    return Quaternion(algebra, tuple(coords))
 
 
 # -- the standard algebra and its distinguished elements ------------------

@@ -13,7 +13,7 @@ build a fraction only where one is asked for.
 
 from __future__ import annotations
 
-from .binpoly import cldivmod, clgcd, clmul, clpow, derivative, parse_poly, square, to_string
+from .binpoly import cldivmod, clgcd, clmul, clpow, derivative, square, to_string
 
 
 class RationalFunction:
@@ -122,21 +122,6 @@ rf = RationalFunction  # shorthand used all over the tests: rf(num_bits, den_bit
 
 ZERO_RF = RationalFunction(0)
 ONE_RF = RationalFunction(1)
-
-
-def parse_rational(text: str, var: str = "z") -> RationalFunction:
-    """Parse "z/(1+z)" style text: one optional '/', parentheses optional."""
-    s = text.replace(" ", "")
-    if "/" in s:
-        top, _, bottom = s.partition("/")
-        return RationalFunction(_parse_part(top, var), _parse_part(bottom, var))
-    return RationalFunction(_parse_part(s, var))
-
-
-def _parse_part(s: str, var: str) -> int:
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    return parse_poly(s, var)
 
 
 # -- numerators over one denominator ------------------------------------------

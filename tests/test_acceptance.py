@@ -35,8 +35,8 @@ from quatlat.presentations import (
     reidemeister_schreier,
     same_presentation,
 )
-from quatlat.quaternion import named_elements, parse_quaternion, standard_algebra
-from quatlat.rational import RationalFunction, parse_rational
+from quatlat.quaternion import named_elements, standard_algebra
+from quatlat.rational import RationalFunction
 from quatlat.squares import (
     VERTICES,
     cell_counts,
@@ -60,6 +60,7 @@ from conftest import (
     wreath_from_cycles,
 )
 from fraction_reference import reference_matrix_projective_eq
+from parsing import parse_quaternion, parse_rational
 from test_embeddings import expected_generator_table
 
 

@@ -10,14 +10,14 @@ from quatlat.binpoly import (
     derivative,
     is_irreducible,
     multiplicity,
-    parse_poly,
     reverse,
     square,
     to_string,
 )
-from quatlat.rational import RationalFunction, parse_rational, rf
+from quatlat.rational import RationalFunction, rf
 
 from conftest import make_rng, random_nonzero_poly, random_poly, sympy_bridge
+from parsing import parse_poly, parse_rational
 
 
 def test_parse_and_print_round_trip():

@@ -18,10 +18,11 @@ from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
 from quatlat.embeddings import RHO_T, RHO_Y
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, is_ring_unit, named_elements, standard_algebra
-from quatlat.rational import _primitive_part, parse_rational, rf
+from quatlat.rational import _primitive_part, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
 from conftest import c1_swapped_for_d
+from parsing import parse_rational
 
 
 def test_ramified_places():

@@ -2,13 +2,14 @@ import pytest
 
 from quatlat.binpoly import clgcd, compose, reverse
 from quatlat.embeddings import _SPLIT, RHO_T, RHO_Y, Matrix2, _build_rho_t, _build_rho_y
-from quatlat.quaternion import AlgebraMismatchError, Quaternion, QuaternionAlgebra, named_elements, standard_algebra
-from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
+from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
+from quatlat.rational import ONE_RF, ZERO_RF, AlgebraMismatchError, RationalFunction, rf
 from quatlat.suite import run_all
 from quatlat.tree import bt_act, standard_product_vertex
 
 from conftest import make_rng, random_quaternion, random_rational, sympy_bridge
 from fraction_reference import reference_matrix_projective_eq, reference_rho
+from parsing import parse_rational
 
 Y = rf(0b10)
 T = rf(0b10)

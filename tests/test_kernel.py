@@ -25,15 +25,15 @@ from quatlat.embeddings import Matrix2
 from quatlat import quaternion
 from quatlat.lattice import standard_structure
 from quatlat.suite import run_all
-from quatlat.quaternion import AlgebraMismatchError, NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
+from quatlat.quaternion import NotInvertibleError, Quaternion, QuaternionAlgebra, standard_algebra
 from quatlat.rational import (
     ONE_RF,
     ZERO_RF,
+    AlgebraMismatchError,
     RationalFunction,
     _primitive_part,
     _reduce_over,
     _set__memo,
-    parse_rational,
     rf,
 )
 from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
@@ -58,6 +58,7 @@ from fraction_reference import (
     reference_vertex,
     vertex_matrix,
 )
+from parsing import parse_rational
 
 # "non-polynomial" is an id kept so that the printed test names stay stable;
 # the algebra's parameters are polynomials, as QuaternionAlgebra requires.

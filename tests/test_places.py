@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quatlat.binpoly import clmul, clpow, compose, parse_poly
+from quatlat.binpoly import clmul, clpow, compose
 from quatlat.places import (
     NAMED_PLACES,
     PLACE_INF,
@@ -16,10 +16,11 @@ from quatlat.places import (
     residue,
     valuation,
 )
-from quatlat.rational import RationalFunction, parse_rational, rf
+from quatlat.rational import RationalFunction, rf
 
 from conftest import make_rng, random_nonzero_poly, random_poly
 from fraction_reference import reference_trace, reference_zeta_residue
+from parsing import parse_poly, parse_rational
 
 Z = parse_rational("z")
 B = parse_rational("1+z^3")

@@ -143,7 +143,7 @@ def test_evaluate_word_basics():
     # (d b1)^2 is the scalar 1+z^3 because d*b1 lifts to the generator J
     gr = gr_presentation()
     db1db1 = evaluate_word(gr.word("d b1 d b1"), images, gr)
-    from quatlat.rational import parse_rational
+    from parsing import parse_rational
 
     assert db1db1 == images["d"].algebra.scalar(parse_rational("1+z^3"))
 

@@ -3,19 +3,18 @@ import pytest
 from quatlat.binpoly import cldivmod, clgcd
 from quatlat.embeddings import RHO_Y
 from quatlat.quaternion import (
-    AlgebraMismatchError,
     RING_UNITS,
     NotInvertibleError,
     QuaternionAlgebra,
     is_ring_unit,
     named_elements,
-    parse_quaternion,
     standard_algebra,
 )
-from quatlat.rational import ONE_RF, ZERO_RF, RationalFunction, parse_rational, rf
+from quatlat.rational import ONE_RF, ZERO_RF, AlgebraMismatchError, RationalFunction, rf
 
 from conftest import make_rng, random_nonzero_poly, random_nonzero_quaternion, random_quaternion
 from fraction_reference import reference_conj, reference_projective_eq
+from parsing import parse_quaternion, parse_rational
 
 
 def test_defining_relations():

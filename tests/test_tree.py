@@ -2,7 +2,7 @@ import pytest
 
 from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import named_elements
-from quatlat.rational import parse_rational, rf
+from quatlat.rational import rf
 from quatlat.tree import (
     TreeVertex,
     act,
@@ -15,6 +15,7 @@ from quatlat.tree import (
 )
 
 from conftest import make_rng, make_tail, random_integral_unit_matrix, random_invertible_matrix, random_unit
+from parsing import parse_rational
 
 W = standard_vertex("y")
 
