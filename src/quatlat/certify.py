@@ -23,14 +23,13 @@ from .places import (
     PLACE_ZERO,
     PLACE_ZETA,
     Place,
-    laurent_expand,
     local_symbol,
     valuation,
 )
 from .quaternion import Quaternion, is_ring_unit, named_elements, standard_algebra
 from .rational import RationalFunction, _set__memo, rf
 from .squares import V4Structure
-from .tree import act, ball_vertex_count, bt_act, distance, standard_product_vertex
+from .tree import act, ball_vertex_count, bt_act, distance, standard_product_vertex, vertex_key
 
 
 class CertificateResult:
@@ -39,10 +38,10 @@ class CertificateResult:
 
     __slots__ = ("name", "passed", "details", "elapsed_ms")
 
-    def __init__(self, name: str, passed: bool, details: dict | None = None, elapsed_ms: float = 0.0) -> None:
+    def __init__(self, name: str, passed: bool, details: dict, elapsed_ms: float = 0.0) -> None:
         self.name = name
         self.passed = passed
-        self.details = {} if details is None else details
+        self.details = details
         self.elapsed_ms = elapsed_ms
 
     def as_json(self) -> dict:
@@ -93,18 +92,12 @@ def discriminant_certificate() -> CertificateResult:
 
 
 def _mod_pi_matrix(m: Matrix2) -> list[list[int]] | None:
-    """Reduce an integral matrix modulo the uniformizer; None if not integral."""
-    e11, e12, e21, e22 = m.entries
-    out = []
-    for row in ((e11, e12), (e21, e22)):
-        line = []
-        for e in row:
-            v = valuation(e, PLACE_ZERO)
-            if v < 0:
-                return None
-            line.append(laurent_expand(e, PLACE_ZERO, 1).get(0, 0))
-        out.append(line)
-    return out
+    """Reduce an integral matrix modulo the uniformizer; None if not integral.
+    The residue field is GF(2), so an entry reduces to 1 exactly when it is a unit."""
+    v11, v12, v21, v22 = (valuation(e, PLACE_ZERO) for e in m.entries)
+    if min(v11, v12, v21, v22) < 0:
+        return None
+    return [[int(v11 == 0), int(v12 == 0)], [int(v21 == 0), int(v22 == 0)]]
 
 
 def stabilizer_certificate() -> CertificateResult:
@@ -167,7 +160,7 @@ def neighbors_certificate(structure: V4Structure) -> CertificateResult:
             images.append(img[moved])
         if len(set(images)) != 3:
             failures.append(f"{side} images not pairwise distinct")
-        details[f"{side.lower()}_{factor[moved]}_images"] = [v.key() for v in images]
+        details[f"{side.lower()}_{factor[moved]}_images"] = [vertex_key(v) for v in images]
     details["failures"] = failures
     return CertificateResult("neighbors", not failures, details)
 

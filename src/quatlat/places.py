@@ -141,17 +141,6 @@ def _localize(f: RationalFunction, place: Place) -> tuple[int, int]:
     raise UnsupportedPlaceError(f"no degree-1 local coordinate at place {place.name}")
 
 
-def laurent_expand(f: RationalFunction, place: Place, upper: int) -> dict[int, int]:
-    """Coefficients (exponent -> 1) of the pi-adic expansion of f below `upper`.
-
-    Only degree-1 places; the uniformizer is x, x+1 or 1/x per the place.
-    """
-    if place.degree != 1:
-        raise UnsupportedPlaceError(f"place {place.name} has degree {place.degree} > 1")
-    bits = _series(*_localize(f, place), upper)
-    return {upper - 1 - k: 1 for k in range(bits.bit_length()) if bits >> k & 1}
-
-
 def _at_zeta(p: int) -> tuple[int, int]:
     """p(w+s) = p0(s) + w*p1(s) for a cube root of unity w (w^2 = w+1): the
     place x^2+x+1 moved to s = 0, by Horner's rule."""

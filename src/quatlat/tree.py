@@ -9,12 +9,11 @@ right units and scalars, stored canonically as (level n, tail) where the
 tail is the Laurent polynomial c reduced modulo pi^n, written as the int
 whose bit k is the coefficient of pi^(n-1-k) -- the order in which
 `places._series` produces it.  Every nonnegative int is a tail, so
-canonical coordinates are two ints.  A `TreeVertex` is the tuple
-(field, level, tail), a tuple subclass whose constructor validates, so
-equality and hashing are the tuple's, run in C, which the ball enumerations
-(dicts keyed by vertices) rely on.  A vertex equals the plain tuple of its
-coordinates.  A vertex of the product of the two trees is the plain pair
-(horizontal, vertical) of a vertex over y and a vertex over t.
+canonical coordinates are two ints.  A vertex is the plain tuple
+(field, level, tail), so equality and hashing are the tuple's, run in C,
+which the ball enumerations (dicts keyed by vertices) rely on; `vertex_key`
+is the one home of its text form.  A vertex of the product of the two trees
+is the plain pair (horizontal, vertical) of a vertex over y and one over t.
 
 A vertex is a lattice class up to scalars, so a matrix acts through its
 polynomial numerators alone: `vertex_from_matrix` and `act` read the
@@ -24,8 +23,7 @@ power of pi so that every entry of the product is a polynomial, for one
 `reverse` and two `clmul` calls (a zero tail makes each return at once).
 The canonical form then needs only the determinant (`cldet`, set-bit loops
 with no `clmul` call), the lowest set bits of the entries (valuations at 0)
-and one truncated series division, whose tail is never negative, so it
-builds its vertex without the constructor's check.
+and one truncated series division, whose tail is never negative.
 
 `act` reads and fills a memo on the matrix but never creates one: a Matrix2
 whose `_memo` slot (of the form it shares with quaternions) holds a dict
@@ -37,51 +35,32 @@ computes each image.  There is no module-level vertex cache.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .binpoly import cldet, clmul, reverse
 from .embeddings import RHO_T, RHO_Y, Matrix2
 from .places import _series
 from .quaternion import Quaternion
 
 
-class TreeVertex(tuple):
-    """Canonical coordinates (field, level, tail) of a tree vertex; `field` is y or t."""
-
-    __slots__ = ()
-
-    def __new__(cls, field: str, level: int, tail: int) -> TreeVertex:
-        if tail < 0:
-            raise ValueError("a tail is a nonnegative int")
-        return tuple.__new__(cls, (field, level, tail))
-
-    field = property(itemgetter(0))
-    level = property(itemgetter(1))
-    tail = property(itemgetter(2))
-
-    def __getnewargs__(self) -> tuple[str, int, int]:  # copy and pickle through __new__
-        return tuple(self)
-
-    def key(self) -> str:
-        """Serialization "field:level:tail-hex"; tail bit k is the coefficient
-        of pi^(level-1-k), so the encoding terminates and is canonical."""
-        field, level, tail = self
-        return f"{field}:{level}:{tail:x}"
-
-    def __str__(self) -> str:
-        return self.key()
+Vertex = tuple[str, int, int]  # (field, level, tail); `field` is y or t
 
 
-def standard_vertex(field: str) -> TreeVertex:
-    return TreeVertex(field, 0, 0)
+def vertex_key(v: Vertex) -> str:
+    """Serialization "field:level:tail-hex"; tail bit k is the coefficient
+    of pi^(level-1-k), so the encoding terminates and is canonical."""
+    field, level, tail = v
+    return f"{field}:{level}:{tail:x}"
 
 
-def vertex_from_matrix(m: Matrix2) -> TreeVertex:
+def standard_vertex(field: str) -> Vertex:
+    return field, 0, 0
+
+
+def vertex_from_matrix(m: Matrix2) -> Vertex:
     """Canonical form of the lattice class spanned by the matrix columns."""
     return _vertex(m._tag, *m._nums)
 
 
-def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
+def _vertex(field: str, a: int, b: int, c: int, d: int) -> Vertex:
     """vertex_from_matrix on the polynomial matrix [[a, b], [c, d]].
 
     Column-reduces over the valuation ring: pivot on the bottom-row entry of
@@ -100,11 +79,10 @@ def _vertex(field: str, a: int, b: int, c: int, d: int) -> TreeVertex:
     # the lattice by d:  [[det/d^2 * d, b/d], [0, 1]] up to units, and
     # det/d^2 is valuation-equal to pi^n
     level = (det & -det).bit_length() + 1 - 2 * (d & -d).bit_length()
-    # `_series` returns a nonnegative int, so the validating constructor is skipped
-    return tuple.__new__(TreeVertex, (field, level, _series(b, d, level)))
+    return field, level, _series(b, d, level)
 
 
-def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
+def act(m: Matrix2, v: Vertex) -> Vertex:
     """The vertex m.v: the canonical form of m times the matrix of v, kept
     as v -> m.v in `m._memo` when m carries a memo."""
     memo = m._memo
@@ -134,7 +112,7 @@ def act(m: Matrix2, v: TreeVertex) -> TreeVertex:
     return image
 
 
-def distance(v1: TreeVertex, v2: TreeVertex) -> int:
+def distance(v1: Vertex, v2: Vertex) -> int:
     """Tree distance via elementary divisors of the transition matrix.
 
     adj([[pi^n1, c1], [0, 1]]) * [[pi^n2, c2], [0, 1]] = [[pi^n2, c1 + c2], [0, pi^n1]], so the
@@ -152,11 +130,11 @@ def distance(v1: TreeVertex, v2: TreeVertex) -> int:
     return n1 + n2 - 2 * low
 
 
-def standard_product_vertex() -> tuple[TreeVertex, TreeVertex]:
+def standard_product_vertex() -> tuple[Vertex, Vertex]:
     return standard_vertex("y"), standard_vertex("t")
 
 
-def bt_act(g: Quaternion, v: tuple[TreeVertex, TreeVertex]) -> tuple[TreeVertex, TreeVertex]:
+def bt_act(g: Quaternion, v: tuple[Vertex, Vertex]) -> tuple[Vertex, Vertex]:
     """Act through rho_y on the horizontal factor and rho_t on the vertical
     one; `act` refuses a pair whose factors are not over y and t in turn."""
     horizontal, vertical = v

@@ -115,7 +115,7 @@ def c1_swapped_for_d():
 
 
 def make_tail(level: int, exponents) -> int:
-    """The TreeVertex tail at `level` of the Laurent polynomial sum of pi^e
+    """The vertex tail at `level` of the Laurent polynomial sum of pi^e
     over the exponents, each below the level: bit level-1-e is set per e."""
     tail = 0
     for e in exponents:

@@ -12,8 +12,10 @@ conjugate-and-norm route of quatlat.places.  `reference_trace` is the
 trace of a residue down to GF(2) as the sum of its Frobenius iterates, the
 oracle for `local_symbol`.
 
-`reference_vertex` is a tree vertex's canonical form read from a matrix's
-entries as fractions, the oracle for `tree.vertex_from_matrix` and `act`.
+`reference_expansion` is the expansion at pi = 0 peeled off one lowest
+term at a time, the oracle for `certify._mod_pi_matrix`; `reference_vertex`
+is a tree vertex's canonical form read from a matrix's entries as
+fractions through it, the oracle for `tree.vertex_from_matrix` and `act`.
 
 `reference_rank_mod` is Gaussian elimination over Z/l, the oracle for the
 Z/l dimensions quatlat reads from Smith invariant factors.
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from quatlat.binpoly import cldivmod, clmul
 from quatlat.embeddings import EmbeddingMap, Matrix2
-from quatlat.places import PLACE_ZERO, Place, laurent_expand, valuation
+from quatlat.places import PLACE_ZERO, Place, valuation
 from quatlat.quaternion import Quaternion
 from quatlat.rational import RationalFunction, rf
-from quatlat.tree import TreeVertex
+from quatlat.tree import Vertex
 
 
 def reference_mul(p: Quaternion, q: Quaternion) -> Quaternion:
@@ -189,18 +191,33 @@ def reference_trace(place: Place, representative: int) -> int:
     return total
 
 
-def vertex_matrix(v: TreeVertex) -> Matrix2:
+def pi_power(e: int) -> RationalFunction:
+    """pi^e as a fraction, for e of either sign."""
+    return rf(1 << e) if e >= 0 else rf(1, 1 << -e)
+
+
+def reference_expansion(f: RationalFunction, upper: int) -> list[int]:
+    """The exponents e < upper of the nonzero terms of f's expansion at
+    pi = 0, lowest first: while the valuation e of f is below `upper`, f
+    has the term pi^e, which is then cleared from f."""
+    exponents = []
+    while (e := valuation(f, PLACE_ZERO)) < upper:  # +inf once f is 0
+        exponents.append(e)
+        f = f + pi_power(e)  # char 2: minus is plus
+    return exponents
+
+
+def vertex_matrix(v: Vertex) -> Matrix2:
     """[[pi^n, c], [0, 1]]: the lattice whose class is the vertex (level n, tail c)."""
-    pi_n = rf(1 << v.level) if v.level >= 0 else rf(1, 1 << -v.level)
+    field, level, tail = v
     c = rf(0)
-    for k in range(v.tail.bit_length()):
-        if v.tail >> k & 1:  # the coefficient of pi^e, e = level - 1 - k
-            e = v.level - 1 - k
-            c = c + (rf(1 << e) if e >= 0 else rf(1, 1 << -e))
-    return Matrix2(v.field, pi_n, c, rf(0), rf(1))
+    for k in range(tail.bit_length()):
+        if tail >> k & 1:  # the coefficient of pi^e, e = level - 1 - k
+            c = c + pi_power(level - 1 - k)
+    return Matrix2(field, pi_power(level), c, rf(0), rf(1))
 
 
-def reference_vertex(m: Matrix2) -> TreeVertex:
+def reference_vertex(m: Matrix2) -> Vertex:
     """The canonical form of the lattice spanned by m's columns, from its
     entries as fractions: pivot on the bottom entry of least valuation
     (the right one on a tie), clear the other bottom entry and divide by the
@@ -213,11 +230,11 @@ def reference_vertex(m: Matrix2) -> TreeVertex:
         raise ValueError("singular matrix")
     top, pivot = (e11, e21) if valuation(e21, PLACE_ZERO) < valuation(e22, PLACE_ZERO) else (e12, e22)
     level = valuation(det / (pivot * pivot), PLACE_ZERO)
-    tail = sum(1 << (level - 1 - e) for e in laurent_expand(top / pivot, PLACE_ZERO, level))
-    return TreeVertex(m.var, level, tail)
+    tail = sum(1 << (level - 1 - e) for e in reference_expansion(top / pivot, level))
+    return m.var, level, tail
 
 
-def reference_distance(v1: TreeVertex, v2: TreeVertex) -> int:
+def reference_distance(v1: Vertex, v2: Vertex) -> int:
     """Tree distance from the elementary divisors of adj(M1) * M2, computed
     with Matrix2 arithmetic and valuations."""
     m1 = vertex_matrix(v1)

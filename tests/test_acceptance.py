@@ -46,7 +46,7 @@ from quatlat.squares import (
     v4_orbits_of_squares,
     verify_v4,
 )
-from quatlat.tree import TreeVertex, distance
+from quatlat.tree import distance
 
 from conftest import (
     make_rng,
@@ -259,7 +259,7 @@ def test_criterion_14_property_suites():
         for _ in range(50):
             level = rng.randint(-3, 4)
             tail = make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.4])
-            verts.append(TreeVertex("y", level, tail))
+            verts.append(("y", level, tail))
         for _ in range(1000):
             u, v, w = rng.choice(verts), rng.choice(verts), rng.choice(verts)
             duv = distance(u, v)

@@ -4,6 +4,7 @@ import pytest
 
 from quatlat import certify, suite
 from quatlat.certify import (
+    _mod_pi_matrix,
     ball_certificate,
     ball_check,
     discriminant_certificate,
@@ -16,12 +17,13 @@ from quatlat.certify import (
 from quatlat.binpoly import cldivmod, clmul
 from quatlat.lattice import standard_structure
 from quatlat.places import PLACE_ONE, PLACE_ZETA, PLACE_ZERO, local_symbol, valuation
-from quatlat.embeddings import RHO_T, RHO_Y
+from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, is_ring_unit, named_elements, standard_algebra
 from quatlat.rational import _primitive_part, rf
 from quatlat.tree import ball_vertex_count, bt_act, standard_product_vertex
 
-from conftest import c1_swapped_for_d
+from conftest import c1_swapped_for_d, make_rng, random_unit
+from fraction_reference import pi_power, reference_expansion
 from parsing import parse_rational
 
 
@@ -65,6 +67,27 @@ def test_stabilizer_certificate():
     assert result.details["mod_y"] == [[1, 0], [1, 1]]
     assert result.details["mod_t"] == [[1, 1], [0, 1]]
     assert result.details["d_squared"] == "1+z+z^2"
+
+
+def test_mod_pi_matrix_matches_the_reference_constant_term():
+    """Entries of valuation -2..3 or zero, each pi^v times a random unit; a
+    matrix with an entry of negative valuation is not integral."""
+    rng = make_rng(91)
+    not_integral = 0
+    for _ in range(400):
+        entries = []
+        for _ in range(4):
+            v = rng.choice((None, -2, -1, 0, 0, 1, 2, 3))
+            entries.append(rf(0) if v is None else pi_power(v) * random_unit(rng))
+        reduced = _mod_pi_matrix(Matrix2("y", *entries))
+        if any(valuation(e, PLACE_ZERO) < 0 for e in entries):
+            expected = None
+        else:
+            e11, e12, e21, e22 = (int(0 in reference_expansion(e, 1)) for e in entries)
+            expected = [[e11, e12], [e21, e22]]
+        assert reduced == expected, entries
+        not_integral += expected is None
+    assert 100 <= not_integral <= 300
 
 
 def test_neighbors_certificate():

@@ -36,7 +36,7 @@ from quatlat.rational import (
     _set__memo,
     rf,
 )
-from quatlat.tree import TreeVertex, act, distance, vertex_from_matrix
+from quatlat.tree import act, distance, vertex_from_matrix
 
 from conftest import (
     make_rng,
@@ -265,7 +265,7 @@ def test_tree_action_and_distance_match_matrix_arithmetic():
     for _ in range(SAMPLES):
         m = random_invertible_matrix(rng, "y", DEGREE)
         level = rng.randint(-3, 3)
-        v = TreeVertex("y", level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
+        v = ("y", level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
         moved = act(m, v)
         assert moved == vertex_from_matrix(m * vertex_matrix(v))
         assert distance(v, moved) == reference_distance(v, moved)
@@ -318,7 +318,7 @@ def test_act_pays_one_reversal_and_two_products_per_miss(monkeypatch):
     for _ in range(200):
         var = rng.choice("yt")
         m = random_invertible_matrix(rng, var, DEGREE)
-        cases.append((m, TreeVertex(var, rng.randint(-6, 6), rng.choice((0, rng.getrandbits(12))))))
+        cases.append((m, (var, rng.randint(-6, 6), rng.choice((0, rng.getrandbits(12))))))
     calls = _count_calls(monkeypatch, clmul, reverse)
     for m, v in cases:
         act(m, v)
@@ -340,7 +340,7 @@ def test_act_and_canonical_form_match_the_fraction_oracle_on_every_branch():
         m = random_invertible_matrix(rng, var, DEGREE)
         level = rng.randint(-12, 12)
         tail = rng.choice((0, rng.getrandbits(rng.randint(1, 8)), 1 << rng.randint(8, 19) | rng.getrandbits(8)))
-        v = TreeVertex(var, level, tail)
+        v = (var, level, tail)
         product = m * vertex_matrix(v)
         assert act(m, v) == vertex_from_matrix(product) == reference_vertex(product), (m, v)
         assert vertex_from_matrix(m) == reference_vertex(m), m
@@ -501,7 +501,7 @@ def test_act_ignores_a_scalar_factor_of_the_matrix():
         m = RHO_T(random_invertible_quaternion(rng, alg, DEGREE))
         non_polynomial += m._den != 1
         level = rng.randint(-3, 3)
-        v = TreeVertex("t", level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
+        v = ("t", level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
         moved = act(m, v)
         assert act(m.scale(_random_nonzero_scalar(rng)), v) == moved, (m, v)
         assert moved == vertex_from_matrix(m * vertex_matrix(v)), (m, v)
@@ -522,7 +522,7 @@ def test_act_memo_agrees_with_a_fresh_matrix_and_the_fraction_oracle():
             _set__memo(m, {})
             for _ in range(2):
                 level = rng.randint(-3, 3)
-                v = TreeVertex(m.var, level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
+                v = (m.var, level, make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.5]))
                 first = act(m, v)
                 assert m._memo[v] == first
                 assert act(m, v) == first
@@ -539,7 +539,7 @@ def test_act_memo_is_invisible_to_equality_hash_copy_and_pickle():
     m = RHO_T(random_invertible_quaternion(rng, standard_algebra(), DEGREE))
     twin = Matrix2(m.var, *m.entries)
     hash_before = hash(m)
-    v = TreeVertex("t", 2, 0b1)
+    v = ("t", 2, 0b1)
     assert m._memo is None and twin._memo is None  # no memo until one is given
     _set__memo(m, {})
     _set__memo(twin, {})
@@ -614,7 +614,7 @@ def test_no_value_outside_the_ball_check_gets_a_memo():
         values = [p, q, p * q, q * p, p * p, p.inverse()]
         for which in (RHO_Y, RHO_T):
             m = which(p)
-            v = TreeVertex(m.var, 1, 0b1)
+            v = (m.var, 1, 0b1)
             assert act(m, v) == act(m, v)
             values += [m, Matrix2(m.var, *m.entries)]
         assert all(x._memo is None for x in values), p

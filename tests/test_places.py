@@ -11,7 +11,8 @@ from quatlat.places import (
     PLACE_ZETA,
     Place,
     UnsupportedPlaceError,
-    laurent_expand,
+    _localize,
+    _series,
     local_symbol,
     residue,
     valuation,
@@ -69,16 +70,30 @@ def test_product_formula_spot_check():
         assert total == 0
 
 
+def laurent_bits(f: RationalFunction, place: Place, upper: int) -> int:
+    """The expansion of f at a degree-1 place below x^upper in the local
+    coordinate x: bit k is the coefficient of x^(upper-1-k)."""
+    return _series(*_localize(f, place), upper)
+
+
+def laurent_exponents(f: RationalFunction, place: Place, upper: int) -> set[int]:
+    """The exponents of the nonzero terms of `laurent_bits`."""
+    bits = laurent_bits(f, place, upper)
+    return {upper - 1 - k for k in range(bits.bit_length()) if bits >> k & 1}
+
+
 def test_laurent_examples():
-    assert laurent_expand(parse_rational("1/(1+z)"), PLACE_ZERO, 4) == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert laurent_expand(Z, PLACE_ZERO, 5) == {1: 1}
-    assert laurent_expand(rf(0), PLACE_ZERO, 9) == {}
+    assert laurent_bits(parse_rational("1/(1+z)"), PLACE_ZERO, 4) == 0b1111  # 1 + z + z^2 + z^3
+    assert laurent_bits(Z, PLACE_ZERO, 5) == 0b1000  # z: bit 5-1-1
+    assert laurent_bits(rf(0), PLACE_ZERO, 9) == 0
+    assert laurent_bits(parse_rational("1/z^2"), PLACE_ZERO, 1) == 0b100  # bit 1-1-(-2)
+    assert laurent_exponents(parse_rational("(1+z)/z"), PLACE_ZERO, 3) == {-1, 0}
 
 
 def test_laurent_at_infinity_with_multiply_back_oracle():
     f = Z / B  # z/(1+z^3)
-    coeffs = laurent_expand(f, PLACE_INF, 3)
-    assert coeffs == {2: 1}
+    coeffs = laurent_exponents(f, PLACE_INF, 3)
+    assert coeffs == {2}
     # oracle: the truncated series times (1+z^3)/z must be 1 modulo u^3,
     # all expressed in the local coordinate u = 1/z
     series_in_u = RationalFunction(sum(1 << e for e in coeffs))
@@ -94,7 +109,7 @@ def test_laurent_multiply_back_random():
         f = RationalFunction(random_nonzero_poly(rng, 4), random_nonzero_poly(rng, 4))
         upper = rng.randint(1, 6)
         for place in (PLACE_ZERO, PLACE_ONE):
-            coeffs = laurent_expand(f, place, upper)
+            coeffs = laurent_exponents(f, place, upper)
             low = min(min(coeffs), 0) if coeffs else 0
             num = sum(1 << (e - low) for e in coeffs)
             den = 1 << -low
@@ -106,7 +121,7 @@ def test_laurent_multiply_back_random():
 
 def test_laurent_rejects_degree_two_place():
     with pytest.raises(UnsupportedPlaceError):
-        laurent_expand(Z, PLACE_ZETA, 3)
+        laurent_bits(Z, PLACE_ZETA, 3)
 
 
 def test_residue_examples():
@@ -116,7 +131,7 @@ def test_residue_examples():
     # oracle: v_1(z * d(1+z^3) / (1+z^3)) = -1 and the series starts with 1
     integrand = Z * B.derivative() / B
     assert valuation(integrand, PLACE_ONE) == -1
-    assert laurent_expand(integrand, PLACE_ONE, 0) == {-1: 1}
+    assert laurent_bits(integrand, PLACE_ONE, 0) == 0b1  # bit 0 is the coefficient of x^-1
     assert residue(Z, B, PLACE_ONE) == 1
 
 

@@ -4,7 +4,7 @@ from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.quaternion import named_elements
 from quatlat.rational import rf
 from quatlat.tree import (
-    TreeVertex,
+    Vertex,
     act,
     ball_vertex_count,
     bt_act,
@@ -12,6 +12,7 @@ from quatlat.tree import (
     standard_product_vertex,
     standard_vertex,
     vertex_from_matrix,
+    vertex_key,
 )
 
 from conftest import make_rng, make_tail, random_integral_unit_matrix, random_invertible_matrix, random_unit
@@ -20,19 +21,20 @@ from parsing import parse_rational
 W = standard_vertex("y")
 
 
-def neighbors(v: TreeVertex) -> tuple[TreeVertex, TreeVertex, TreeVertex]:
+def neighbors(v: Vertex) -> tuple[Vertex, Vertex, Vertex]:
     """The three adjacent vertices (valency q+1 = 3 over GF(2)), read off the
     coordinates: two children one level up, the parent one level down.  Bit
     k of a tail is the coefficient of pi^(level-1-k): one level up, the same
     exponents sit one bit higher and bit 0 is the new pi^level term; one level
     down, the pi^(level-1) term in bit 0 is cut off."""
-    up_plain = TreeVertex(v.field, v.level + 1, v.tail << 1)
-    up_bumped = TreeVertex(v.field, v.level + 1, v.tail << 1 | 1)
-    down = TreeVertex(v.field, v.level - 1, v.tail >> 1)
+    field, level, tail = v
+    up_plain = (field, level + 1, tail << 1)
+    up_bumped = (field, level + 1, tail << 1 | 1)
+    down = (field, level - 1, tail >> 1)
     return (up_plain, up_bumped, down)
 
 
-def ball_in_tree(center: TreeVertex, radius: int) -> list[set[TreeVertex]]:
+def ball_in_tree(center: Vertex, radius: int) -> list[set[Vertex]]:
     """Spheres of radius 0..radius around the center, by breadth-first search."""
     spheres = [{center}]
     seen = {center}
@@ -50,7 +52,7 @@ def ball_in_tree(center: TreeVertex, radius: int) -> list[set[TreeVertex]]:
 def test_vertex_from_matrix_examples():
     assert vertex_from_matrix(Matrix2.identity("y")) == W
     m = Matrix2("y", rf(0b100), rf(0), rf(0), rf(1))  # [[pi^2, 0], [0, 1]]
-    assert vertex_from_matrix(m) == TreeVertex("y", 2, 0)
+    assert vertex_from_matrix(m) == ("y", 2, 0)
     v = vertex_from_matrix(RHO_Y(named_elements().B2))
     assert distance(W, v) == 1
     with pytest.raises(ValueError):
@@ -72,7 +74,7 @@ def test_canonical_form_invariance_random():
 def test_action_examples():
     ne = named_elements()
     assert act(RHO_Y(ne.B1), W) == W
-    v = TreeVertex("y", -2, make_tail(-2, {-4}))
+    v = ("y", -2, make_tail(-2, {-4}))
     assert act(Matrix2.identity("y"), v) == v
     wt = standard_vertex("t")
     u_inv = RHO_T.embed_scalar(parse_rational("z"))
@@ -94,7 +96,7 @@ def test_action_is_a_group_action():
 
 def test_distance_examples():
     assert distance(W, W) == 0
-    v = TreeVertex("y", 3, make_tail(3, {1, 2}))
+    v = ("y", 3, make_tail(3, {1, 2}))
     assert distance(W, v) == 3  # elementary divisors of [[y^3, y+y^2], [0, 1]]
     w2 = act(RHO_Y(named_elements().B2), W)
     assert distance(W, w2) == 1
@@ -106,7 +108,7 @@ def test_distance_metric_axioms_random():
     for _ in range(60):
         level = rng.randint(-3, 4)
         tail = make_tail(level, [e for e in range(level - 4, level) if rng.random() < 0.4])
-        verts.append(TreeVertex("y", level, tail))
+        verts.append(("y", level, tail))
     for _ in range(1000):
         u, v, w = rng.choice(verts), rng.choice(verts), rng.choice(verts)
         duv = distance(u, v)
@@ -127,7 +129,7 @@ def test_isometry_and_parity():
     base = standard_vertex("y")
     for _ in range(200):
         m = random_invertible_matrix(rng, "y", 2)
-        v1 = TreeVertex("y", rng.randint(-2, 3), 0)
+        v1 = ("y", rng.randint(-2, 3), 0)
         v2 = act(random_integral_unit_matrix(rng, "y"), base)
         assert distance(act(m, v1), act(m, v2)) == distance(v1, v2)
         from quatlat.places import PLACE_ZERO, valuation
@@ -137,15 +139,15 @@ def test_isometry_and_parity():
 
 def test_neighbors():
     assert set(neighbors(W)) == {
-        TreeVertex("y", 1, 0),
-        TreeVertex("y", 1, make_tail(1, {0})),
-        TreeVertex("y", -1, 0),
+        ("y", 1, 0),
+        ("y", 1, make_tail(1, {0})),
+        ("y", -1, 0),
     }
     rng = make_rng(44)
     for _ in range(200):
         level = rng.randint(-3, 3)
         tail = make_tail(level, [e for e in range(level - 3, level) if rng.random() < 0.5])
-        v = TreeVertex("y", level, tail)
+        v = ("y", level, tail)
         ns = neighbors(v)
         assert len(set(ns)) == 3
         for n in ns:
@@ -171,15 +173,21 @@ def test_product_action():
 
 
 def test_vertex_serialization():
-    assert W.key() == "y:0:0"
-    assert TreeVertex("t", 3, make_tail(3, {1, 2})).key() == "t:3:3"
-    assert TreeVertex("y", -2, make_tail(-2, {-3, -6})).key() == "y:-2:9"
+    assert vertex_key(W) == "y:0:0"
+    assert vertex_key(("t", 3, make_tail(3, {1, 2}))) == "t:3:3"
+    assert vertex_key(("y", -2, make_tail(-2, {-3, -6}))) == "y:-2:9"
     horizontal, vertical = standard_product_vertex()
-    assert (horizontal.key(), vertical.key()) == ("y:0:0", "t:0:0")
-    with pytest.raises(ValueError):
-        TreeVertex("y", 0, -1)
+    assert (vertex_key(horizontal), vertex_key(vertical)) == ("y:0:0", "t:0:0")
     with pytest.raises(ValueError, match="different fields"):
         bt_act(named_elements().C2, (standard_vertex("t"), standard_vertex("y")))
+
+
+def test_vertices_are_plain_tuples():
+    ne = named_elements()
+    m = RHO_Y(ne.B2)
+    horizontal, vertical = bt_act(ne.C2, standard_product_vertex())
+    for v in (standard_vertex("y"), standard_vertex("t"), act(m, W), vertex_from_matrix(m), horizontal, vertical):
+        assert type(v) is tuple and len(v) == 3
 
 
 def test_ball_vertex_count_formula():

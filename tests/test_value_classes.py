@@ -16,7 +16,7 @@ from quatlat.presentations import Presentation, gr_presentation, lambda_presenta
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import RationalFunction, _set__memo, rf
 from quatlat.squares import GroupOps, V4Structure, build_structure
-from quatlat.tree import TreeVertex, act, bt_act, standard_product_vertex, standard_vertex
+from quatlat.tree import act, bt_act, standard_product_vertex, standard_vertex, vertex_key
 
 from conftest import make_rng, random_invertible_quaternion
 
@@ -36,7 +36,6 @@ def _instances():
     """(object, its field names) for one instance of every rewritten class."""
     alg = standard_algebra()
     return [
-        (TreeVertex("y", 3, 0b101), ("field", "level", "tail")),
         (PLACE_ZETA, ("kind", "minpoly")),
         (PLACE_INF, ("kind", "minpoly")),
         (lambda_presentation(), ("generators", "relators")),
@@ -124,7 +123,7 @@ def test_every_slot_refuses_assignment_after_construction(obj):
 
 
 def test_certificate_results_stay_mutable_and_own_their_details():
-    first, second = CertificateResult("a", True), CertificateResult("b", False)
+    first, second = CertificateResult("a", True, {}), CertificateResult("b", False, {})
     first.details["key"] = 1
     first.elapsed_ms = 2.5
     assert second.details == {} and first.details == {"key": 1}
@@ -157,7 +156,7 @@ def _with_last_relator_reversed(presentation: Presentation) -> Presentation:
 
 def test_value_equality_and_hash():
     pairs = [
-        (TreeVertex("t", -2, 9), TreeVertex("t", -2, 9)),
+        (("t", -2, 9), ("t", -2, 9)),
         (Place("finite", 0b111), PLACE_ZETA),
         (Place("infinity"), PLACE_INF),
         (QuaternionAlgebra(rf(0b10), rf(0b1001)), standard_algebra()),
@@ -169,9 +168,9 @@ def test_value_equality_and_hash():
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
     different = [
-        (TreeVertex("y", 0, 0), TreeVertex("t", 0, 0)),
-        (TreeVertex("y", 1, 0), TreeVertex("y", 1, 1)),
-        (TreeVertex("y", 1, 0), TreeVertex("y", 2, 0)),
+        (("y", 0, 0), ("t", 0, 0)),
+        (("y", 1, 0), ("y", 1, 1)),
+        (("y", 1, 0), ("y", 2, 0)),
         (standard_product_vertex(), standard_vertex("y")),
         (PLACE_ZERO, PLACE_ONE),
         (PLACE_ZERO, PLACE_INF),
@@ -197,17 +196,20 @@ def test_vertices_as_dict_keys():
         table.setdefault(v, len(table))
     for v, index in table.items():
         horizontal, vertical = v
-        rebuilt = (TreeVertex(*horizontal), TreeVertex(*vertical))
+        (hf, hn, ht), (vf, vn, vt) = v
+        rebuilt = ((hf, hn, ht), (vf, vn, vt))
         assert rebuilt is not v and table[rebuilt] == index
         by_factor = {horizontal: "h", vertical: "v"}
-        assert by_factor[TreeVertex(*horizontal)] == "h" and by_factor[TreeVertex(*vertical)] == "v"
-    assert len(set(table)) == len(table) == len({(h.key(), v.key()) for h, v in table})
+        assert by_factor[(hf, hn, ht)] == "h" and by_factor[(vf, vn, vt)] == "v"
+    assert len(set(table)) == len(table) == len({(vertex_key(h), vertex_key(v)) for h, v in table})
 
 
 def test_vertex_fields_and_text():
-    v = TreeVertex("t", 3, 0b11)
-    assert (v.field, v.level, v.tail) == ("t", 3, 3)
-    assert str(v) == v.key() == "t:3:3"
+    """A vertex's fields are its positions (field, level, tail); here the
+    class of [[t^3, t+t^2], [0, 1]], reached by the action."""
+    v = act(Matrix2("t", rf(0b1000), rf(0b110), rf(0), rf(1)), standard_vertex("t"))
+    field, level, tail = v
+    assert (field, level, tail) == ("t", 3, 0b11) and vertex_key(v) == "t:3:3"
 
 
 def test_ball_check_report_json_keeps_its_keys_in_order():
@@ -223,8 +225,6 @@ def test_ball_check_report_json_keeps_its_keys_in_order():
 
 
 def test_constructors_reject_invalid_values():
-    with pytest.raises(ValueError, match="nonnegative"):
-        TreeVertex("y", 0, -1)
     c1 = named_elements().C1
     for pair in (
         (standard_vertex("t"), standard_vertex("y")),
