@@ -1,8 +1,9 @@
 """End-to-end arithmetic certificates.
 
 Each certificate is a plain function that re-derives one of the structural
-facts and returns a `CertificateResult`: PASS/FAIL with enough detail to see
-what broke.  Certificates never read the clock; `suite.run_all` times them.
+facts and returns `(passed, details)`, with enough detail to see what
+broke.  Certificates never read the clock; `suite.run_all` names and times
+them.
 Here: the ramification set of the algebra, the discriminant of the standard
 order, the standard vertex stabilizer, the neighbor geometry of the
 generating sets, and the simple-transitivity ball check on the product of
@@ -32,37 +33,17 @@ from .squares import V4Structure
 from .tree import act, ball_vertex_count, bt_act, distance, standard_product_vertex, vertex_key
 
 
-class CertificateResult:
-    """One certificate's verdict.  `suite.run_all` sets elapsed_ms; as_json
-    leaves it out, so `verify --json` is byte-stable."""
-
-    __slots__ = ("name", "passed", "details", "elapsed_ms")
-
-    def __init__(self, name: str, passed: bool, details: dict, elapsed_ms: float = 0.0) -> None:
-        self.name = name
-        self.passed = passed
-        self.details = details
-        self.elapsed_ms = elapsed_ms
-
-    def as_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
-
-
 def ramified_places() -> list[Place]:
     """Places among {0, 1, zeta, inf} where [z, 1+z^3) is a division algebra."""
     alg = standard_algebra()
     return [p for p in NAMED_PLACES if local_symbol(alg.a, alg.b, p) == 1]
 
 
-def ramification_certificate() -> CertificateResult:
+def ramification_certificate() -> tuple[bool, dict]:
     ram = ramified_places()
     expected = [PLACE_ONE, PLACE_ZETA]
     passed = ram == expected and len(ram) % 2 == 0
-    return CertificateResult(
-        "ramification",
-        passed,
-        {"ramified": [p.name for p in ram], "expected": [p.name for p in expected]},
-    )
+    return passed, {"ramified": [p.name for p in ram], "expected": [p.name for p in expected]}
 
 
 def order_discriminant() -> RationalFunction:
@@ -81,14 +62,10 @@ def _det4(m: list[list[RationalFunction]]) -> RationalFunction:
     return total
 
 
-def discriminant_certificate() -> CertificateResult:
+def discriminant_certificate() -> tuple[bool, dict]:
     disc = order_discriminant()
     expected = rf(0b1001) ** 2  # (1+z^3)^2
-    return CertificateResult(
-        "discriminant",
-        disc == expected,
-        {"discriminant": str(disc), "expected": str(expected)},
-    )
+    return disc == expected, {"discriminant": str(disc), "expected": str(expected)}
 
 
 def _mod_pi_matrix(m: Matrix2) -> list[list[int]] | None:
@@ -100,7 +77,7 @@ def _mod_pi_matrix(m: Matrix2) -> list[list[int]] | None:
     return [[int(v11 == 0), int(v12 == 0)], [int(v21 == 0), int(v22 == 0)]]
 
 
-def stabilizer_certificate() -> CertificateResult:
+def stabilizer_certificate() -> tuple[bool, dict]:
     """d fixes the standard vertex, fails R1-integrality, and squares to a scalar."""
     ne = named_elements()
     details: dict = {}
@@ -137,10 +114,10 @@ def stabilizer_certificate() -> CertificateResult:
         failures.append("d^2 is not the scalar 1+z+z^2")
 
     details["failures"] = failures
-    return CertificateResult("stabilizer", not failures, details)
+    return not failures, details
 
 
-def neighbors_certificate(structure: V4Structure) -> CertificateResult:
+def neighbors_certificate(structure: V4Structure) -> tuple[bool, dict]:
     """The A side moves only the vertical tree factor, the B side only the
     horizontal one, each onto three distinct neighbors of the base vertex."""
     w = standard_product_vertex()
@@ -162,7 +139,7 @@ def neighbors_certificate(structure: V4Structure) -> CertificateResult:
             failures.append(f"{side} images not pairwise distinct")
         details[f"{side.lower()}_{factor[moved]}_images"] = [vertex_key(v) for v in images]
     details["failures"] = failures
-    return CertificateResult("neighbors", not failures, details)
+    return not failures, details
 
 
 # -- the ball check ----------------------------------------------------------
@@ -332,6 +309,6 @@ def ball_check(radius: int, structure: V4Structure | None = None) -> BallCheckRe
     return BallCheckReport(radius, word_count, distinct_elements, distinct_vertices, expected, injective)
 
 
-def ball_certificate(radius: int, structure: V4Structure) -> CertificateResult:
+def ball_certificate(radius: int, structure: V4Structure) -> tuple[bool, dict]:
     report = ball_check(radius, structure)
-    return CertificateResult("ball-check", report.injective, report._asdict())
+    return report.injective, report._asdict()

@@ -36,7 +36,7 @@ def _print_results(results, as_json: bool) -> int:
         payload = {
             "schema_version": 1,
             "all_passed": all_passed,
-            "results": [r.as_json() for r in results],
+            "results": [{"name": r.name, "passed": r.passed, "details": r.details} for r in results],
             "failures": [r.name for r in results if not r.passed],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

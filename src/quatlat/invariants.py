@@ -8,13 +8,14 @@ Albanese variety.
 
 Every Z/l dimension here, the kernel dimensions and the Hom checks alike, is
 read from Smith invariant factors by one rule, smith.hom_dim.
+`albanese_certificate` returns `(passed, details)` like every certificate;
+`suite.run_all` names and times it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .certify import CertificateResult
 from .localperm import t_map
 from .presentations import abelianization, gamma_presentation
 from .smith import hom_dim, invariant_factors
@@ -122,7 +123,7 @@ def albanese_kernel_dim(structure: V4Structure, ells: tuple[int, ...] | list[int
     return {ell: hom_dim(factors, free_rank, ell) for ell in ells}
 
 
-def albanese_certificate(structure: V4Structure) -> CertificateResult:
+def albanese_certificate(structure: V4Structure) -> tuple[bool, dict]:
     """Kernel dims vanish for l in {5, 7} on a nonempty domain; Gamma^ab is
     Z/15; Hom(Gamma^ab, Z/l), read from the computed factors and free rank,
     vanishes for l in {7, 11, 13}.  The second route to Gamma^ab is checked
@@ -130,7 +131,7 @@ def albanese_certificate(structure: V4Structure) -> CertificateResult:
     try:
         kernel_dims = albanese_kernel_dim(structure, (5, 7))
     except InvalidStructureError as exc:
-        return CertificateResult("albanese", False, {"failure": str(exc)})
+        return False, {"failure": str(exc)}
     factors, rank = abelianization(gamma_presentation())
     hom_checks = {ell: hom_dim(factors, rank, ell) for ell in (7, 11, 13)}
     # the columns of boundary_matrix: with |A| = |B| = 1 there are none, and
@@ -152,4 +153,4 @@ def albanese_certificate(structure: V4Structure) -> CertificateResult:
     }
     if domain == 0:
         details["failure"] = "the cochain map has no columns (|A| = |B| = 1), so its kernel dimensions are vacuous"
-    return CertificateResult("albanese", passed, details)
+    return passed, details

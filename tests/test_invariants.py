@@ -52,15 +52,15 @@ def test_invariants_certificate_reads_its_structure():
     """The standard structure passes; a structure whose cell counts are not
     those of the fake quadric, or that lies outside the formulas' range,
     fails with its reason instead of raising."""
-    result = invariants_certificate(standard_structure())
-    assert result.passed
-    assert result.details == {"edges": 12, "squares": 9, "chi": 1, "c1_squared": 8, "c2": 4}
-    result = invariants_certificate(nonstable_structure())  # SL(2,3): q = 3, 16 edges and 16 squares
-    assert result.passed is False
-    assert (result.details["edges"], result.details["squares"], result.details["c1_squared"]) == (16, 16, 32)
-    result = invariants_certificate(identity_structure())  # one square, q = 0
-    assert result.passed is False
-    assert "residue field size >= 2" in result.details["failure"]
+    passed, details = invariants_certificate(standard_structure())
+    assert passed
+    assert details == {"edges": 12, "squares": 9, "chi": 1, "c1_squared": 8, "c2": 4}
+    passed, details = invariants_certificate(nonstable_structure())  # SL(2,3): q = 3, 16 edges and 16 squares
+    assert passed is False
+    assert (details["edges"], details["squares"], details["c1_squared"]) == (16, 16, 32)
+    passed, details = invariants_certificate(identity_structure())  # one square, q = 0
+    assert passed is False
+    assert "residue field size >= 2" in details["failure"]
 
 
 def test_boundary_matrix_shape():
@@ -127,38 +127,39 @@ def test_is_prime_is_deterministic_miller_rabin():
 
 
 def test_albanese_certificate():
-    result = albanese_certificate(standard_structure())
-    assert result.name == "albanese" and result.passed
-    assert result.details["kernel_dims"] == {"5": 0, "7": 0}
-    assert result.details["gamma_ab_factors"] == (15,)
-    assert result.details["gamma_ab_free_rank"] == 0
-    assert result.details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
-    assert result.details["passed"] is True
+    passed, details = albanese_certificate(standard_structure())
+    assert passed
+    assert details["kernel_dims"] == {"5": 0, "7": 0}
+    assert details["gamma_ab_factors"] == (15,)
+    assert details["gamma_ab_free_rank"] == 0
+    assert details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
+    assert details["passed"] is True
 
 
 def test_albanese_hom_checks_read_the_computed_abelianization(monkeypatch):
     """With Gamma presented as Z/21, Hom(Gamma^ab, Z/7) is Z/7 and the
     certificate turns red; a free part counts once for every l."""
     monkeypatch.setattr(invariants, "gamma_presentation", lambda: Presentation(("a",), ((1,) * 21,)))
-    result = albanese_certificate(standard_structure())
-    assert result.details["gamma_ab_factors"] == (21,)
-    assert result.details["hom_checks"] == {"7": 1, "11": 0, "13": 0}
-    assert not result.passed
+    passed, details = albanese_certificate(standard_structure())
+    assert details["gamma_ab_factors"] == (21,)
+    assert details["hom_checks"] == {"7": 1, "11": 0, "13": 0}
+    assert not passed
     monkeypatch.setattr(invariants, "gamma_presentation", lambda: Presentation(("a", "b"), ((1,) * 15,)))
-    result = albanese_certificate(standard_structure())
-    assert (result.details["gamma_ab_factors"], result.details["gamma_ab_free_rank"]) == ((15,), 1)
-    assert result.details["hom_checks"] == {"7": 1, "11": 1, "13": 1}
-    assert not result.passed
+    passed, details = albanese_certificate(standard_structure())
+    assert (details["gamma_ab_factors"], details["gamma_ab_free_rank"]) == ((15,), 1)
+    assert details["hom_checks"] == {"7": 1, "11": 1, "13": 1}
+    assert not passed
 
 
 def test_albanese_certificate_is_red_on_the_identity_structure():
     """With |A| = |B| = 1 the cochain map has no columns, so both kernel
     dimensions read 0 without saying anything; the certificate must not pass."""
-    result = albanese_certificate(identity_structure())
-    assert result.details["kernel_dims"] == {"5": 0, "7": 0}
-    assert not result.passed and result.details["passed"] is False
-    assert "vacuous" in result.details["failure"]
-    assert "failure" not in albanese_certificate(standard_structure()).details
+    passed, details = albanese_certificate(identity_structure())
+    assert details["kernel_dims"] == {"5": 0, "7": 0}
+    assert not passed and details["passed"] is False
+    assert "vacuous" in details["failure"]
+    _, details = albanese_certificate(standard_structure())
+    assert "failure" not in details
 
 
 def test_albanese_certificate_is_red_through_its_kernel_dims(monkeypatch):
@@ -167,7 +168,7 @@ def test_albanese_certificate_is_red_through_its_kernel_dims(monkeypatch):
     certificate turns red through its kernel dimensions alone."""
     matrix = boundary_matrix(standard_structure())
     monkeypatch.setattr(invariants, "boundary_matrix", lambda structure: [[5 * x for x in row] for row in matrix])
-    result = albanese_certificate(standard_structure())
-    assert result.details["kernel_dims"] == {"5": 16, "7": 0}
-    assert result.details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
-    assert not result.passed and result.details["passed"] is False
+    passed, details = albanese_certificate(standard_structure())
+    assert details["kernel_dims"] == {"5": 16, "7": 0}
+    assert details["hom_checks"] == {"7": 0, "11": 0, "13": 0}
+    assert not passed and details["passed"] is False

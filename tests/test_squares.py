@@ -1,8 +1,6 @@
 import pytest
 
 from quatlat import suite
-from quatlat.certify import ball_certificate, neighbors_certificate
-from quatlat.invariants import albanese_certificate
 from quatlat.lattice import standard_structure
 from quatlat.quaternion import named_elements
 from quatlat.squares import (
@@ -99,10 +97,11 @@ def test_verify_v4_failures_are_exact(sides, expected):
 def test_structure_certificate_fails_when_c1_is_swapped_for_d():
     """d is projectively its own inverse, so the inverse pairing still
     holds, but the products AB and BA no longer agree as sets."""
-    assert structure_certificate(standard_structure()).passed
-    result = structure_certificate(c1_swapped_for_d())
-    assert not result.passed
-    assert result.details["verified"] is False
+    passed, _ = structure_certificate(standard_structure())
+    assert passed
+    passed, details = structure_certificate(c1_swapped_for_d())
+    assert not passed
+    assert details["verified"] is False
 
 
 def test_degenerate_identity_structure():
@@ -298,24 +297,20 @@ def _swap_b2_and_c2(s):
             lambda s: s._replace(inv={**s.inv, "b1": "c1"}),
             {"v4-structure", "local-permutation-groups", "relators", "ball-check"},
         ),
+        (lambda s: c1_swapped_for_d(), {"v4-structure", "neighbors", "relators", "ball-check"}),
     ],
-    ids=["square-dropped", "b2-c2-relabelled", "inverse-pairing-broken"],
+    ids=["square-dropped", "b2-c2-relabelled", "inverse-pairing-broken", "c1-swapped-for-d"],
 )
-def test_every_certificate_reports_a_malformed_complex(perturb, red):
-    """A square set or inverse pairing that no V4-structure has turns the
-    certificates that read it red, with a result rather than a traceback."""
-    s = perturb(standard_structure())
-    certificates = (
-        suite.structure_certificate,
-        suite.links_certificate,
-        suite.local_groups_certificate,
-        neighbors_certificate,
-        suite.relators_certificate,
-        lambda structure: ball_certificate(2, structure),
-        suite.invariants_certificate,
-        albanese_certificate,
-    )
-    results = [certificate(s) for certificate in certificates]
+def test_every_certificate_reports_a_malformed_complex(monkeypatch, perturb, red):
+    """A square set, inverse pairing or generator that no V4-structure has
+    turns the certificates that read it red, with a result rather than a
+    traceback.  All twelve run, as `verify` runs them; those that do not
+    read the structure (ramification, discriminant, stabilizer and
+    abelianization) stay green."""
+    perturbed = perturb(standard_structure())
+    monkeypatch.setattr(suite, "standard_structure", lambda: perturbed)
+    results = suite.run_all(2)
+    assert len(results) == 12
     assert {r.name for r in results if not r.passed} == red
 
 

@@ -11,10 +11,12 @@ nothing: each name has one import path, its module's.
 
 A second guard keeps the choice of which values memoize in one module: only
 `certify` (and `rational`, which defines it) names `_set__memo`.  A third
-keeps process-wide caches to one module: only `lattice` names `lru_cache`.
-A fourth keeps a malformed input reportable: no module raises
+keeps a certificate's verdict record to one module: only `suite`, whose
+`run_all` names and times the certificates, names `CertificateResult`.  A
+fourth keeps process-wide caches to one module: only `lattice` names
+`lru_cache`.  A fifth keeps a malformed input reportable: no module raises
 `AssertionError`, so a certificate can catch what it reads as a failure.
-A fifth keeps the arithmetic exact: the few floats, `math` imports and `/`
+A sixth keeps the arithmetic exact: the few floats, `math` imports and `/`
 operators in the package are pinned one by one, and only `suite`, which
 times the certificates, reads the clock.
 """
@@ -83,6 +85,11 @@ def test_only_the_ball_check_gives_values_a_memo():
     assert naming == ["certify.py", "rational.py"], naming
 
 
+def test_only_the_suite_builds_certificate_results():
+    naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["CertificateResult"])
+    assert naming == ["suite.py"], naming
+
+
 def test_only_the_lattice_caches_across_calls():
     naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["lru_cache"])
     assert naming == ["lattice.py"], naming
@@ -126,13 +133,11 @@ def _imports_time(source: str) -> bool:
 
 
 def test_the_arithmetic_is_exact_and_only_the_suite_reads_the_clock():
-    """The pinned sites: the 0.0 default of a result's elapsed_ms, the math
-    import behind INFINITE_VALUATION = math.inf, and RationalFunction
-    division in the residue, which is exact."""
+    """The pinned sites: the math import behind INFINITE_VALUATION =
+    math.inf, and RationalFunction division in the residue, which is exact."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     sites = sorted((name, text) for name, source in sources.items() for text in _inexact_sites(source))
     assert sites == [
-        ("certify.py", "0.0"),
         ("places.py", "a * b.derivative() / b"),
         ("places.py", "import math"),
     ], sites

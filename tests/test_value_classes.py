@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from quatlat.certify import BallCheckReport, CertificateResult, ball_check
+from quatlat.certify import BallCheckReport, ball_check
 from quatlat.embeddings import RHO_T, RHO_Y, Matrix2
 from quatlat.invariants import ComplexCounts, complex_counts
 from quatlat.places import PLACE_INF, PLACE_ONE, PLACE_ZERO, PLACE_ZETA, Place
@@ -16,6 +16,7 @@ from quatlat.presentations import Presentation, gr_presentation, lambda_presenta
 from quatlat.quaternion import Quaternion, QuaternionAlgebra, named_elements, standard_algebra
 from quatlat.rational import RationalFunction, _set__memo, rf
 from quatlat.squares import GroupOps, V4Structure, build_structure
+from quatlat.suite import CertificateResult, run_all
 from quatlat.tree import act, bt_act, standard_product_vertex, standard_vertex, vertex_key
 
 from conftest import make_rng, random_invertible_quaternion
@@ -51,22 +52,20 @@ def _instances():
 
 INSTANCES = _instances()
 IDS = [type(obj).__name__ for obj, _ in INSTANCES]
-FROZEN = [(obj, names) for obj, names in INSTANCES if not isinstance(obj, CertificateResult)]
-FROZEN_IDS = [type(obj).__name__ for obj, _ in FROZEN]
 
 
 def _fields(obj, names):
     return tuple(getattr(obj, name) for name in names)
 
 
-@pytest.mark.parametrize("obj, names", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("obj, names", INSTANCES, ids=IDS)
 def test_assignment_raises(obj, names):
     for name in (*names, "unknown_attribute"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
 
 
-@pytest.mark.parametrize("obj, names", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("obj, names", INSTANCES, ids=IDS)
 def test_deletion_raises(obj, names):
     before = _fields(obj, names)
     for name in (*names, "unknown_attribute"):
@@ -122,14 +121,15 @@ def test_every_slot_refuses_assignment_after_construction(obj):
     repr(obj)  # every slot is still there to print
 
 
-def test_certificate_results_stay_mutable_and_own_their_details():
-    first, second = CertificateResult("a", True, {}), CertificateResult("b", False, {})
-    first.details["key"] = 1
-    first.elapsed_ms = 2.5
-    assert second.details == {} and first.details == {"key": 1}
-    assert first.details is not second.details
-    assert first.elapsed_ms == 2.5 and second.elapsed_ms == 0.0
-    assert first.as_json() == {"name": "a", "passed": True, "details": {"key": 1}}
+def test_run_all_results_are_equal_and_own_their_details():
+    """Two runs give equal verdicts, and each result's details are its own:
+    writing to one run's details leaves the other's as they were."""
+    first, second = run_all(1), run_all(1)
+    assert [r[:3] for r in first] == [r[:3] for r in second]
+    for a, b in zip(first, second):
+        assert a.details is not b.details
+        a.details["key"] = 1
+        assert "key" not in b.details
 
 
 @pytest.mark.parametrize("obj, names", INSTANCES, ids=IDS)
@@ -144,7 +144,7 @@ def test_copy_and_pickle_keep_the_type_and_the_fields(obj, names, round_trip):
     assert _fields(twin, names) == _fields(obj, names)
     if type(obj).__eq__ is not object.__eq__:
         assert twin == obj
-    if type(obj).__hash__ not in (None, object.__hash__) and not isinstance(obj, V4Structure):
+    if type(obj).__hash__ not in (None, object.__hash__) and not isinstance(obj, (V4Structure, CertificateResult)):
         assert hash(twin) == hash(obj)
 
 
