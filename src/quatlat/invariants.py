@@ -4,7 +4,9 @@ Counting formulas for an N-vertex quotient of the product of two (q+1)-regular
 trees, the Chern numbers of the algebraized surface, and the mod-l kernel of
 the cochain map assembled from the edge bijections, whose vanishing (together
 with Gamma^ab = Z/15, read from Gamma's own presentation) certifies a trivial
-Albanese variety.
+Albanese variety.  The cochain map reads the complex's incidence from
+`squares` alone: where each edge ends (`edge_vertices`) and what each square
+on it meets there (`edge_ends`).
 
 Every Z/l dimension here, the kernel dimensions and the Hom checks alike, is
 read from Smith invariant factors by one rule, smith.hom_dim.
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .localperm import t_map
 from .presentations import abelianization, gamma_presentation
 from .smith import hom_dim, invariant_factors
-from .squares import InvalidStructureError, V4Structure
+from .squares import VERTICES, InvalidStructureError, V4Structure, edge_ends, edge_vertices
 
 ComplexCounts = namedtuple("ComplexCounts", "vertices q edges squares chi")
 
@@ -75,29 +76,24 @@ def boundary_matrix(structure: V4Structure) -> list[list[int]]:
     one on B (the v part), in the basis e_x - e_x0 over the non-initial
     labels; 4 * (|A|-1 + |B|-1) columns, vertex by vertex in the order
     s_00, s_01, s_10, s_11.  Rows: one per (unoriented edge, attached
-    square) pair, the horizontal edges first.  A horizontal edge (b,j)
-    contributes f_h(0,j) o t^0 - f_h(1,j) o t^1, a vertical edge (a,i)
-    contributes f_v(i,0) o t^0 - f_v(i,1) o t^1.
+    square) pair, the horizontal edges first.  An edge from s to s' whose
+    square meets the labels t^0 at s and t^1 at s' (`squares.edge_ends`)
+    contributes f(s) o t^0 - f(s') o t^1, f being the h part for a
+    horizontal edge and the v part for a vertical one.
     """
     a_names, b_names = structure.a_names, structure.b_names
     width = len(a_names) + len(b_names) - 2  # columns of vertex s_ij: h part, then v part
     rows: list[list[int]] = []
     # (edge labels, labels of the functions the edge moves, offset of that
-    # part in a vertex's columns, vertex steps of the edge's end and index):
-    # edge (b,j) joins s_0j to s_1j, edge (a,i) joins s_i0 to s_i1
-    for edges, labels, offset, end_step, index_step in (
-        (b_names, a_names, 0, 2, 1),
-        (a_names, b_names, len(a_names) - 1, 1, 2),
-    ):
+    # part in a vertex's columns)
+    for edges, labels, offset in ((b_names, a_names, 0), (a_names, b_names, len(a_names) - 1)):
         for label in edges:
             for index in (0, 1):
-                ends = (t_map(structure, label, index, 0), t_map(structure, label, index, 1))
+                starts = [VERTICES.index(vertex) * width + offset for vertex in edge_vertices(structure, label, index)]
                 block = []
-                for square in ends[0]:
+                for pair in edge_ends(structure, label, index):
                     row = [0] * (4 * width)
-                    for end, sign in ((0, 1), (1, -1)):
-                        start = (end * end_step + index * index_step) * width + offset
-                        at = ends[end][square][0]
+                    for start, at, sign in zip(starts, pair, (1, -1)):
                         # the value at `at` of each basis vector e_x - e_x0
                         if at == labels[0]:
                             for k in range(start, start + len(labels) - 1):

@@ -1,9 +1,10 @@
 """Local permutation groups of a V4-structure.
 
-Each edge of the complex carries bijections t between the squares attached
-to it and the opposite-type edges at a corner vertex, read off each square
-with `squares.corner`; composing two of them gives a permutation sigma of
-(labels x {0,1}) that lies in the wreath product Sym(labels) wr Sym({0,1}).
+Each edge of the complex carries, at each of its two ends, a bijection
+between the squares attached to it and the opposite-type edges there; both
+come from `squares.edge_ends`, which pairs them square by square.  Composing
+one with the other's inverse gives a permutation sigma of (labels x {0,1})
+that lies in the wreath product Sym(labels) wr Sym({0,1}).
 The groups generated by these sigmas are compared against the reference
 group {((s, tau s tau), e)} = Sym(X) x {+-1}, tau being the inversion
 involution on the label set.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .squares import InvalidStructureError, Square, V4Structure, corner
+from .squares import InvalidStructureError, V4Structure, edge_ends
 
 Perm = tuple[int, ...]
 
@@ -39,49 +40,13 @@ def wreath_perm(labels: tuple[str, ...], g0: dict[str, str], g1: dict[str, str],
     return tuple(mapping)
 
 
-# -- the t-maps ------------------------------------------------------------
-
-
-def _at_corner(structure: V4Structure, square: Square, label: str, index: int, target: int) -> tuple[str, str]:
-    """(own label, opposite label) at the corner of the square where the
-    edge (label, index) meets the opposite-type edges of index `target`."""
-    if label in structure.a_names:
-        return corner(square, index, target)
-    if label in structure.b_names:
-        a, b = corner(square, target, index)
-        return b, a
-    raise ValueError(f"unknown edge label {label!r}")
-
-
-def squares_on_edge(structure: V4Structure, label: str, index: int) -> list[Square]:
-    """Squares whose boundary contains the edge (label, index)."""
-    return [s for s in structure.squares if _at_corner(structure, s, label, index, 0)[0] == label]
-
-
-def t_map(structure: V4Structure, label: str, index: int, target: int) -> dict[Square, tuple[str, int]]:
-    """The bijection from squares on the edge (label, index) to the
-    opposite-type edges of index `target`, read off at the corner where they
-    meet: s_{index,target} for a vertical edge, s_{target,index} for a
-    horizontal one."""
-    if target not in (0, 1):
-        raise ValueError("target index must be 0 or 1")
-    out = {
-        s: (_at_corner(structure, s, label, index, target)[1], target)
-        for s in squares_on_edge(structure, label, index)
-    }
-    if len(set(out.values())) != len(out):
-        raise InvalidStructureError("t-map failed to be injective")
-    return out
-
-
 def sigma(structure: V4Structure, label: str, index: int) -> Perm:
     """The wreath permutation t^0 (t^1)^-1 | t^1 (t^0)^-1 induced by the edge,
-    over the opposite side's labels."""
-    t0 = t_map(structure, label, index, 0)
-    t1 = t_map(structure, label, index, 1)
+    over the opposite side's labels, t^e being its bijection at end e."""
+    pairs = edge_ends(structure, label, index)
     opposite = structure.b_names if label in structure.a_names else structure.a_names
-    g0 = {t1[s][0]: t0[s][0] for s in t0}  # into fiber 0: t0 after inverse of t1
-    g1 = {t0[s][0]: t1[s][0] for s in t0}
+    g0 = {stop: start for start, stop in pairs}  # into fiber 0: t^0 after inverse of t^1
+    g1 = {start: stop for start, stop in pairs}
     if set(g0) != set(opposite) or set(g1) != set(opposite):
         raise InvalidStructureError("sigma components are not permutations of the opposite side")
     return wreath_perm(opposite, g0, g1, flip=True)

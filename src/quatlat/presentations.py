@@ -3,9 +3,9 @@ relator evaluation, Reidemeister-Schreier kernels and abelianization.
 
 Words over a presentation's generators are tuples of nonzero signed indices:
 +k stands for generator k-1, -k for its inverse.  Relator comparison happens
-up to free reduction, cyclic rotation, inversion and replacing g^-1 by g for
-generators with a square relator (involutions), which is exactly the
-ambiguity left by choosing different orbit representatives.
+up to free and cyclic reduction, cyclic rotation, inversion and replacing
+g^-1 by g for generators with a square relator (involutions), which is
+exactly the ambiguity left by choosing different orbit representatives.
 
 The finite quotient behind the second route to Gamma^ab = Z/15 is
 Lambda -> V4, with V4 = (Z/2)^2 written as 2-bit ints under XOR in the
@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .quaternion import Quaternion
 from .smith import invariant_factors
-from .squares import V4Structure, v4_orbits_of_squares
+from .squares import V4Structure, boundary, v4_orbits_of_squares
 
 Word = tuple[int, ...]
 
@@ -113,16 +113,18 @@ def _involution_normalize(word: Word, involutions: frozenset[int]) -> Word:
 
 
 def canonical_relator(word: Word, involutions: frozenset[int]) -> Word:
-    """Canonical form up to free reduction, cyclic rotation, inversion and
-    rewriting g^-1 as g for the involutive generator indices."""
+    """Canonical form up to free and cyclic reduction, cyclic rotation,
+    inversion and rewriting g^-1 as g for the involutive generator indices."""
     w = _involution_normalize(word, involutions)
-    w_inv = _involution_normalize(tuple(-x for x in reversed(word)), involutions)
+    while len(w) > 1 and w[0] == -w[-1]:  # a first x and a last x^-1 cancel cyclically
+        w = w[1:-1]
+    w_inv = _involution_normalize(tuple(-x for x in reversed(w)), involutions)
     return min(base[k:] + base[:k] for base in (w, w_inv) for k in range(len(base) or 1))
 
 
 def same_presentation(p: Presentation, q: Presentation) -> bool:
-    """Same generator names and the same relator set up to rotation,
-    inversion and involution rewriting (the ambiguity of orbit choices);
+    """Same generator names and the same relator set up to reduction,
+    rotation, inversion and involution rewriting (`canonical_relator`);
     q's words are renumbered into p's generator order by name."""
     if set(p.generators) != set(q.generators):
         return False
@@ -138,8 +140,9 @@ def same_presentation(p: Presentation, q: Presentation) -> bool:
 
 def orbifold_presentation(structure: V4Structure) -> Presentation:
     """Reduced presentation: one generator per inverse-pair on each side, a
-    square relator for each self-inverse label, and one relator a b' a'^-1 b^-1
-    per Klein-four orbit of squares (inverse labels rewritten as inverses)."""
+    square relator for each self-inverse label, and one relator per Klein-four
+    orbit of squares: the `squares.boundary` a b' a'^-1 b^-1 of its first
+    square (inverse labels rewritten as inverses)."""
     generators: list[str] = []
     signed: dict[str, int] = {}
     torsion: list[str] = []
@@ -158,8 +161,7 @@ def orbifold_presentation(structure: V4Structure) -> Presentation:
     relators: list[Word] = [(signed[name], signed[name]) for name in torsion]
     involutions = frozenset(abs(signed[name]) for name in torsion)
     for orbit in v4_orbits_of_squares(structure):
-        a, bp, b, ap = orbit[0]
-        raw = (signed[a], signed[bp], -signed[ap], -signed[b])
+        raw = tuple(sign * signed[label] for label, _, sign in boundary(orbit[0]))
         relators.append(_involution_normalize(raw, involutions))
     return Presentation(tuple(generators), tuple(relators))
 

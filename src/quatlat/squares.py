@@ -8,13 +8,17 @@ whose outputs are hashable and equal exactly for equal group elements (for
 quaternions: the projective representative).
 
 The structure is its complex: vertices s00, s01, s10, s11; vertical edges
-(a,i) from s_i0 to s_i1; horizontal edges (b,j) from s_0j to s_1j; and one
+(a,i) from s_i0 to s_i1 and horizontal edges (b,j) from s_0j to s_1j
+(`edge_vertices` is the one statement of where an edge ends); and one
 square [a,b'; b,a'] for every relation ab' = ba', whose corner at s_ij joins
 (a,i) or (a',i) to (b,j) or (b',j), unprimed at index 0 and primed at 1
-(`corner` is the one statement of this gluing), so its boundary runs
-((a,0), (b',1), rev (a',1), rev (b,0)).  The Klein four group acts on the
-complex, and inverse-stability of the structure is equivalent to the
-label-inverting involution preserving the square set.
+(`corner` is the one statement of this gluing).  Two statements are built
+on those: `edge_ends`, the labels each square on an edge meets at the edge's
+two ends, and `boundary`, a square's boundary ((a,0), (b',1), rev (a',1),
+rev (b,0)); other modules read the incidence through these and
+`edge_vertices` alone.  The Klein four group acts on the complex, and
+inverse-stability of the structure is equivalent to the label-inverting
+involution preserving the square set.
 
 V4 = (Z/2)^2 is written as 2-bit ints under XOR, here and in `presentations`:
 bit 0 is gamma_v, which flips j (s_ij -> s_i(1-j)) and inverts the A labels;
@@ -117,11 +121,46 @@ def is_inverse_stable(structure: V4Structure) -> bool:
 # -- the complex -----------------------------------------------------------
 
 
-def corner(square: Square, i: int, j: int) -> tuple[str, str]:
+def corner(square: Square, vertex: str) -> tuple[str, str]:
     """(a, b): the labels of the vertical edge (a,i) and the horizontal edge
-    (b,j) that meet at the square's corner s_ij."""
+    (b,j) that meet at the square's corner at the vertex s_ij."""
     a, bp, b, ap = square
-    return (a if i == 0 else ap, b if j == 0 else bp)
+    return (a if vertex[1] == "0" else ap, b if vertex[2] == "0" else bp)
+
+
+def edge_vertices(structure: V4Structure, label: str, index: int) -> tuple[str, str]:
+    """The vertices the edge (label, index) runs from and to: s_i0 to s_i1
+    for a vertical edge (a,i), s_0j to s_1j for a horizontal edge (b,j)."""
+    if label in structure.a_names:
+        return f"s{index}0", f"s{index}1"
+    if label in structure.b_names:
+        return f"s0{index}", f"s1{index}"
+    raise ValueError(f"unknown edge label {label!r}")
+
+
+def edge_ends(structure: V4Structure, label: str, index: int) -> list[tuple[str, str]]:
+    """For each square on the edge (label, index), in square order, the pair
+    of opposite-side labels it meets at the edge's two ends, in the order of
+    `edge_vertices`.  ValueError for an unknown label; InvalidStructureError
+    when an end meets one opposite label on two squares."""
+    ends = edge_vertices(structure, label, index)
+    step = 1 if label in structure.a_names else -1  # read corners as (own label, opposite label)
+    pairs = []
+    for square in structure.squares:
+        (own, start), (_, stop) = (corner(square, vertex)[::step] for vertex in ends)
+        if own == label:
+            pairs.append((start, stop))
+    for end in (0, 1):
+        if len({pair[end] for pair in pairs}) != len(pairs):
+            raise InvalidStructureError(f"edge ({label},{index}) meets an opposite label twice at end {end}")
+    return pairs
+
+
+def boundary(square: Square) -> tuple[tuple[str, int, int], ...]:
+    """The square's boundary from s00 as (label, index, sign) edges, sign -1
+    for an edge run backwards: ((a,0), (b',1), rev (a',1), rev (b,0))."""
+    (a, b), (ap, bp) = corner(square, "s00"), corner(square, "s11")
+    return ((a, 0, 1), (bp, 1, 1), (ap, 1, -1), (b, 0, -1))
 
 
 def cell_counts(structure: V4Structure) -> tuple[int, int, int]:
@@ -133,8 +172,7 @@ def link(structure: V4Structure, vertex: str) -> list[tuple[str, str]]:
     """Corner graph at the vertex: one (a-label, b-label) edge per square corner."""
     if vertex not in VERTICES:
         raise ValueError(f"unknown vertex {vertex}")
-    i, j = int(vertex[1]), int(vertex[2])
-    return [corner(square, i, j) for square in structure.squares]
+    return [corner(square, vertex) for square in structure.squares]
 
 
 def is_complete_bipartite(corners: list[tuple[str, str]], a_names: tuple[str, ...], b_names: tuple[str, ...]) -> bool:
@@ -194,12 +232,9 @@ def complex_to_json(structure: V4Structure) -> dict:
         for label in names:
             for k in (0, 1):
                 ids[label, k] = len(edges)
-                ends = (f"s{k}0", f"s{k}1") if orientation == "v" else (f"s0{k}", f"s1{k}")
+                ends = edge_vertices(structure, label, k)
                 edges.append({"id": ids[label, k], "label": label, "from": ends[0], "to": ends[1], "orientation": orientation})
-    squares = []
-    for square in structure.squares:
-        (a, b), (ap, bp) = corner(square, 0, 0), corner(square, 1, 1)
-        squares.append([ids[a, 0], ids[bp, 1], ids[ap, 1], ids[b, 0]])
+    squares = [[ids[label, k] for label, k, _ in boundary(square)] for square in structure.squares]
     return {"schema_version": 1, "vertices": list(VERTICES), "edges": edges, "squares": squares}
 
 

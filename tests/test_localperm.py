@@ -1,13 +1,6 @@
 from quatlat.lattice import standard_structure
-from quatlat.localperm import (
-    generate,
-    local_group,
-    reference_group,
-    sigma,
-    squares_on_edge,
-    t_map,
-)
-from quatlat.squares import build_structure, GroupOps
+from quatlat.localperm import generate, local_group, reference_group, sigma
+from quatlat.squares import edge_ends
 
 from conftest import wreath_from_cycles
 
@@ -49,30 +42,20 @@ LOCAL_GROUP_GOLDEN = frozenset(
 
 
 def test_t_map_sizes_and_bijectivity():
+    """The t-map t^e of an edge sends each square on it to the opposite label
+    it meets at end e (read off `edge_ends`); sigma is built from t^0 and t^1,
+    so each must have one entry per square and be a bijection onto the
+    opposite labels."""
     s = standard_structure()
     for label in s.a_names + s.b_names:
+        opposite = s.b_names if label in s.a_names else s.a_names
         for index in (0, 1):
-            squares = squares_on_edge(s, label, index)
-            assert len(squares) == 3
-            for target in (0, 1):
-                t = t_map(s, label, index, target)
+            pairs = edge_ends(s, label, index)
+            assert len(pairs) == 3
+            for end in (0, 1):
+                t = [pair[end] for pair in pairs]
                 assert len(t) == 3
-                assert len(set(t.values())) == 3
-                assert all(idx == target for _, idx in t.values())
-
-
-def test_t_map_on_the_commuting_square():
-    s = standard_structure()
-    t = t_map(s, "c1", 0, 0)
-    assert t[("c1", "c2", "c2", "c1")] == ("c2", 0)
-
-
-def test_t_map_on_the_identity_structure():
-    ident = (0,)
-    ops = GroupOps(mul=lambda p, q: p, inv=lambda p: p, canon=lambda p: p)
-    s = build_structure([("x", ident)], [("y", ident)], ops)
-    t = t_map(s, "x", 0, 1)
-    assert t == {("x", "y", "y", "x"): ("y", 1)}
+                assert sorted(t) == sorted(opposite)
 
 
 def test_sigma_golden_values():

@@ -115,6 +115,11 @@ def test_canonical_relator_identifies_rotations_and_inverses():
     w2 = p.word("b2 b1 b2 c1^-1")  # rotation with an inverted involution
     assert canonical_relator(w1, involutions) == canonical_relator(w2, involutions)
     assert canonical_relator(word_inverse(w1), involutions) == canonical_relator(w1, involutions)
+    # a conjugate reduces cyclically to the word it conjugates, after free reduction
+    assert canonical_relator((1, 2, -1), frozenset()) == canonical_relator((2,), frozenset()) == (-2,)
+    assert canonical_relator((1, 3, 2, -2, -3, 4, -1), frozenset()) == canonical_relator((4,), frozenset())
+    a_b = ("a", "b")
+    assert same_presentation(Presentation(a_b, ((1, 2, -1),)), Presentation(a_b, ((2,),)))
 
 
 def test_fixed_presentation_shapes():

@@ -10,6 +10,7 @@ from quatlat.squares import (
     build_structure,
     cell_counts,
     complex_to_json,
+    edge_ends,
     euler_characteristic,
     is_complete_bipartite,
     is_inverse_stable,
@@ -126,15 +127,41 @@ def test_standard_cell_counts_and_links():
 
 
 def test_edges_lie_on_the_right_number_of_squares():
-    from quatlat.localperm import squares_on_edge
-
+    """Each edge lies on one square per opposite label, and `edge_ends` pairs
+    them in square order.  Oracle: the square [a,b'; b,a'] lies on (a,0) and
+    (a',1), meeting b then b', and on (b,0) and (b',1), meeting a then a'."""
     s = standard_structure()
-    for a in s.a_names:
-        for i in (0, 1):
-            assert len(squares_on_edge(s, a, i)) == len(s.b_names)
-    for b in s.b_names:
-        for j in (0, 1):
-            assert len(squares_on_edge(s, b, j)) == len(s.a_names)
+    for label in s.a_names + s.b_names:
+        vertical = label in s.a_names
+        opposite = s.b_names if vertical else s.a_names
+        for index in (0, 1):
+            pairs = edge_ends(s, label, index)
+            assert len(pairs) == len(opposite)
+            expected = [
+                (b, bp) if vertical else (a, ap)
+                for a, bp, b, ap in s.squares
+                if (a, ap, b, bp)[(0 if vertical else 2) + index] == label
+            ]
+            assert pairs == expected
+
+
+def test_edge_ends_on_the_commuting_square():
+    s = standard_structure()
+    on_edge = [sq for sq in s.squares if sq[0] == "c1"]
+    assert dict(zip(on_edge, edge_ends(s, "c1", 0)))[("c1", "c2", "c2", "c1")] == ("c2", "c2")
+
+
+def test_edge_ends_on_the_identity_structure():
+    assert edge_ends(identity_structure(), "x", 0) == [("y", "y")]
+
+
+def test_edge_ends_reject_an_unknown_label_and_a_repeated_square():
+    s = standard_structure()
+    with pytest.raises(ValueError, match="unknown edge label 'd'"):
+        edge_ends(s, "d", 0)
+    doubled = s._replace(squares=s.squares + s.squares[:1])
+    with pytest.raises(InvalidStructureError, match="meets an opposite label twice"):
+        edge_ends(doubled, s.squares[0][0], 0)
 
 
 def test_expected_square_is_present():
@@ -285,6 +312,10 @@ def _swap_b2_and_c2(s):
     return s._replace(squares=tuple(tuple(swap.get(x, x) for x in sq) for sq in s.squares))
 
 
+def _b1_inverse_times_d(s):
+    return s._replace(elements={**s.elements, "b1^-1": named_elements().D * s.elements["b1^-1"]})
+
+
 @pytest.mark.parametrize(
     "perturb, red",
     [
@@ -298,8 +329,20 @@ def _swap_b2_and_c2(s):
             {"v4-structure", "local-permutation-groups", "relators", "ball-check"},
         ),
         (lambda s: c1_swapped_for_d(), {"v4-structure", "neighbors", "relators", "ball-check"}),
+        (
+            lambda s: s._replace(squares=s.squares + s.squares[:1]),
+            {"v4-structure", "links", "local-permutation-groups", "invariants", "albanese"},
+        ),
+        (_b1_inverse_times_d, {"v4-structure", "neighbors", "ball-check"}),
     ],
-    ids=["square-dropped", "b2-c2-relabelled", "inverse-pairing-broken", "c1-swapped-for-d"],
+    ids=[
+        "square-dropped",
+        "b2-c2-relabelled",
+        "inverse-pairing-broken",
+        "c1-swapped-for-d",
+        "square-duplicated",
+        "b1-inverse-times-d",
+    ],
 )
 def test_every_certificate_reports_a_malformed_complex(monkeypatch, perturb, red):
     """A square set, inverse pairing or generator that no V4-structure has

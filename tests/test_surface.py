@@ -18,7 +18,9 @@ fourth keeps process-wide caches to one module: only `lattice` names
 `AssertionError`, so a certificate can catch what it reads as a failure.
 A sixth keeps the arithmetic exact: the few floats, `math` imports and `/`
 operators in the package are pinned one by one, and only `suite`, which
-times the certificates, reads the clock.
+times the certificates, reads the clock.  A seventh keeps the square
+complex's incidence in one module: only `squares` names `corner`, the
+gluing that `edge_ends` and `boundary` are read from.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def test_only_the_ball_check_gives_values_a_memo():
 def test_only_the_suite_builds_certificate_results():
     naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["CertificateResult"])
     assert naming == ["suite.py"], naming
+
+
+def test_only_squares_reads_the_corner_gluing():
+    naming = sorted(path.name for path in SRC.glob("*.py") if _names(ast.parse(path.read_text()))["corner"])
+    assert naming == ["squares.py"], naming
 
 
 def test_only_the_lattice_caches_across_calls():
